@@ -1,0 +1,9 @@
+import os
+import sys
+
+PERF_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(PERF_DIR)
+
+for path in (PERF_DIR, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
