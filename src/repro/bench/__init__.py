@@ -1,7 +1,7 @@
 """Benchmark harness: workload drivers, statistics, and table formatting.
 
 One function per paper experiment lives in :mod:`repro.bench.runner`; the
-``benchmarks/`` directory and the ``insane-bench`` CLI both call into it, so
+``benchmarks/`` directory and the ``insane bench`` CLI both call into it, so
 every table and figure of the paper is regenerated by exactly one code
 path.
 """

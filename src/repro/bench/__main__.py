@@ -1,4 +1,4 @@
-"""``python -m repro.bench`` — alias of the ``insane-bench`` CLI.
+"""``python -m repro.bench`` — alias of the ``insane bench`` CLI.
 
 Examples::
 

@@ -2,7 +2,7 @@
 
 The paper's figures are plots; where a table hides the shape, these
 renderers make orderings and gaps visible directly in the terminal.
-``insane-bench <figure> --chart`` uses them.
+``insane bench <figure> --chart`` uses them.
 """
 
 

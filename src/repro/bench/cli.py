@@ -1,10 +1,10 @@
-"""The ``insane-bench`` command line: regenerate any paper table or figure.
+"""The ``insane bench`` command line: regenerate any paper table or figure.
 
 Examples::
 
-    insane-bench fig7 --profile cloud
-    insane-bench fig8a --full
-    insane-bench all --quick
+    insane bench fig7 --profile cloud
+    insane bench fig8a --full
+    insane bench all --quick
 """
 
 import argparse
@@ -66,7 +66,7 @@ EXPERIMENTS = {
     "fanout": lambda args: run_fanout_cmd(args),
 }
 
-#: meta-tools excluded from ``insane-bench all`` (they measure the harness
+#: meta-tools excluded from ``insane bench all`` (they measure the harness
 #: or plan capacity/scale, not the paper)
 NOT_IN_ALL = ("profile", "capacity", "city", "fanout")
 
@@ -257,8 +257,8 @@ def run_breakdown_cmd(args):
 def run_validate(seed=0, quick=True):
     """Differential oracle + golden-corpus check, bench-style.
 
-    The full ``insane-validate`` CLI has more knobs; this entry point runs
-    the two headline checks so ``insane-bench all`` also exercises the
+    The full ``insane validate`` CLI has more knobs; this entry point runs
+    the two headline checks so ``insane bench all`` also exercises the
     validation subsystem.
     """
     from repro.validate import check_corpus, run_differential
@@ -366,7 +366,7 @@ CHART_RENDERERS = {
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        prog="insane-bench",
+        prog="insane bench",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(
@@ -403,7 +403,9 @@ def main(argv=None):
                              "'engine_churn'; default fig8a_streaming)")
     parser.add_argument("--engine", choices=("fast", "legacy"),
                         default="fast",
-                        help="profile only: which engine to profile")
+                        help="profile only: which event loop runs the "
+                             "stack ('legacy' is the reference engine "
+                             "under the same stack)")
     parser.add_argument("--top", type=int, default=25, metavar="N",
                         help="profile only: functions in the cumulative-"
                              "time table")

@@ -20,7 +20,7 @@ from repro.core import QosPolicy, Session
 from repro.core.runtime import InsaneDeployment
 from repro.hw import Testbed
 from repro.hw.profiles import PROFILES
-from repro.simnet import RateMeter, Tally, Timeout
+from repro.simnet import RateMeter, Tally
 
 #: Paper Fig. 7 ordering.
 SYSTEMS = (
@@ -137,8 +137,6 @@ class InsaneBenchApp:
                 buffer = yield from self.client.get_buffer_wait(source, size)
                 yield from self.client.emit_data(source, buffer, length=size)
 
-        legacy = getattr(sim, "legacy_stack", False)
-
         def sink_proc(session, sink, meter):
             touch = session.runtime.host.profile.stage("app_touch").cost(size)
             received = 0
@@ -149,21 +147,6 @@ class InsaneBenchApp:
                 session.release_buffer(sink, delivery)
                 meter.record(sim.now, size)
                 received += 1
-
-        def sink_proc_legacy(session, sink, meter):
-            """Pre-overhaul sink loop, verbatim (perf baseline)."""
-            touch = session.runtime.host.profile.stage("app_touch").cost(size)
-            received = 0
-            while received < messages:
-                delivery = yield from session.consume_data(sink)
-                if touch:
-                    yield Timeout(touch)
-                session.release_buffer(sink, delivery)
-                meter.record(sim.now, size)
-                received += 1
-
-        if legacy:
-            sink_proc = sink_proc_legacy
 
         for session, sink, meter in sink_sessions:
             sim.process(sink_proc(session, sink, meter), name="insane.sink")

@@ -6,27 +6,22 @@ messages, sinks, and sweeps a run can afford.  This module measures it on a
 fixed suite of paper workloads and records the trajectory in
 ``BENCH_wallclock.json`` so perf regressions are visible PR over PR.
 
-Each workload runs in two configurations:
+There is one application stack.  Each workload runs it on two event
+loops:
 
 ``fast``
-    The overhauled stack: tuple-heap engine with zero-delay lane
-    (:class:`repro.simnet.Simulator`), inline-dispatch process
-    trampolines, coalesced datapath charges, pending-checked polling.
+    :class:`repro.simnet.Simulator`: tuple heap, zero-delay lane, inline
+    burst chains and fused hops.
 
 ``legacy``
-    The full pre-overhaul stack: object-per-event engine
-    (:class:`repro.simnet.legacy.LegacySimulator` with
-    ``legacy_stack=True``), apply-dispatch trampolines, one Timeout per
-    pipeline stage, unconditional polling passes.
+    :class:`repro.simnet.legacy.LegacySimulator`: the pre-overhaul
+    object-per-event heap, kept as an independent reference.
 
-The two configurations intentionally execute *different event streams*
-(coalescing removes events and reorders rng draws), so their simulated
-results are compared within a small tolerance here.  The bit-identical
-determinism guarantee is separate and stricter: the fast engine versus the
-legacy *engine* running the same fast stack must agree exactly — that is
-asserted by the golden-trace tests in ``tests/simnet/test_determinism.py``
-and is available here as ``run_workload(..., engine="legacy",
-stack="fast")``.
+Both engines execute the same event stream, so every suite entry records an
+exact ``identical_stream`` check (event count, final simulated time,
+results, no process failures) next to the engine speedup.  The speedup
+isolates the event loop; end-to-end and per-layer numbers for every entry
+point come from the calibrated ``perf/`` benchmark (``BENCHMARK.json``).
 
 Usage::
 
@@ -63,10 +58,6 @@ QUICK_MESSAGES = 3000
 FULL_ROUNDS = 2000
 FULL_MESSAGES = 20000
 
-#: relative tolerance when comparing simulated results across the two
-#: stacks (jitter draws interleave differently; medians barely move).
-RESULT_RTOL = 0.05
-
 #: repetitions per measurement in :func:`run_suite` — wall time is
 #: best-of-N because scheduler noise only ever adds time, never removes it.
 SUITE_REPS = 3
@@ -79,31 +70,27 @@ CHURN_BURST = 64
 CHURN_CANCEL_FRACTION = 0.25
 
 
-def run_workload(name, engine="fast", stack=None, rounds=QUICK_ROUNDS,
+def run_workload(name, engine="fast", rounds=QUICK_ROUNDS,
                  messages=QUICK_MESSAGES, profile="local", seed=0, reps=1):
-    """Run one suite workload on one engine/stack configuration.
+    """Run one suite workload on one engine.
 
-    ``engine`` picks the event loop; ``stack`` picks the surrounding
-    application-layer behaviour ("fast" or "legacy") and defaults to the
-    engine name.  ``(engine="legacy", stack="fast")`` is the golden-trace
-    configuration whose results must be bit-identical to the fast engine.
-    ``reps`` repeats the whole run and keeps the fastest wall clock.
+    ``engine`` picks the event loop ("fast" or "legacy"); the stack above
+    it is the same either way, so everything simulated must be
+    bit-identical across engines (the golden-trace guarantee).  ``reps``
+    repeats the whole run and keeps the fastest wall clock.
     """
     best = None
     for _ in range(max(1, reps)):
-        record = _run_workload_once(name, engine, stack, rounds, messages,
-                                    profile, seed)
+        record = _run_workload_once(name, engine, rounds, messages, profile,
+                                    seed)
         if best is None or record["wall_s"] < best["wall_s"]:
             best = record
     return best
 
 
-def _run_workload_once(name, engine, stack, rounds, messages, profile, seed):
+def _run_workload_once(name, engine, rounds, messages, profile, seed):
     spec = SUITE[name]
-    stack = stack or engine
     sim = ENGINES[engine](seed=seed)
-    if stack == "legacy":
-        sim.legacy_stack = True
     testbed = Testbed(PROFILES[profile], hosts=2, seed=seed, sim=sim)
     app = InsaneBenchApp(testbed, "fast")
     wall_start = time.perf_counter()
@@ -122,7 +109,6 @@ def _run_workload_once(name, engine, stack, rounds, messages, profile, seed):
     return {
         "workload": name,
         "engine": engine,
-        "stack": stack,
         "seed": seed,
         "wall_s": wall_s,
         "events": events,
@@ -236,8 +222,8 @@ def run_churn(engine="fast", events=CHURN_EVENTS, seed=0, reps=1):
     the Amdahl decomposition in DESIGN.md).  Both engines execute the same
     stream — on the legacy engine every chain step is a normally-scheduled
     heap event, on the fast engine steps run inline when provably next —
-    so event counts and final simulated time must match exactly (asserted
-    by ``run_suite`` as ``identical_stream``).
+    so event counts and final simulated time must match exactly (checked
+    by ``run_suite`` as ``identical_stream``, as for every suite entry).
 
     ``events`` is a budget: each tick accounts CHURN_BURST + 1 executed
     events (the tick plus its chain steps), and ticks stop once the budget
@@ -267,7 +253,6 @@ def _run_churn_once(engine, events, seed):
     return {
         "workload": "engine_churn",
         "engine": engine,
-        "stack": engine,
         "seed": seed,
         "wall_s": wall_s,
         "events": executed,
@@ -280,21 +265,18 @@ def _run_churn_once(engine, events, seed):
     }
 
 
-def _close(a, b, rtol=RESULT_RTOL):
-    scale = max(abs(a), abs(b))
-    return scale == 0 or abs(a - b) <= rtol * scale
+def identical_stream(fast, legacy):
+    """Whether two engines simulated exactly the same run.
 
-
-def results_close(fast, legacy, rtol=RESULT_RTOL):
-    """Whether two runs' simulated outcomes agree within tolerance."""
-    if fast["failures"] or legacy["failures"]:
-        return False
-    fr, lr = fast["result"], legacy["result"]
-    if "median_rtt_ns" in fr:
-        return _close(fr["median_rtt_ns"], lr["median_rtt_ns"], rtol)
-    pairs = zip(fr["per_sink_gbps"], lr["per_sink_gbps"])
-    return len(fr["per_sink_gbps"]) == len(lr["per_sink_gbps"]) and all(
-        _close(f, l, rtol) for f, l in pairs
+    Both engines drive the one stack, so the event count, the final
+    simulated time and the results must agree bit for bit, with no
+    process failure on either side.
+    """
+    return (
+        fast["failures"] == 0 and legacy["failures"] == 0
+        and fast["events"] == legacy["events"]
+        and fast["sim_ns"] == legacy["sim_ns"]
+        and fast["result"] == legacy["result"]
     )
 
 
@@ -341,32 +323,20 @@ def run_suite(full=False, seed=0, compare_legacy=True, reps=SUITE_REPS,
                     name, engine, rounds=rounds, messages=messages,
                     seed=seed, reps=reps,
                 )
+    # the engine-only microbenchmark: no stack code at all
+    for engine in engines:
+        measured[("engine_churn", engine)] = run_churn(engine, seed=seed,
+                                                       reps=reps)
     suite = {}
-    for name in SUITE:
+    for name in tuple(SUITE) + ("engine_churn",):
         fast = measured[(name, "fast")]
         entry = {"fast": fast}
         if compare_legacy:
             legacy = measured[(name, "legacy")]
             entry["legacy"] = legacy
             _speedups(entry, fast, legacy)
-            # sanity cross-check: the two stacks model the same system, so
-            # their simulated outcomes must agree within jitter tolerance
-            # (exact bit-identity across *engines* is asserted by the
-            # golden-trace tests, on the same stack)
-            entry["results_close"] = results_close(fast, legacy)
+            entry["identical_stream"] = identical_stream(fast, legacy)
         suite[name] = entry
-    # the engine-only microbenchmark: no stack code, identical event stream
-    fast = run_churn("fast", seed=seed, reps=reps)
-    entry = {"fast": fast}
-    if compare_legacy:
-        legacy = run_churn("legacy", seed=seed, reps=reps)
-        entry["legacy"] = legacy
-        _speedups(entry, fast, legacy)
-        entry["identical_stream"] = (
-            fast["events"] == legacy["events"]
-            and fast["sim_ns"] == legacy["sim_ns"]
-        )
-    suite["engine_churn"] = entry
     return {
         "mode": "full" if full else "quick",
         "seed": seed,
@@ -497,7 +467,7 @@ def check_ratchet(path="BENCH_wallclock.json",
     if not ok:
         lines.append(
             "ratchet: the batched hot path is likely not engaging — "
-            "profile with 'insane-bench profile --workload engine_churn' "
+            "profile with 'insane bench profile --workload engine_churn' "
             "(or set %s on a known-slow machine)" % RATCHET_SKIP_ENV
         )
     return ok, lines
@@ -573,9 +543,6 @@ def summary_lines(record):
                 name, engine, row["wall_s"], row["events"],
                 row["events_per_sec"] / 1e6, speedup,
             ))
-        if "results_close" in entry:
-            lines.append("%-18s %10s results_close=%s" % (
-                "", "", entry["results_close"]))
         if "identical_stream" in entry:
             lines.append("%-18s %10s identical_stream=%s" % (
                 "", "", entry["identical_stream"]))

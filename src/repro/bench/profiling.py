@@ -1,4 +1,4 @@
-"""``insane-bench profile``: cProfile a perf workload, aggregate by package.
+"""``insane bench profile``: cProfile a perf workload, aggregate by package.
 
 Answers "where does packet time actually go?" without leaving the repo's
 tooling: one suite workload (or the engine-churn microbenchmark) runs under

@@ -7,12 +7,9 @@ One entry point in front of every subsystem::
     insane scenario run corpus/           # scenario DSL + SLO verdicts
     insane profile --workload fig8a_streaming
 
-Sub-command argv is forwarded *verbatim* to the existing sub-CLI mains,
-so ``insane bench ...`` is byte-identical on stdout to the historical
-``insane-bench ...`` (and likewise for validate).  The old entry points
-remain as thin deprecated aliases — :func:`bench_alias` and
-:func:`validate_alias` — that print a one-line notice on stderr and
-forward; scripts keep working, stdout parsers never notice.
+Sub-command argv is forwarded *verbatim* to the sub-CLI mains, which are
+also reachable as ``python -m repro.bench`` and ``python -m
+repro.validate``.
 """
 
 import importlib
@@ -65,23 +62,3 @@ def main(argv=None):
         return 2
     module = importlib.import_module(entry[0])
     return module.main(rest)
-
-
-def _alias(old_name, command, argv):
-    sys.stderr.write(
-        "%s: deprecated alias; use `insane %s ...` instead\n"
-        % (old_name, command)
-    )
-    sys.stderr.flush()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    return main([command] + argv)
-
-
-def bench_alias(argv=None):
-    """Deprecated ``insane-bench`` entry point; forwards to ``insane bench``."""
-    return _alias("insane-bench", "bench", argv)
-
-
-def validate_alias(argv=None):
-    """Deprecated ``insane-validate`` entry point; forwards to ``insane validate``."""
-    return _alias("insane-validate", "validate", argv)

@@ -3,10 +3,8 @@
 Each sub-CLI (bench, validate, scenario) owns its parser, but the
 execution knobs — ``--seed``, ``--workers``, ``--no-cache``,
 ``--cache-dir``, ``--json`` — mean the same thing everywhere, so they
-are declared once here and grafted onto each parser.  Keeping one
-definition guarantees the umbrella ``insane`` command and the deprecated
-``insane-bench``/``insane-validate`` aliases stay flag-compatible: a
-script written against one spelling keeps working under the other.
+are declared once here and grafted onto each parser, so a flag learnt
+on one sub-command works the same on every other.
 """
 
 import argparse

@@ -105,10 +105,6 @@ class Source:
         # reused for every subsequent one (the binding never changes)
         self._ring = None
 
-    def next_emit_id(self):
-        self._next_emit_id += 1
-        return self._next_emit_id
-
     def close(self):
         if not self.closed:
             self.closed = True

@@ -156,19 +156,13 @@ class ControlPlane:
         cache_key = (key, local_ip)
         cached = self._remote_cache.get(cache_key)
         if cached is None:
-            cached = self._remote_cache[cache_key] = (
-                self.remote_subscribers_uncached(key, local_ip)
-            )
+            subscribers = self._subscriptions.get(key, {})
+            cached = self._remote_cache[cache_key] = [
+                (ip, frozenset(counts))
+                for ip, counts in sorted(subscribers.items())
+                if ip != local_ip
+            ]
         return cached
-
-    def remote_subscribers_uncached(self, key, local_ip):
-        """Recompute the subscriber view (the pre-overhaul per-emit cost)."""
-        subscribers = self._subscriptions.get(key, {})
-        return [
-            (ip, frozenset(counts))
-            for ip, counts in sorted(subscribers.items())
-            if ip != local_ip
-        ]
 
     def has_subscribers(self, key):
         return bool(self._subscriptions.get(key))

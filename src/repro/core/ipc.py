@@ -8,7 +8,6 @@ shared memory (paper §5.3, Fig. 4).  The simulated ring is a bounded
 dequeuing side so that the cost lands on the correct simulated core.
 """
 
-from repro.core.channel import ChannelKey
 from repro.simnet import Counter, Get, Put, Store, Timeout
 
 
@@ -40,10 +39,6 @@ class Token:
         self.buffer = buffer
         self.meta = {} if meta is None else meta
 
-    @property
-    def key(self):
-        return ChannelKey(self.stream, self.channel)
-
     def __repr__(self):
         return "Token(slot=%r, len=%r, %s:%s)" % (
             self.slot_id, self.length, self.stream, self.channel
@@ -59,8 +54,6 @@ class TokenRing:
         self.store = Store(sim, capacity=capacity, name=name)
         self.name = name
         self._half_ns = host.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
-        #: pre-overhaul behaviour: recompute the stage cost per call
-        self._legacy = getattr(sim, "legacy_stack", False)
         self.enqueued = Counter(name + ".enqueued")
         self.rejected = Counter(name + ".rejected")
 
@@ -73,7 +66,7 @@ class TokenRing:
 
     def half_cost(self, burst=1):
         """The per-side CPU cost of one ring crossing."""
-        if burst == 1 and not self._legacy:
+        if burst == 1:
             return Timeout(self.host.jitter(self._half_ns))
         return Timeout(self.host.jitter(self.host.profile.stage("insane_ipc").cost(0, burst=burst) / 2.0))
 
@@ -88,12 +81,6 @@ class TokenRing:
     def enqueue_effect(self, token):
         """A ``Put`` effect that blocks the producer while the ring is full
         (backpressure rather than silent loss on the client side)."""
-        if self._legacy:
-            # verbatim pre-overhaul path: per-call import + increment()
-            from repro.simnet import Put as PutEffect
-
-            self.enqueued.value += 1
-            return PutEffect(self.store, token)
         self.enqueued.value += 1
         return Put(self.store, token)
 

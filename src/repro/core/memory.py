@@ -93,10 +93,6 @@ class SlotPool:
         self.allocations = Counter(name + ".allocations")
         self.exhaustions = Counter(name + ".exhaustions")
         self._waiters = []
-        #: pre-overhaul behaviour: construct a Buffer (and slice a view)
-        #: per allocation instead of recycling pooled objects — only the
-        #: perf baseline sets legacy_stack
-        self._legacy = getattr(sim, "legacy_stack", False)
 
     @property
     def free_slots(self):
@@ -117,15 +113,6 @@ class SlotPool:
             self.exhaustions.value += 1
             return None
         buffer = self._free.pop()
-        if self._legacy:
-            # verbatim pre-overhaul allocation: a fresh Buffer wrapping a
-            # freshly sliced view, plus increment() calls
-            slot_id = buffer.slot_id
-            offset = slot_id * self.slot_bytes
-            buffer = Buffer(self, slot_id, self._view[offset : offset + self.slot_bytes])
-            self._live[slot_id] = buffer
-            self.allocations.value += 1
-            return buffer
         buffer.length = 0
         buffer.refcount = 1
         buffer.frozen = False
@@ -212,8 +199,6 @@ class MemoryManager:
         )
         self._attached = {}
         self._quotas = {}
-        if getattr(sim, "legacy_stack", False):
-            self.alloc_for = self._alloc_for_legacy
 
     def attach(self, app_id, quota=None):
         """Attach an application; ``quota`` optionally caps how many slots
@@ -248,21 +233,6 @@ class MemoryManager:
         if buffer is None:
             raise PoolExhaustedError("%s out of slots" % self.pool.name)
         owned.add(buffer)
-        return buffer
-
-    def _alloc_for_legacy(self, app_id, size=0):
-        """Pre-overhaul allocation accounting, verbatim (perf baseline)."""
-        if app_id not in self._attached:
-            raise ValueError("application %r is not attached" % (app_id,))
-        quota = self._quotas.get(app_id)
-        if quota is not None and len(self._attached[app_id]) >= quota:
-            raise PoolExhaustedError(
-                "application %r reached its slot quota (%d)" % (app_id, quota)
-            )
-        buffer = self.pool.try_alloc(size)
-        if buffer is None:
-            raise PoolExhaustedError("%s out of slots" % self.pool.name)
-        self._attached[app_id].add(buffer)
         return buffer
 
     def alloc_waiter_for(self, app_id, callback):

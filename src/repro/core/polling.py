@@ -47,15 +47,6 @@ class PollingThread:
     # -- main loop ------------------------------------------------------------
 
     def _loop(self):
-        try:
-            if getattr(self.sim, "legacy_stack", False):
-                yield from self._legacy_loop()
-            else:
-                yield from self._fast_loop()
-        finally:
-            self.host.unpin_core()
-
-    def _fast_loop(self):
         """Poll bindings, but only enter a pass that can make progress.
 
         ``tx_pass``/``rx_pass`` are generators: calling them allocates a
@@ -65,36 +56,24 @@ class PollingThread:
         skipping it is invisible to the simulation and only saves wall
         clock.  A stale positive is harmless: the pass runs, finds no
         eligible work (e.g. a closed TSN gate), and reports no progress,
-        exactly as the unconditional loop would.
+        exactly as an unconditional pass would.
         """
-        while self.running:
-            progressed = False
-            for binding in self.bindings:
-                if binding.tx_pending():
-                    progressed = (yield from binding.tx_pass()) or progressed
-                if binding.rx_pending():
-                    progressed = (yield from binding.rx_pass()) or progressed
-            if progressed:
-                continue
-            if self._pending_kick:
-                self._pending_kick = False
-                continue
-            yield from self._park()
-
-    def _legacy_loop(self):
-        """The pre-overhaul loop: every binding pays a full (generator)
-        tx/rx pass per iteration whether or not any work is pending."""
-        while self.running:
-            progressed = False
-            for binding in list(self.bindings):
-                progressed = (yield from binding.tx_pass()) or progressed
-                progressed = (yield from binding.rx_pass()) or progressed
-            if progressed:
-                continue
-            if self._pending_kick:
-                self._pending_kick = False
-                continue
-            yield from self._park()
+        try:
+            while self.running:
+                progressed = False
+                for binding in self.bindings:
+                    if binding.tx_pending():
+                        progressed = (yield from binding.tx_pass()) or progressed
+                    if binding.rx_pending():
+                        progressed = (yield from binding.rx_pass()) or progressed
+                if progressed:
+                    continue
+                if self._pending_kick:
+                    self._pending_kick = False
+                    continue
+                yield from self._park()
+        finally:
+            self.host.unpin_core()
 
     def _park(self):
         """Idle: sleep until kicked or until the next TSN gate opens."""

@@ -28,7 +28,7 @@ from repro.datapaths import (
     XdpDatapath,
 )
 from repro.datapaths.registry import available_datapaths
-from repro.netstack import FramePolicy, Packet
+from repro.netstack import FramePolicy
 from repro.netstack.packet import PACKET_POOL
 from repro.simnet import Counter, Timeout
 
@@ -106,8 +106,6 @@ class DatapathBinding:
         #: max ns of frames the NIC may hold before the send loop throttles
         #: (keeps transmit ordering under the scheduler's control)
         self.max_nic_backlog_ns = 5_000.0
-        #: pre-overhaul cost-accounting behaviour; see repro.simnet.legacy
-        self._legacy = getattr(self.sim, "legacy_stack", False)
         # one SPSC ring per attached application (paper Fig. 4)
         self.tx_rings = {}
         self._ring_list = []   # stable iteration order, no dict copy per pass
@@ -134,10 +132,6 @@ class DatapathBinding:
         self._failover_handled = False
         self._wire_datapath()
         self.rx_queue.on_item = self._kick
-        if self._legacy:
-            # the perf baseline runs the verbatim pre-overhaul passes
-            self.tx_pass = self._tx_pass_legacy
-            self.rx_pass = self._rx_pass_legacy
 
     def ring_for(self, app_id):
         """The application's private SPSC emit ring on this binding."""
@@ -156,7 +150,7 @@ class DatapathBinding:
 
     def ipc_half_cost(self, burst=1):
         """Per-side cost of one client<->runtime ring crossing."""
-        if burst == 1 and not self._legacy:
+        if burst == 1:
             return Timeout(self.host.jitter(self._ipc_half_ns))
         cost = self.profile.stage("insane_ipc").cost(0, burst=burst) / 2.0
         return Timeout(self.host.jitter(cost))
@@ -344,28 +338,6 @@ class DatapathBinding:
             yield from self._send_batch(ready)
         return progressed
 
-    def _tx_pass_legacy(self):
-        """Pre-overhaul tx pass: per-token cost lookups, no memoization."""
-        progressed = False
-        for ring in list(self.tx_rings.values()):
-            tokens = ring.drain(self.tx_burst)
-            if not tokens:
-                continue
-            progressed = True
-            burst = len(tokens)
-            cost = sum(self._token_cost(burst) for _ in tokens)
-            yield Timeout(self.host.jitter(cost))
-            for token in tokens:
-                self._route_token_legacy(token)
-        max_batch = self.tx_burst if self.batching else 1
-        while True:
-            ready = self._pop_ready(self.sim.now, max_batch)
-            if not ready:
-                break
-            progressed = True
-            yield from self._send_batch(ready)
-        return progressed
-
     def _route_token(self, token):
         """Deliver locally over shared memory, schedule remote transmissions."""
         runtime = self.runtime
@@ -397,31 +369,6 @@ class DatapathBinding:
         )
         for dst_ip, dst_datapaths in remote:
             egress = self if self.name in dst_datapaths else self._egress_for(dst_datapaths)
-            packet = egress._build_packet(token, buffer, dst_ip)
-            egress._push_scheduler(packet, traffic_class)
-            if egress is not self:
-                egress._kick()
-
-    def _route_token_legacy(self, token):
-        """Pre-overhaul routing: per-emit subscriber recomputation."""
-        runtime = self.runtime
-        buffer = token.buffer
-        local = runtime.local_sinks(token.key)
-        remote = runtime.control.remote_subscribers_uncached(token.key, self.host.ip)
-        refs_needed = len(local) + len(remote)
-        runtime.mark_outcome(token, "sent" if refs_needed else "no_subscribers")
-        if refs_needed == 0:
-            buffer.pool.release(buffer)
-            return
-        for _ in range(refs_needed - 1):
-            buffer.pool.addref(buffer)
-        for endpoint in local:
-            runtime.deliver_to_sink(endpoint, token, buffer)
-        traffic_class = (
-            CLASS_TIME_SENSITIVE if token.meta.get("time_sensitive") else CLASS_BEST_EFFORT
-        )
-        for dst_ip, dst_datapaths in remote:
-            egress = self._egress_for(dst_datapaths)
             packet = egress._build_packet(token, buffer, dst_ip)
             egress._push_scheduler(packet, traffic_class)
             if egress is not self:
@@ -577,30 +524,6 @@ class DatapathBinding:
             dispatch(packet, sinks)
         return True
 
-    def _rx_pass_legacy(self):
-        """Pre-overhaul rx pass: per-packet cost recomputation, double
-        sink lookups (cost accounting, then dispatch)."""
-        batch = []
-        while len(batch) < self.rx_burst:
-            ok, packet = self.rx_queue.try_get()
-            if not ok:
-                break
-            batch.append(packet)
-        if not batch:
-            return False
-        burst = len(batch)
-        cost = self.detect_ns
-        for packet in batch:
-            cost += self._rx_pkt_cost(packet, burst)
-            meta = packet.meta.get("insane")
-            if meta is not None:
-                sinks = self.runtime.local_sinks_by_parts(meta[0], meta[1])
-                cost += self._fanout_cost(len(sinks))
-        yield Timeout(self.host.jitter(cost))
-        for packet in batch:
-            self._dispatch_legacy(packet)
-        return True
-
     def _dispatch(self, packet, sinks=None):
         now = self.sim.now
         trace = packet.trace
@@ -640,7 +563,7 @@ class DatapathBinding:
         src_ip = packet.src_ip
         slot_id = buffer.slot_id
         # one delivery token per sink, built directly (no intermediate
-        # token + meta-dict copy as in the pre-overhaul path)
+        # token + meta-dict copy as in deliver_to_sink)
         for endpoint in sinks:
             tmeta = (
                 {"recv_ns": now} if trace is None
@@ -657,41 +580,6 @@ class DatapathBinding:
         # the packet record's last consumer is done: recycle it (the trace
         # dict and payload live on through the delivery tokens)
         PACKET_POOL.release(packet)
-
-    def _dispatch_legacy(self, packet):
-        packet.stamp("runtime_rx", self.sim.now)
-        meta = packet.meta.get("insane")
-        if meta is None:
-            self.unknown_drops.increment()
-            return
-        stream, channel, length = meta
-        sinks = self.runtime.local_sinks_by_parts(stream, channel)
-        if not sinks:
-            self.no_sink_drops.increment()
-            return
-        buffer = self.runtime.memory.pool.try_alloc()
-        if buffer is None:
-            self.pool_drops.increment()
-            return
-        if packet.payload is not None:
-            # the NIC's DMA wrote straight into this pool slot
-            buffer.write(packet.payload[:length])
-        buffer.length = length
-        for _ in range(len(sinks) - 1):
-            buffer.pool.addref(buffer)
-        token = Token(
-            slot_id=buffer.slot_id,
-            length=length,
-            stream=stream,
-            channel=channel,
-            source_ip=packet.src_ip,
-            buffer=buffer,
-        )
-        if packet.trace is not None:
-            token.meta["trace"] = packet.trace
-        token.meta["recv_ns"] = self.sim.now
-        for endpoint in sinks:
-            self.runtime.deliver_to_sink(endpoint, token, buffer)
 
     def shutdown(self):
         if self.name == "udp":
@@ -1029,12 +917,6 @@ class InsaneRuntime:
             self.control.unsubscribe(endpoint.key, self, datapath=endpoint.datapath)
             if not endpoints:
                 self._sinks.pop(endpoint.key, None)
-
-    def local_sinks(self, key):
-        return self._sinks.get(key, [])
-
-    def local_sinks_by_parts(self, stream, channel):
-        return self._sinks.get(ChannelKey(stream, channel), [])
 
     def deliver_to_sink(self, endpoint, token, buffer):
         """Enqueue a delivery token; on ring overflow, drop and release."""

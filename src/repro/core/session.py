@@ -65,12 +65,6 @@ class Session:
         # into one exact-instant wake-up only when a zero-delay lane
         # exists (i.e. the overhauled engine is driving)
         self._lane = getattr(runtime.sim, "_lane", None)
-        # pre-overhaul client-library behaviour (per-call imports, property
-        # chains, increment() calls) — only the perf baseline sets this
-        if getattr(runtime.sim, "legacy_stack", False):
-            self.emit_data = self._emit_data_legacy
-            self.consume_data = self._consume_data_legacy
-            self.get_buffer_wait = self._get_buffer_wait_legacy
         runtime.attach_session(self)
 
     def present(self, credential):
@@ -188,25 +182,6 @@ class Session:
             buffer = yield Wait(signal)
             return buffer
 
-    def _get_buffer_wait_legacy(self, source, size):
-        """Pre-overhaul blocking allocation, verbatim (perf baseline)."""
-        from repro.core.errors import PoolExhaustedError
-        from repro.simnet import Signal, Wait
-
-        self._check_open()
-        if source.closed:
-            raise SessionError("source is closed")
-        self.runtime.frame_policy.validate(size + INSANE_HEADER_BYTES)
-        try:
-            return self.runtime.memory.alloc_for(self.app_id, size)
-        except PoolExhaustedError:
-            signal = Signal(self.sim)
-            self.runtime.memory.alloc_waiter_for(
-                self.app_id, lambda buffer, exc: signal.succeed(buffer)
-            )
-            buffer = yield Wait(signal)
-            return buffer
-
     def emit_data(self, source, buffer, length=None):
         """Emit a buffer on the source's channel; returns the emit id.
 
@@ -265,41 +240,6 @@ class Session:
         ring = source._ring
         if ring is None:
             source._ring = ring = stream.binding.ring_for(self.app_id)
-        yield ring.half_cost()
-        yield ring.enqueue_effect(token)
-        source.emitted.value += 1
-        return emit_id
-
-    def _emit_data_legacy(self, source, buffer, length=None):
-        """Pre-overhaul emit path, verbatim (perf baseline)."""
-        from repro.core.ipc import Token
-
-        self._check_open()
-        if source.closed:
-            raise SessionError("source is closed")
-        if length is None:
-            length = buffer.length
-        if length > buffer.capacity:
-            raise SessionError("emit length exceeds buffer capacity")
-        buffer.freeze()
-        self.runtime.memory.transfer_ownership(self.app_id, buffer)
-        emit_id = (self.app_id, id(source), source.next_emit_id())
-        token = Token(
-            slot_id=buffer.slot_id,
-            length=length,
-            stream=source.stream.name,
-            channel=source.channel,
-            emit_id=emit_id,
-            source_ip=self.runtime.host.ip,
-            buffer=buffer,
-        )
-        token.meta["app"] = self.app_id
-        if source.stream.time_sensitive:
-            token.meta["time_sensitive"] = True
-        if self.runtime.config.trace:
-            token.meta["emit_ns"] = self.sim.now
-        binding = source.stream.binding
-        ring = binding.ring_for(self.app_id)
         yield ring.half_cost()
         yield ring.enqueue_effect(token)
         source.emitted.value += 1
@@ -369,23 +309,6 @@ class Session:
         finish = getattr(record, "finish", None)
         if finish is not None:
             finish(self.sim.now, sink)
-
-    def _consume_data_legacy(self, sink, blocking=True):
-        """Pre-overhaul consume path, verbatim (perf baseline)."""
-        self._check_open()
-        if sink.closed:
-            raise SessionError("sink is closed")
-        from repro.simnet import Get
-
-        if blocking:
-            token = yield Get(sink.ring)
-        else:
-            ok, token = sink.ring.try_get()
-            if not ok:
-                return None
-        yield sink.stream.binding.ipc_half_cost()
-        sink.received.value += 1
-        return self._delivery_from(token)
 
     def release_buffer(self, sink, delivery):
         """Return a consumed buffer to the middleware."""

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.simnet import Counter, Timeout
+from repro.simnet import Counter
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class Datapath:
         self.sim = host.sim
         self.profile = host.profile
         self.nic = host.nic
-        #: pre-overhaul behaviour (one Timeout per pipeline stage instead
-        #: of a coalesced charge) — only the perf baseline sets this.
-        self._legacy = getattr(host.sim, "legacy_stack", False)
         self.tx_packets = Counter("%s.%s.tx" % (host.name, self.info.name))
         self.rx_packets = Counter("%s.%s.rx" % (host.name, self.info.name))
         # fluid-tier accounting (repro.fluid): packets the aggregate model
@@ -57,8 +54,6 @@ class Datapath:
         #: every frame handed to it instead of reaching the NIC.
         self.failed = False
         self.failed_drops = Counter("%s.%s.failed_drops" % (host.name, self.info.name))
-        if self._legacy:
-            self.transmit = self._transmit_legacy
 
     def account_fluid(self, tx=0, rx=0):
         """Account modelled (not simulated) packets through this plugin."""
@@ -101,29 +96,6 @@ class Datapath:
 
     # -- helpers shared by plugins ------------------------------------------
 
-    def charge(self, stage_key, size, burst=1):
-        """Effect charging one stage's CPU cost (with jitter) to the caller."""
-        return Timeout(self.host.stage_cost(stage_key, size, burst=burst))
-
-    def charge_many(self, stage_keys, size, burst=1):
-        """One effect charging several consecutive stages at once.
-
-        Per-packet pipelines that yield back-to-back ``charge()`` timeouts
-        (driver stage, then stack stage) pay a scheduler round-trip per
-        stage even though nothing observable happens in between.  This
-        coalesces them: jitter is drawn per stage, in stage order, and the
-        draws are summed analytically into a single timeout, so the
-        resumption timestamp equals the end of the last stage.
-        """
-        stage_cost = self.host.stage_cost
-        total = 0.0
-        for key in stage_keys:
-            total += stage_cost(key, size, burst=burst)
-        return Timeout(total)
-
-    def charge_ns(self, nanoseconds):
-        return Timeout(self.host.jitter(nanoseconds))
-
     def transmit(self, packet):
         """Hand ``packet`` to the NIC and release its TX buffer when the
         frame has fully left the host (the DMA read is then complete)."""
@@ -143,18 +115,6 @@ class Datapath:
             packet.tx_buffer = None
             sim.schedule(departure - sim.now, buffer.pool.release, buffer)
         self.tx_packets.value += 1
-        return departure
-
-    def _transmit_legacy(self, packet):
-        """Pre-overhaul transmit, verbatim (perf baseline)."""
-        if isinstance(packet.payload, memoryview):
-            packet.payload = bytes(packet.payload)
-        packet.stamp("nic_handoff", self.sim.now)
-        departure = self.nic.transmit(packet)
-        buffer = packet.meta.pop("tx_buffer", None)
-        if buffer is not None:
-            self.sim.schedule_at(departure, buffer.pool.release, buffer)
-        self.tx_packets.increment()
         return departure
 
     def drain_queue(self, queue, first, max_burst):

@@ -77,14 +77,6 @@ class DpdkDatapath(Datapath):
         """Transmit a burst through the PMD (rte_eth_tx_burst)."""
         if not packets:
             return
-        if self._legacy:
-            burst = len(packets)
-            for packet in packets:
-                yield self.charge("ustack_tx", packet.payload_len, burst=burst)
-                yield self.charge("dpdk_tx", packet.payload_len, burst=burst)
-                packet.stamp("dpdk_tx_done", self.sim.now)
-                self.transmit(packet)
-            return
         yield TxChain(self, packets, ("ustack_tx", "dpdk_tx"), "dpdk_tx_done")
 
     # -- receive ------------------------------------------------------------------
@@ -100,18 +92,7 @@ class DpdkDatapath(Datapath):
         first = yield Get(queue)
         yield Timeout(self.host.jitter(self.detect_ns))
         batch = self.drain_queue(queue, first, max_burst)
-        if not self._legacy:
-            delivered = yield DpdkRxChain(self, batch)
-            return delivered
-        delivered = []
-        for packet in batch:
-            yield self.charge("dpdk_rx", packet.payload_len, burst=len(batch))
-            yield self.charge("ustack_rx", packet.payload_len, burst=len(batch))
-            if not self._stage_into_mempool(packet):
-                continue
-            packet.stamp("dpdk_rx_done", self.sim.now)
-            self.rx_packets.increment()
-            delivered.append(packet)
+        delivered = yield DpdkRxChain(self, batch)
         return delivered
 
     def _stage_into_mempool(self, packet):

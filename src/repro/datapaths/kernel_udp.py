@@ -28,8 +28,6 @@ class KernelUdpDatapath(Datapath):
     tx_done_key = "udp_tx_done"
     rx_done_key = "kernel_rx_done"
 
-    _instances = {}
-
     def __init__(self, host):
         super().__init__(host)
         self._sockets = {}
@@ -40,11 +38,13 @@ class KernelUdpDatapath(Datapath):
 
     @classmethod
     def get(cls, host):
-        """The per-host singleton (the kernel exists once per machine)."""
-        instance = cls._instances.get(id(host))
-        if instance is None or instance.host is not host:
-            instance = cls(host)
-            cls._instances[id(host)] = instance
+        """The per-host singleton (the kernel exists once per machine).
+
+        The host owns it, so it lives and dies with its simulation.
+        """
+        instance = host.kernel_udp
+        if instance is None:
+            instance = host.kernel_udp = cls(host)
         return instance
 
     def socket(self, port, blocking=False):
@@ -67,21 +67,6 @@ class KernelUdpDatapath(Datapath):
         order, one trampoline activation per batch.
         """
         ring = self.nic.rx_ring
-        if self._legacy:
-            # pre-overhaul: one generator resume per charged packet
-            while True:
-                first = yield Get(ring)
-                batch = self.drain_queue(ring, first, self.rx_burst)
-                for packet in batch:
-                    yield self.charge("udp_rx", packet.payload_len, burst=len(batch))
-                    packet.stamp("kernel_rx_done", self.sim.now)
-                    socket = self._sockets.get(packet.dst_port)
-                    if socket is None:
-                        self.no_socket_drops.increment()
-                    elif socket.buffer.try_put(packet):
-                        self.rx_packets.increment()
-                    else:
-                        self.socket_overflow_drops.increment()
         while True:
             first = yield Get(ring)
             batch = self.drain_queue(ring, first, self.rx_burst)
@@ -118,15 +103,7 @@ class UdpSocket:
         self._check_open()
         if not packets:
             return
-        datapath = self.datapath
-        if datapath._legacy:
-            burst = len(packets)
-            for packet in packets:
-                yield datapath.charge("udp_tx", packet.payload_len, burst=burst)
-                packet.stamp("udp_tx_done", datapath.sim.now)
-                datapath.transmit(packet)
-            return
-        yield TxChain(datapath, packets, ("udp_tx",), "udp_tx_done")
+        yield TxChain(self.datapath, packets, ("udp_tx",), "udp_tx_done")
 
     # -- receive ---------------------------------------------------------------
 

@@ -66,16 +66,7 @@ class QueuePair:
     def post_send_many(self, packets):
         if not packets:
             return
-        datapath = self.datapath
-        if datapath._legacy:
-            burst = len(packets)
-            for packet in packets:
-                yield datapath.charge("rdma_post", packet.payload_len, burst=burst)
-                packet.stamp("rdma_post_done", datapath.sim.now)
-                datapath.transmit(packet)
-                self.posted_sends.increment()
-            return
-        yield RdmaTxChain(datapath, packets, self.posted_sends)
+        yield RdmaTxChain(self.datapath, packets, self.posted_sends)
 
     def poll_recv(self, max_burst=None):
         """Poll the completion queue for received messages.
@@ -88,14 +79,5 @@ class QueuePair:
         first = yield Get(self.recv_queue)
         yield Timeout(self.datapath.host.jitter(self.datapath.detect_ns))
         batch = self.datapath.drain_queue(self.recv_queue, first, max_burst)
-        if not self.datapath._legacy:
-            yield RdmaRxChain(self.datapath, batch, self.completions)
-            return batch
-        for packet in batch:
-            yield self.datapath.charge("rdma_poll_cq", packet.payload_len, burst=len(batch))
-            if isinstance(packet.payload, memoryview):
-                packet.payload = bytes(packet.payload)
-            packet.stamp("rdma_rx_done", self.datapath.sim.now)
-            self.datapath.rx_packets.increment()
-            self.completions.increment()
+        yield RdmaRxChain(self.datapath, batch, self.completions)
         return batch

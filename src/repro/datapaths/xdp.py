@@ -58,14 +58,6 @@ class XdpDatapath(Datapath):
         """
         if not packets:
             return
-        if self._legacy:
-            burst = len(packets)
-            for packet in packets:
-                yield self.charge("ustack_tx", packet.payload_len, burst=burst)
-                yield self.charge("xdp_tx", packet.payload_len, burst=burst)
-                packet.stamp("xdp_tx_done", self.sim.now)
-                self.transmit(packet)
-            return
         yield TxChain(self, packets, ("ustack_tx", "xdp_tx"), "xdp_tx_done")
 
     def recv_burst(self, queue, max_burst=None):
@@ -75,14 +67,5 @@ class XdpDatapath(Datapath):
         first = yield Get(queue)
         yield Timeout(self.host.jitter(self.detect_ns))
         batch = self.drain_queue(queue, first, max_burst)
-        if not self._legacy:
-            yield XdpRxChain(self, batch)
-            return batch
-        for packet in batch:
-            yield self.charge("xdp_rx", packet.payload_len, burst=len(batch))
-            yield self.charge("ustack_rx", packet.payload_len, burst=len(batch))
-            if isinstance(packet.payload, memoryview):
-                packet.payload = bytes(packet.payload)
-            packet.stamp("xdp_rx_done", self.sim.now)
-            self.rx_packets.increment()
+        yield XdpRxChain(self, batch)
         return batch

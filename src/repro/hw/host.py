@@ -22,6 +22,9 @@ class Host:
         self.name = name
         self.ip = ip
         self.nic = None  # wired by the topology builder
+        #: the kernel UDP datapath, created on first use by
+        #: ``KernelUdpDatapath.get``
+        self.kernel_udp = None
         self.cores = Resource(sim, capacity=profile.cores, name=name + ".cores")
         self._pinned = 0
         # jitter() runs once per charged stage — cache the rng and sigma,
@@ -35,18 +38,9 @@ class Host:
         #: fault-injection multiplier on every software cost (1.0 = nominal);
         #: models a thermally-throttled or noisy-neighbour CPU
         self._slowdown = 1.0
-        #: pre-overhaul behaviour: recompute costs and re-read rng/sigma
-        #: attributes per call, as the pre-change stack did (perf baseline)
-        self._legacy = getattr(sim, "legacy_stack", False)
 
     def jitter(self, cost_ns):
         """Apply the profile's CPU jitter to a software cost."""
-        if self._legacy:
-            sigma = self.profile.cpu_jitter
-            if sigma <= 0:
-                return cost_ns
-            factor = self.sim.rng.gauss(1.0, sigma)
-            return cost_ns * (factor if factor >= 0.5 else 0.5)
         if self._slowdown != 1.0:
             cost_ns *= self._slowdown
         sigma = self._cpu_sigma
@@ -72,9 +66,6 @@ class Host:
 
     def stage_cost(self, key, size, burst=1, jitter=True):
         """Cost of stage ``key`` for one packet of ``size`` bytes."""
-        if self._legacy:
-            cost = self.profile.stage(key).cost(size, burst=burst)
-            return self.jitter(cost) if jitter else cost
         cache_key = (key, size, burst)
         cost = self._stage_cache.get(cache_key)
         if cost is None:

@@ -34,12 +34,9 @@ class Link:
         # Fast-engine hop fusion (DESIGN.md §11): propagation and the
         # receiving NIC's rx-DMA hop execute as one scheduled event with
         # counter parity — the ring mutation lands on the bit-identical
-        # instant via schedule_abs.  The legacy stack keeps the verbatim
-        # two-event wire path.
-        self._fuse = (
-            getattr(sim, "_lane", None) is not None
-            and not getattr(sim, "legacy_stack", False)
-        )
+        # instant via schedule_abs.  The legacy engine, which has no
+        # schedule_abs, keeps the two-event wire path.
+        self._fuse = getattr(sim, "_lane", None) is not None
 
     def carry(self, frame, sender):
         """Propagate ``frame`` from ``sender`` to the opposite end."""

@@ -54,17 +54,8 @@ class Nic:
         self._bandwidth_gbps = profile.nic_bandwidth_gbps
         self._tx_dma_ns = profile.nic_tx_dma_ns
         self._rx_dma_ns = profile.nic_rx_dma_ns
-        # pre-overhaul behaviour (per-packet profile lookups, stamp() and
-        # increment() calls) — only the perf baseline sets legacy_stack
-        if getattr(sim, "legacy_stack", False):
-            self.transmit = self._transmit_legacy
-            self._place_in_ring = self._place_in_ring_legacy
 
     # -- transmit ----------------------------------------------------------
-
-    def serialization_ns(self, frame):
-        """Time to clock ``frame`` onto the wire at line rate."""
-        return frame.wire_size * 8.0 / self.profile.nic_bandwidth_gbps
 
     def tx_backlog_ns(self, now):
         """How far ahead of ``now`` the transmit queue is committed."""
@@ -92,21 +83,6 @@ class Nic:
         # schedule(departure - now) computes the same now+delay sum as
         # schedule_at would, without the extra call
         sim.schedule(departure - now, self.egress.carry, frame, self)
-        return departure
-
-    def _transmit_legacy(self, packet):
-        """Pre-overhaul transmit, verbatim (perf baseline)."""
-        if self.egress is None:
-            raise RuntimeError("%s is not wired to a link" % self.name)
-        frame = Frame(packet)
-        now = self.sim.now
-        ready = now + self.profile.nic_tx_dma_ns
-        start = max(ready, self._tx_free_at)
-        departure = start + self.serialization_ns(frame)
-        self._tx_free_at = departure
-        self.tx_frames.increment()
-        packet.stamp("nic_tx_departure", departure)
-        self.sim.schedule_at(departure, self.egress.carry, frame, self)
         return departure
 
     def account_fluid_tx(self, frames, byte_count=0.0):
@@ -140,16 +116,6 @@ class Nic:
                 mark = getattr(trace, "mark_dropped", None)
                 if mark is not None:
                     mark(self.sim.now, "nic rx ring overflow: %s" % self.name)
-
-    def _place_in_ring_legacy(self, frame):
-        """Pre-overhaul ring placement, verbatim (perf baseline)."""
-        packet = frame.packet
-        packet.stamp("nic_rx_arrival", self.sim.now)
-        queue = self._steering.get(packet.dst_port, self.rx_ring)
-        if queue.try_put(packet):
-            self.rx_frames.increment()
-        else:
-            self.rx_dropped.increment()
 
     # -- fault injection ----------------------------------------------------
 

@@ -161,8 +161,7 @@ class PacketMeta:
     write the packet's slots; other keys spill into the lazily-created
     ``_extra`` dict.  ``None`` marks an absent hot key — no caller stores a
     literal ``None`` value.  Only cold paths (baselines, ARP, obs/validate
-    tooling, legacy-stack code) go through this shim; hot paths use the
-    attributes directly.
+    tooling) go through this shim; hot paths use the attributes directly.
     """
 
     __slots__ = ("_packet",)

@@ -17,14 +17,7 @@ cumulative_buckets`, so they are cumulative as the format requires.
 
 import math
 
-
-def _escape(value):
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
+from repro.core.metrics import _escape
 
 
 def _labels(labels):

@@ -12,8 +12,8 @@ must invalidate the entry:
 
 Entries are one JSON file per key under ``<root>/<key[:2]>/<key>.json``,
 written atomically (tmp + ``os.replace``) so a crashed run never leaves a
-truncated entry — a corrupt or unreadable file is treated as a miss and
-overwritten.  The default root is ``.insane-cache/`` in the working
+truncated entry — a corrupt, unreadable or malformed file is treated as a
+miss and overwritten.  The default root is ``.insane-cache/`` in the working
 directory (override with ``$INSANE_CACHE_DIR``); it is git-ignored.
 """
 
@@ -106,12 +106,26 @@ class ResultCache:
         return os.path.join(self.root, key[:2], key + ".json")
 
     def get(self, key):
-        """The cached entry for ``key``, or ``None`` (counted as a miss)."""
+        """The cached entry for ``key``, or ``None`` (counted as a miss).
+
+        Only a well-formed entry is a hit: a dict stored under this very
+        ``key`` with the current :data:`CACHE_SCHEMA` and a ``payload``.
+        Anything else — unreadable JSON, another shape, another key, an
+        old schema — reads as a miss, and the recomputed cell overwrites
+        it.
+        """
         path = self.path(key)
         try:
             with open(path) as handle:
                 entry = json.load(handle)
         except (OSError, ValueError):
+            entry = None
+        if (
+            not isinstance(entry, dict)
+            or entry.get("key") != key
+            or entry.get("schema") != CACHE_SCHEMA
+            or "payload" not in entry
+        ):
             self.misses += 1
             return None
         self.hits += 1

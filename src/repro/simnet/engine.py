@@ -19,8 +19,9 @@ dozens of events), so the common case is kept allocation-free:
   drains, process starts — bypass the heap entirely through a FIFO *lane*
   (a deque append/popleft per event).  Lane entries carry the same global
   sequence numbers as heap entries, so execution order is bit-identical to
-  a pure-heap engine: see :data:`repro.simnet.legacy.LegacySimulator` and
-  the golden-trace tests.
+  a pure-heap engine: see :class:`repro.simnet.legacy.LegacySimulator`,
+  which runs the same stack as the independent reference, and the
+  golden-trace tests.
 * Cancelled timers are dropped lazily; when they exceed half the heap the
   heap is compacted in place, keeping ``len(_heap)`` bounded under timer
   churn (e.g. a retransmit timer cancelled per delivered packet).
@@ -140,13 +141,6 @@ class Simulator:
         models (latency jitter, workload generators) must draw from
         :attr:`rng` so that a run is reproducible from its seed alone.
     """
-
-    #: When True, :meth:`process` builds pre-overhaul ``LegacyProcess``
-    #: trampolines and the datapath/polling layers revert to their
-    #: pre-overhaul behaviour (per-stage charges, unconditional poll
-    #: passes).  Only the perf harness sets this, to measure the full
-    #: pre-change stack; see :mod:`repro.simnet.legacy`.
-    legacy_stack = False
 
     #: Optional observer (see :class:`repro.obs.EngineObserver`) notified
     #: once per executed event via ``on_event(now)``.  A class attribute
@@ -280,10 +274,6 @@ class Simulator:
 
     def process(self, generator, name=None):
         """Start a cooperative process; see :mod:`repro.simnet.process`."""
-        if self.legacy_stack:
-            from repro.simnet.legacy import LegacyProcess
-
-            return LegacyProcess(self, generator, name=name)
         from repro.simnet.process import Process
 
         return Process(self, generator, name=name)

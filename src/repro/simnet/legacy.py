@@ -1,42 +1,30 @@
-"""The pre-overhaul event loop, kept as a measurable reference.
+"""The pre-overhaul event loop, kept as an independent reference engine.
 
 This module preserves the original object-per-event :class:`LegacySimulator`
-so that the wall-clock performance harness (:mod:`repro.bench.perfbench`)
-and the golden-trace determinism tests can run the *same* workloads on both
-engines and compare:
+so that the differential oracle (:mod:`repro.validate.differential`), the
+golden-trace tests and the wall-clock harness (:mod:`repro.bench.perfbench`)
+can run the *same* workloads, on the same application stack, through two
+independently written event loops and compare:
 
-* events/sec and wall seconds — the speedup recorded in
-  ``BENCH_wallclock.json`` is measured, not asserted;
 * simulated results — the fast engine must produce bit-identical
   ``(now, executed, failures)`` and statistics for identical seeds, which
-  is only provable against an independent implementation.
+  is only provable against an independent implementation;
+* events/sec and wall seconds — the engine speedup recorded in
+  ``BENCH_wallclock.json`` is measured, not asserted.
 
 The API surface matches :class:`repro.simnet.Simulator` (including the
 ``schedule_cancellable`` / ``stats`` extensions) so the two are drop-in
-interchangeable via ``Testbed(..., sim=...)``.  Do not use this engine for
-new code; it exists to be raced against and to notarize traces.
-
-Two baseline configurations exist:
-
-* ``LegacySimulator()`` alone swaps only the event loop; the application
-  layers run their current (optimized) code, so results are bit-identical
-  to the fast engine — this is the golden-trace configuration.
-* ``sim.legacy_stack = True`` (set before building the testbed)
-  additionally reverts the layers that were overhauled together with the
-  engine: :class:`LegacyProcess` trampolines, per-stage datapath charges,
-  and unconditional polling passes.  This reproduces the *full* pre-change
-  stack and is what the recorded speedup in ``BENCH_wallclock.json`` is
-  measured against.  Its event stream differs (more events, different rng
-  interleaving), so results are compared within tolerance, not
-  bit-for-bit.
+interchangeable via ``Testbed(..., sim=...)``.  Only the event loop
+differs: the application layers run the one stack either way.  Do not use
+this engine for new code; it exists to be raced against and to notarize
+traces.
 """
 
 import heapq
 import random
 
-from repro.simnet.errors import ProcessFailed, SimulationError
-from repro.simnet.events import Signal
-from repro.simnet.process import Interrupt, Join, Process
+from repro.simnet.errors import SimulationError
+from repro.simnet.process import Process
 
 
 class LegacyEventHandle:
@@ -68,11 +56,6 @@ class LegacySimulator:
     heap sift runs the Python-level ``__lt__`` above — the costs the
     overhauled engine removes.
     """
-
-    #: see :class:`repro.simnet.Simulator.legacy_stack`; the perf harness
-    #: sets this True on a LegacySimulator to measure the full
-    #: pre-overhaul stack rather than just the event loop.
-    legacy_stack = False
 
     def __init__(self, seed=0):
         self._now = 0
@@ -114,10 +97,6 @@ class LegacySimulator:
 
     def process(self, generator, name=None):
         """Start a cooperative process; see :mod:`repro.simnet.process`."""
-        if self.legacy_stack:
-            return LegacyProcess(self, generator, name=name)
-        from repro.simnet.process import Process
-
         return Process(self, generator, name=name)
 
     def run(self, until=None):
@@ -181,52 +160,3 @@ class LegacySimulator:
             "cancelled_purged": 0,
         }
 
-
-class LegacyProcess:
-    """The pre-overhaul process trampoline, preserved for the baseline.
-
-    Compared to :class:`repro.simnet.process.Process` it re-allocates the
-    ``resume`` bound method on every scheduling, calls ``generator.send``
-    through attribute lookups, and dispatches every effect through its
-    ``apply`` method — the per-resumption costs the overhaul removed.
-    Interoperates with the same effect classes and stores, so any workload
-    runs unmodified on either trampoline.
-    """
-
-    def __init__(self, sim, generator, name=None):
-        self.sim = sim
-        self.generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        self.done = Signal(sim)
-        self._finished = False
-        sim.schedule(0, self.resume, None, None)
-
-    @property
-    def finished(self):
-        return self._finished
-
-    def resume(self, value, exception=None):
-        """Advance the generator with ``value`` (or throw ``exception``)."""
-        if self._finished:
-            return
-        try:
-            if exception is not None:
-                effect = self.generator.throw(exception)
-            else:
-                effect = self.generator.send(value)
-        except StopIteration as stop:
-            self._finished = True
-            self.done.succeed(getattr(stop, "value", None))
-            return
-        except Exception as exc:  # surface the failure to joiners
-            self._finished = True
-            self.sim.failures.append((self.name, exc))
-            self.done.fail(ProcessFailed(self.name, exc))
-            return
-        if isinstance(effect, (Process, LegacyProcess)):
-            effect = Join(effect)
-        effect.apply(self.sim, self)
-
-    def interrupt(self, exception=None):
-        """Throw ``exception`` (default ``Interrupt``) into the body."""
-        self.sim.schedule(0, self.resume, None, exception or Interrupt())

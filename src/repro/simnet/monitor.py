@@ -13,11 +13,9 @@ from repro.simnet.errors import DegenerateWindowError
 class Counter:
     """A named monotonically increasing counter.
 
-    Hot-path idiom: bump with ``counter.value += 1`` directly — it is the
-    documented fast form and the one used everywhere outside the frozen
-    ``legacy_stack`` baseline paths (an attribute store is roughly half
-    the cost of a bound-method call).  :meth:`increment` remains as a
-    thin alias for cold paths and for callers that pass an ``amount``.
+    Bump it with ``counter.value += 1`` directly: there is no increment
+    method, because an attribute store is roughly half the cost of a
+    bound-method call and counters sit on every per-packet path.
     """
 
     __slots__ = ("name", "value")
@@ -25,9 +23,6 @@ class Counter:
     def __init__(self, name):
         self.name = name
         self.value = 0
-
-    def increment(self, amount=1):
-        self.value += amount
 
     def __repr__(self):
         return "Counter(%s=%d)" % (self.name, self.value)

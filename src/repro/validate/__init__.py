@@ -37,7 +37,7 @@ This package makes both contracts continuously checkable:
     :mod:`repro.parallel`, plus the executor's own checker
     (serial-vs-parallel merged-digest equality).
 
-Everything is exposed on the command line as ``insane-validate`` (see
+Everything is exposed on the command line as ``insane validate`` (see
 :mod:`repro.validate.cli`) and as the pytest suites under
 ``tests/validate/`` and ``tests/golden/``.
 """

@@ -1,22 +1,22 @@
-"""``insane-validate``: the validation subsystem's command line.
+"""``insane validate``: the validation subsystem's command line.
 
 Subcommands::
 
-    insane-validate differential --seed 0 --n 50 [--perturb insane_ipc=1.01]
+    insane validate differential --seed 0 --n 50 [--perturb insane_ipc=1.01]
                                  [--workers 4]
-    insane-validate properties   --seed 0 --n 25
-    insane-validate fuzz         --seed 0 --n 25 [--differential] [--workers 4]
-    insane-validate golden       [--regen [--force]] [--path FILE]
-    insane-validate parallel     --workers 2 [--n 4] [--cache-dir DIR]
-    insane-validate partitioned  [--topology smoke64] [--partitions 2,4]
+    insane validate properties   --seed 0 --n 25
+    insane validate fuzz         --seed 0 --n 25 [--differential] [--workers 4]
+    insane validate golden       [--regen [--force]] [--path FILE]
+    insane validate parallel     --workers 2 [--n 4] [--cache-dir DIR]
+    insane validate partitioned  [--topology smoke64] [--partitions 2,4]
                                  [--transport process|inline] [--json PATH]
-    insane-validate repro        --seed 17 [--json SPEC_JSON]
-    insane-validate fanout       [--subscribers 64,256,1024] [--n 32]
+    insane validate repro        --seed 17 [--json SPEC_JSON]
+    insane validate fanout       [--subscribers 64,256,1024] [--n 32]
                                  [--epsilon 0.15] [--hot-fraction 0.05]
                                  [--json PATH]
 
 Also reachable as ``python -m repro.validate`` and as the ``validate``
-experiment of ``insane-bench``.  Exit status is 0 iff every check passed.
+experiment of ``insane bench``.  Exit status is 0 iff every check passed.
 """
 
 import argparse
@@ -297,7 +297,7 @@ def _cmd_fanout(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="insane-validate",
+        prog="insane validate",
         description="Differential validation and property testing for the "
                     "INSANE reproduction.",
     )

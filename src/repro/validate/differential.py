@@ -2,12 +2,12 @@
 
 :func:`run_differential` executes the same seeded workloads on
 :class:`repro.simnet.Simulator` and :class:`repro.simnet.legacy.LegacySimulator`
-(both driving the *fast* application stack — the configuration PR 1
-guarantees bit-identical) and compares the canonical traces.  Any mismatch
+(both driving the one application stack, which must make them
+bit-identical) and compares the canonical traces.  Any mismatch
 is reported as a :class:`Divergence` naming the first differing canonical
 event and the reproducer seed, so a failure shrinks to::
 
-    insane-validate repro --seed <seed>
+    insane validate repro --seed <seed>
 
 ``perturb`` deliberately scales one cost-model stage on the *fast* side
 only; the oracle must then fail at the first charge through the perturbed
@@ -38,7 +38,7 @@ class Divergence:
         lines = [
             "DIVERGENCE seed=%d" % self.seed,
             "  spec: %s" % self.spec.describe(),
-            "  repro: insane-validate repro --seed %d" % self.seed,
+            "  repro: insane validate repro --seed %d" % self.seed,
             "  fast   digest %s" % self.fast_digest,
             "  legacy digest %s" % self.legacy_digest,
         ]

@@ -8,7 +8,7 @@ everything a behaviour-changing commit would move.  A tier-1 test
 drift fails CI with the exact entry that moved.
 
 Regeneration is deliberate: :func:`regenerate_corpus` (exposed as
-``insane-validate golden --regen``) refuses to overwrite an existing
+``insane validate golden --regen``) refuses to overwrite an existing
 corpus without ``force`` — re-pinning golden traces is a reviewed action,
 never a side effect.
 """
@@ -113,7 +113,7 @@ def check_corpus(path=None):
     if pinned.get("version") != current["version"]:
         problems.append(
             "corpus version %r != current %r (regenerate with "
-            "insane-validate golden --regen --force)"
+            "insane validate golden --regen --force)"
             % (pinned.get("version"), current["version"])
         )
     if pinned.get("params") != current["params"]:
@@ -146,7 +146,7 @@ def regenerate_corpus(path=None, force=False):
     if os.path.exists(path) and not force:
         raise FileExistsError(
             "%s already exists; golden corpora are only re-pinned "
-            "deliberately — pass --force (insane-validate golden --regen "
+            "deliberately — pass --force (insane validate golden --regen "
             "--force) to overwrite" % path
         )
     corpus = compute_corpus()

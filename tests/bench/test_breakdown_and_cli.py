@@ -1,4 +1,4 @@
-"""Tests for the Fig. 6 breakdown driver and the insane-bench CLI."""
+"""Tests for the Fig. 6 breakdown driver and the insane bench CLI."""
 
 import pytest
 

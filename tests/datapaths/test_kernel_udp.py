@@ -1,5 +1,8 @@
 """Kernel UDP datapath tests, including Fig. 7 latency calibration."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.datapaths import KernelUdpDatapath
@@ -81,6 +84,17 @@ def test_closed_socket_rejects_io(local_bed):
 def test_singleton_per_host(local_bed):
     a = local_bed.hosts[0]
     assert KernelUdpDatapath.get(a) is KernelUdpDatapath.get(a)
+
+
+def test_singleton_dies_with_its_host():
+    """No process-wide registry keeps a finished simulation alive."""
+    bed = Testbed.local(seed=1)
+    KernelUdpDatapath.get(bed.hosts[0]).socket(9000)
+    bed.sim.run()
+    host = weakref.ref(bed.hosts[0])
+    del bed
+    gc.collect()
+    assert host() is None
 
 
 class TestLatencyCalibration:

@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.hw.profiles import PROFILES
 from repro.parallel import (
+    CACHE_SCHEMA,
     ResultCache,
     SweepExecutor,
     cache_key,
@@ -34,6 +35,19 @@ def _test_kinds():
     yield
     CELL_RUNNERS.clear()
     CELL_RUNNERS.update(saved)
+
+
+#: cache-file contents that must read as a miss, as functions of the key
+MALFORMED = {
+    "empty-dict": lambda key: {},
+    "list": lambda key: [],
+    "string": lambda key: "payload",
+    "other-key": lambda key: {"key": "0" * 64, "schema": CACHE_SCHEMA,
+                              "payload": {}},
+    "old-schema": lambda key: {"key": key, "schema": CACHE_SCHEMA - 1,
+                               "payload": {}},
+    "no-payload": lambda key: {"key": key, "schema": CACHE_SCHEMA},
+}
 
 
 def echo_cells(n=3):
@@ -140,6 +154,29 @@ class TestCacheStore:
         assert cache.get(key) is None
         assert cache.stats()["hits"] == 0
         assert cache.stats()["misses"] == 2
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_malformed_entries_are_misses_the_sweep_overwrites(self, tmp_path,
+                                                              shape):
+        cells = echo_cells(2)
+        cold = SweepExecutor(workers=1).run(cells)
+        cache = ResultCache(root=str(tmp_path))
+        for cell in cells:
+            key = cache_key(cell)
+            path = cache.path(key)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as handle:
+                json.dump(MALFORMED[shape](key), handle)
+        warm = SweepExecutor(workers=1, cache=cache).run(cells)
+        assert warm.cache_hits == 0
+        assert warm.executed == 2
+        assert cache.stats()["misses"] == 2
+        assert warm.merged_digest() == cold.merged_digest()
+        # the recomputed cells overwrote the malformed files
+        hot = SweepExecutor(workers=1, cache=ResultCache(str(tmp_path))).run(
+            cells)
+        assert hot.cache_hits == 2
+        assert hot.merged_digest() == cold.merged_digest()
 
     def test_entries_are_sharded_json_files(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))

@@ -1,9 +1,11 @@
-"""The ``insane`` umbrella CLI and its deprecated aliases."""
+"""The ``insane`` umbrella CLI."""
 
 import json
 import os
 
-from repro.cli import bench_alias, main, validate_alias
+import pytest
+
+from repro.cli import main
 from repro.scenario.runner import builtin_corpus_dir
 
 PINGPONG = os.path.join(builtin_corpus_dir(), "pingpong-dpdk-rtt.yaml")
@@ -24,25 +26,14 @@ class TestUmbrella:
         assert main(["frobnicate"]) == 2
         assert "frobnicate" in capsys.readouterr().err
 
-
-class TestAliases:
-    def test_bench_alias_stdout_byte_identical(self, capsys):
-        assert main(["bench", "table1"]) == 0
-        umbrella = capsys.readouterr()
-        assert bench_alias(["table1"]) == 0
-        alias = capsys.readouterr()
-        assert alias.out == umbrella.out
-        assert "deprecated" in alias.err
-        assert "deprecated" not in umbrella.err
-
-    def test_validate_alias_stdout_byte_identical(self, capsys):
-        argv = ["repro", "--seed", "3"]
-        assert main(["validate"] + argv) == 0
-        umbrella = capsys.readouterr()
-        assert validate_alias(argv) == 0
-        alias = capsys.readouterr()
-        assert alias.out == umbrella.out
-        assert "deprecated" in alias.err
+    @pytest.mark.parametrize("command", ["bench", "validate"])
+    def test_subcommand_usage_names_the_umbrella_spelling(self, command,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.startswith("usage: insane %s " % command)
 
 
 class TestScenarioSubcommand:

@@ -2,7 +2,7 @@
 
 The overhauled :class:`repro.simnet.Simulator` claims bit-identical
 behaviour to the pre-overhaul :class:`repro.simnet.legacy.LegacySimulator`
-when both run the same (fast) application stack.  That claim is what lets
+when both run the one application stack.  That claim is what lets
 the perf harness present its speedup as a pure implementation change: same
 seed, same simulated timestamps, same results — only the wall clock moves.
 This module proves it on the paper workloads the harness measures.
@@ -10,7 +10,7 @@ This module proves it on the paper workloads the harness measures.
 
 import pytest
 
-from repro.bench.perfbench import results_close, run_churn, run_workload
+from repro.bench.perfbench import run_churn, run_suite, run_workload
 from repro.simnet import Simulator
 
 # reduced iteration counts: these tests assert identity, not throughput
@@ -42,32 +42,14 @@ def test_same_seed_same_trace(workload):
 def test_fast_engine_matches_legacy_engine(workload):
     """Golden trace: engine swap alone changes nothing simulated.
 
-    Both configurations run the *fast* stack; only the event loop differs.
-    Timestamps, event counts, and results must agree bit-for-bit — this is
-    the strict guarantee the two-stack tolerance comparison rests on.
+    Both configurations run the one stack; only the event loop differs.
+    Timestamps, event counts, and results must agree bit-for-bit.
     """
     fast = run_workload(workload, engine="fast",
                         rounds=ROUNDS, messages=MESSAGES, seed=3)
-    golden = run_workload(workload, engine="legacy", stack="fast",
+    golden = run_workload(workload, engine="legacy",
                           rounds=ROUNDS, messages=MESSAGES, seed=3)
     assert _strip_wall(fast) == _strip_wall(golden)
-
-
-def test_legacy_stack_results_within_tolerance():
-    """The full pre-overhaul stack models the same system.
-
-    Its event stream differs (per-stage charges add events and reorder rng
-    draws), so the comparison is tolerance-based, as in the perf harness.
-    """
-    fast = run_workload("fig8a_streaming", rounds=ROUNDS,
-                        messages=MESSAGES, seed=0)
-    legacy = run_workload("fig8a_streaming", engine="legacy",
-                          rounds=ROUNDS, messages=MESSAGES, seed=0)
-    assert fast["failures"] == 0
-    assert legacy["failures"] == 0
-    # coalescing removed events — strictly fewer on the fast stack
-    assert fast["events"] < legacy["events"]
-    assert results_close(fast, legacy)
 
 
 def test_churn_stream_identical_across_engines():
@@ -76,6 +58,18 @@ def test_churn_stream_identical_across_engines():
     legacy = run_churn("legacy", events=20_000, seed=1)
     assert fast["events"] == legacy["events"]
     assert fast["sim_ns"] == legacy["sim_ns"]
+
+
+def test_suite_marks_every_entry_identical_with_a_speedup():
+    """``run_suite`` races both engines on every entry and records an
+    exact stream check plus a speedup for each."""
+    record = run_suite(reps=1)
+    assert set(record["suite"]) == {"fig5_pingpong", "fig8a_streaming",
+                                    "fig8b_8sink", "engine_churn"}
+    for name, entry in record["suite"].items():
+        assert entry["identical_stream"] is True, name
+        assert entry["speedup_events_per_sec"] > 0, name
+        assert entry["speedup_wall"] > 0, name
 
 
 def test_cancelled_timers_keep_heap_bounded():

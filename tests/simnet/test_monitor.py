@@ -7,12 +7,6 @@ from repro.simnet import Counter, DegenerateWindowError, RateMeter, Tally
 
 
 class TestCounter:
-    def test_increment(self):
-        counter = Counter("c")
-        counter.increment()
-        counter.increment(5)
-        assert counter.value == 6
-
     def test_repr(self):
         assert "c=0" in repr(Counter("c"))
 

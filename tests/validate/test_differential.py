@@ -42,7 +42,7 @@ class TestPerturbationSelfTest:
         assert checked == 1  # stops at the first divergence
         report = divergences[0].report()
         assert "first differing canonical event" in report
-        assert "repro: insane-validate repro --seed 0" in report
+        assert "repro: insane validate repro --seed 0" in report
         assert divergences[0].fast_line != divergences[0].legacy_line
 
     def test_tiny_per_byte_perturbation_still_caught(self):
