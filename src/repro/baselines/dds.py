@@ -64,13 +64,15 @@ class CycloneDdsNode:
                 DDS_PORT,
                 payload=data,
                 payload_len=size if data is None else None,
+                seq=next(self.sim.ids),
             )
             packet.meta["dds_topic"] = topic
             yield from self.socket.send(packet)
         # local subscribers are delivered through the same reader queues
         if self in self.domain.subscriptions.get(topic, ()):
             local = Packet(self.host.ip, self.host.ip, DDS_PORT, DDS_PORT,
-                           payload=data, payload_len=size if data is None else None)
+                           payload=data, payload_len=size if data is None else None,
+                           seq=next(self.sim.ids))
             local.meta["dds_topic"] = topic
             self._reader_queues[topic].try_put(local)
 
@@ -84,7 +86,8 @@ class CycloneDdsNode:
         for node in subscribers:
             packets = []
             for _ in range(count):
-                packet = Packet(self.host.ip, node.host.ip, DDS_PORT, DDS_PORT, payload_len=size)
+                packet = Packet(self.host.ip, node.host.ip, DDS_PORT, DDS_PORT,
+                                payload_len=size, seq=next(self.sim.ids))
                 packet.meta["dds_topic"] = topic
                 packets.append(packet)
             cost = sum(

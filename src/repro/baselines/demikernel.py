@@ -29,11 +29,8 @@ class QToken:
     that contract on top of the simulated queues.
     """
 
-    _next_id = 0
-
     def __init__(self, sim, kind):
-        QToken._next_id += 1
-        self.qtoken_id = QToken._next_id
+        self.qtoken_id = next(sim.ids)
         self.kind = kind             # "push" | "pop"
         self.signal = Signal(sim)
 
@@ -215,4 +212,5 @@ class DemikernelApp:
         return meter
 
     def _packet(self, src, dst, size):
-        return Packet(src.ip, dst.ip, self.port, self.port, payload_len=size)
+        return Packet(src.ip, dst.ip, self.port, self.port, payload_len=size,
+                      seq=next(self.sim.ids))

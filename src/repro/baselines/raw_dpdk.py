@@ -87,4 +87,5 @@ class DpdkBenchApp:
         return meter
 
     def _packet(self, src, dst, size):
-        return Packet(src.ip, dst.ip, self.port, self.port, payload_len=size)
+        return Packet(src.ip, dst.ip, self.port, self.port, payload_len=size,
+                      seq=next(self.sim.ids))

@@ -81,4 +81,5 @@ class UdpBenchApp:
         return meter
 
     def _packet(self, src, dst, size):
-        return Packet(src.ip, dst.ip, self.port, self.port, payload_len=size)
+        return Packet(src.ip, dst.ip, self.port, self.port, payload_len=size,
+                      seq=next(self.sim.ids))

@@ -60,6 +60,7 @@ class SendfileStreamer:
                         SENDFILE_PORT,
                         payload=header,
                         payload_len=_FRAME_HEADER.size + data_len,
+                        seq=next(sim.ids),
                     )
                     packet.meta["frame_start"] = sim.now if index == 0 else None
                     # sendfile: the kernel send path without the user copy

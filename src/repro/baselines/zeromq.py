@@ -52,6 +52,7 @@ class ZmqNode:
                 ZMQ_PORT,
                 payload=data,
                 payload_len=size if data is None else None,
+                seq=next(self.sim.ids),
             )
             packet.meta["zmq_group"] = group
             yield from self.socket.send(packet)

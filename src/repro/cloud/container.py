@@ -32,14 +32,15 @@ class ContainerSpec:
 
 
 class Container:
-    """One running (or runnable) instance of a spec."""
+    """One running (or runnable) instance of a spec.
 
-    _instances = 0
+    ``container_id`` is ``None`` until the first :meth:`start`, which
+    numbers the container from that runtime's simulation ids.
+    """
 
     def __init__(self, spec):
-        Container._instances += 1
         self.spec = spec
-        self.container_id = "%s-%d" % (spec.name, Container._instances)
+        self.container_id = None
         self.state = ContainerState.PENDING
         self.node = None
         self.session = None
@@ -53,6 +54,8 @@ class Container:
         """Attach to ``runtime`` and launch the entrypoint process."""
         if self.state is ContainerState.RUNNING:
             raise RuntimeError("%s is already running" % self.container_id)
+        if self.container_id is None:
+            self.container_id = "%s-%d" % (self.spec.name, next(runtime.sim.ids))
         self.incarnations += 1
         self.session = Session(
             runtime,

@@ -8,7 +8,7 @@ shared memory (paper §5.3, Fig. 4).  The simulated ring is a bounded
 dequeuing side so that the cost lands on the correct simulated core.
 """
 
-from repro.simnet import Counter, Get, Put, Store, Timeout
+from repro.simnet import Counter, Get, Put, Store
 
 
 class Token:
@@ -48,12 +48,10 @@ class Token:
 class TokenRing:
     """A bounded SPSC ring of :class:`Token`."""
 
-    def __init__(self, sim, host, capacity, name):
+    def __init__(self, sim, capacity, name):
         self.sim = sim
-        self.host = host
         self.store = Store(sim, capacity=capacity, name=name)
         self.name = name
-        self._half_ns = host.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
         self.enqueued = Counter(name + ".enqueued")
         self.rejected = Counter(name + ".rejected")
 
@@ -63,12 +61,6 @@ class TokenRing:
     @property
     def is_empty(self):
         return self.store.is_empty
-
-    def half_cost(self, burst=1):
-        """The per-side CPU cost of one ring crossing."""
-        if burst == 1:
-            return Timeout(self.host.jitter(self._half_ns))
-        return Timeout(self.host.jitter(self.host.profile.stage("insane_ipc").cost(0, burst=burst) / 2.0))
 
     def try_enqueue(self, token):
         """Non-blocking enqueue; returns False when the ring is full."""

@@ -28,8 +28,7 @@ from repro.datapaths import (
     XdpDatapath,
 )
 from repro.datapaths.registry import available_datapaths
-from repro.netstack import FramePolicy
-from repro.netstack.packet import PACKET_POOL
+from repro.netstack import FramePolicy, Packet
 from repro.simnet import Counter, Timeout
 
 #: Well-known UDP port space used for runtime-to-runtime traffic,
@@ -66,11 +65,8 @@ def _trace_annotate(trace, now, kind, detail=""):
 class SinkEndpoint:
     """Runtime-side state for one registered sink."""
 
-    _next_id = 0
-
     def __init__(self, runtime, key, app_id, ring, datapath="udp"):
-        SinkEndpoint._next_id += 1
-        self.endpoint_id = SinkEndpoint._next_id
+        self.endpoint_id = next(runtime.sim.ids)
         self.runtime = runtime
         self.key = key
         self.app_id = app_id
@@ -139,7 +135,6 @@ class DatapathBinding:
         if ring is None:
             ring = TokenRing(
                 self.sim,
-                self.host,
                 self.runtime.ipc_ring_slots,
                 "%s.%s.txring.%s" % (self.host.name, self.name, app_id),
             )
@@ -148,12 +143,9 @@ class DatapathBinding:
             self._ring_list.append(ring)
         return ring
 
-    def ipc_half_cost(self, burst=1):
+    def ipc_half_cost(self):
         """Per-side cost of one client<->runtime ring crossing."""
-        if burst == 1:
-            return Timeout(self.host.jitter(self._ipc_half_ns))
-        cost = self.profile.stage("insane_ipc").cost(0, burst=burst) / 2.0
-        return Timeout(self.host.jitter(cost))
+        return Timeout(self.host.jitter(self._ipc_half_ns))
 
     def _wire_datapath(self):
         host = self.host
@@ -408,9 +400,8 @@ class DatapathBinding:
             trace = {"emit_ns": meta["emit_ns"]}
         else:
             trace = None
-        # pooled slotted record: hot metadata lands in attributes, and the
-        # record itself is recycled at the receiver's dispatch
-        packet = PACKET_POOL.acquire(
+        # slotted record: hot metadata lands in attributes
+        packet = Packet(
             self.host.ip,
             dst_ip,
             self.port,
@@ -418,6 +409,7 @@ class DatapathBinding:
             payload=payload,
             payload_len=token.length + INSANE_HEADER_BYTES,
             trace=trace,
+            seq=next(self.sim.ids),
         )
         if trace is not None:
             trace["runtime_tx"] = self.sim.now
@@ -533,7 +525,6 @@ class DatapathBinding:
         if meta is None:
             self.unknown_drops.value += 1
             _trace_drop(trace, now, "unknown stream header")
-            PACKET_POOL.release(packet)
             return
         stream, channel, length = meta
         if sinks is None:
@@ -541,7 +532,6 @@ class DatapathBinding:
         if not sinks:
             self.no_sink_drops.value += 1
             _trace_drop(trace, now, "no local sink")
-            PACKET_POOL.release(packet)
             return
         runtime = self.runtime
         memory = runtime.memory
@@ -549,7 +539,6 @@ class DatapathBinding:
         if buffer is None:
             self.pool_drops.value += 1
             _trace_drop(trace, now, "rx pool exhausted")
-            PACKET_POOL.release(packet)
             return
         payload = packet.payload
         if payload is not None:
@@ -577,9 +566,6 @@ class DatapathBinding:
                 memory.release_for(endpoint.app_id, buffer)
                 _trace_annotate(trace, now, "drop",
                                 "sink ring full: %s" % endpoint.app_id)
-        # the packet record's last consumer is done: recycle it (the trace
-        # dict and payload live on through the delivery tokens)
-        PACKET_POOL.release(packet)
 
     def shutdown(self):
         if self.name == "udp":

@@ -33,8 +33,6 @@ calls remain valid)::
             ...
 """
 
-import itertools
-
 from repro.core.channel import Delivery, Sink, Source, Stream
 from repro.core.errors import (
     DatapathFailedError,
@@ -47,8 +45,6 @@ from repro.core.qos import QosPolicy, resolve_mapping
 from repro.core.runtime import INSANE_HEADER_BYTES
 from repro.simnet import Get, Signal, Timeout, TimeoutAt, Wait
 
-_session_ids = itertools.count(1)
-
 
 class Session:
     """An application's session with the local INSANE runtime."""
@@ -56,7 +52,7 @@ class Session:
     def __init__(self, runtime, name=None, slot_quota=None):
         self.runtime = runtime
         self.sim = runtime.sim
-        self.app_id = name or ("app%d" % next(_session_ids))
+        self.app_id = name or ("app%d" % next(runtime.sim.ids))
         self.slot_quota = slot_quota
         self.streams = []
         self.closed = False
@@ -240,7 +236,7 @@ class Session:
         ring = source._ring
         if ring is None:
             source._ring = ring = stream.binding.ring_for(self.app_id)
-        yield ring.half_cost()
+        yield stream.binding.ipc_half_cost()
         yield ring.enqueue_effect(token)
         source.emitted.value += 1
         return emit_id

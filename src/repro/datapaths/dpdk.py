@@ -156,7 +156,7 @@ class DpdkDatapath(Datapath):
 
         request = ArpPacket.request(self._arp_mac, self.host.ip, target_ip)
         packet = Packet(self.host.ip, target_ip, ARP_PORT, ARP_PORT,
-                        payload=request.to_bytes())
+                        payload=request.to_bytes(), seq=next(self.sim.ids))
         packet.meta["arp"] = True
         self.nic.transmit(packet)
 
@@ -175,6 +175,6 @@ class DpdkDatapath(Datapath):
             reply = self.arp.make_reply_for(arp)
             if reply is not None:
                 packet = Packet(self.host.ip, arp.sender_ip, ARP_PORT, ARP_PORT,
-                                payload=reply.to_bytes())
+                                payload=reply.to_bytes(), seq=next(self.sim.ids))
                 packet.meta["arp"] = True
                 self.nic.transmit(packet)

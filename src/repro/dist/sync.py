@@ -33,6 +33,12 @@ Two transports run the identical protocol:
 * ``"inline"`` — every partition driven round-robin in this process with
   deque channels (no nested-spawn restrictions, so sweep cells and tests
   can exercise the cut cheaply).
+
+Each partition's simulator is self-contained: it mints its own packet ids
+(``sim.ids``), and a packet never leaves it — boundary frames cross as
+``(flow, k, is_reply)`` descriptors and are rebuilt by the owner — so the
+inline transport interleaves partitions with no state swapped between
+steps.
 """
 
 import hashlib
@@ -50,12 +56,7 @@ from repro.hw.generate import (
     city_plan,
     resolve_topology,
 )
-from repro.netstack import packet as packet_mod
-from repro.netstack.packet import (
-    WIRE_OVERHEAD,
-    partition_seq_base,
-    reset_packet_counter,
-)
+from repro.netstack.packet import WIRE_OVERHEAD
 from repro.simnet import Simulator
 
 _INF = float("inf")
@@ -116,8 +117,6 @@ class PartitionRunner:
         self.peers = [i for i in range(len(assignment)) if i != index]
         self.lookahead = float(spec["trunk_propagation_ns"])
         self.end_of_time = city_end_of_time(spec)
-        self.seq_base = partition_seq_base(index)
-        self._seq = self.seq_base
         self.sim = Simulator(seed=spec["seed"])
         self.net = CityNetwork(self.sim, spec, owned_regions=self.owned,
                                plan=plan)
@@ -129,19 +128,6 @@ class PartitionRunner:
         self.out_clock = {peer: 0.0 for peer in self.peers}
         self._outbuf = {peer: [] for peer in self.peers}
         self.done = False
-
-    # -- packet-id bookkeeping (inline transport interleaves partitions
-    # -- in one process; each keeps its own slice of the global counter)
-
-    def activate_seq(self):
-        packet_mod._packet_counter[0] = self._seq
-
-    def save_seq(self):
-        self._seq = packet_mod._packet_counter[0]
-
-    @property
-    def seq_last(self):
-        return self._seq
 
     # -- protocol state ----------------------------------------------------
 
@@ -236,8 +222,6 @@ class PartitionRunner:
             "hosts": len(self.net.hosts),
             "events": self.sim._executed,
             "now": self.sim.now,
-            "seq_base": self.seq_base,
-            "seq_last": self.seq_last,
         }
 
 
@@ -255,11 +239,7 @@ def _drive(runner, recv_nowait, recv_block, send):
             runner.done = True
             return
         if runner.can_advance():
-            runner.activate_seq()
-            try:
-                runner.advance()
-            finally:
-                runner.save_seq()
+            runner.advance()
             continue
         peer = runner.blocking_peer()
         runner.receive(peer, recv_block(peer))
@@ -272,7 +252,6 @@ def _city_worker(spec, index, assignment, in_queues, out_queues,
                  result_queue):
     """Spawn-worker entry point: run one partition to completion."""
     try:
-        reset_packet_counter(partition_seq_base(index))
         runner = PartitionRunner(spec, index, assignment)
 
         def recv_nowait(peer):
@@ -358,9 +337,9 @@ def _run_process(spec, assignment, mp_context="spawn"):
 def _run_inline(spec, assignment):
     """Every partition in this process, round-robin, deque channels.
 
-    Same protocol, same per-partition simulators and packet-id slices —
-    only the channels and the scheduler differ.  Safe inside daemonic
-    pool workers, where the process transport could not spawn.
+    Same protocol, same per-partition simulators — only the channels and
+    the scheduler differ.  Safe inside daemonic pool workers, where the
+    process transport could not spawn.
     """
     plan = city_plan(spec)
     runners = [PartitionRunner(spec, index, assignment, plan=plan)
@@ -390,11 +369,7 @@ def _run_inline(spec, assignment):
                 runner.done = True
                 progressed = True
             elif runner.can_advance():
-                runner.activate_seq()
-                try:
-                    runner.advance()
-                finally:
-                    runner.save_seq()
+                runner.advance()
                 progressed = True
         if not progressed:
             state = ", ".join(
@@ -449,7 +424,6 @@ def merge_partition_records(parts):
 def run_city_serial(topology):
     """The serial reference: the whole city in one simulator."""
     spec = resolve_topology(topology)
-    reset_packet_counter()
     sim = Simulator(seed=spec["seed"])
     net = CityNetwork(sim, spec)
     net.schedule_workload()
@@ -528,11 +502,6 @@ def check_partition_equivalence(topology, partitions=(2,),
                 "%d-partition %s run diverged from serial: %s != %s"
                 % (count, transport, run["digest"][:16],
                    serial["digest"][:16])
-            )
-        bases = [meta["seq_base"] for meta in run["per_partition"]]
-        if len(set(bases)) != len(bases):
-            problems.append(
-                "%d-partition run reused a packet-id base" % count
             )
     return problems, details
 

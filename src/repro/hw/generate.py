@@ -430,7 +430,7 @@ class CityNetwork:
         src = self.plan["hosts"][flow["dst" if is_reply else "src"]]
         dst = self.plan["hosts"][flow["src" if is_reply else "dst"]]
         packet = Packet(src["ip"], dst["ip"], 4000, 5000,
-                        payload_len=self.spec["size"])
+                        payload_len=self.spec["size"], seq=next(self.sim.ids))
         packet.meta["qos_class"] = flow["cls"]
         packet.meta["city"] = (flow["id"], k, is_reply)
         return packet

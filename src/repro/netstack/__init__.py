@@ -19,10 +19,8 @@ from repro.netstack.udp import UdpHeader
 from repro.netstack.packet import (
     ETHERNET_OVERHEAD,
     IP_UDP_HEADER,
-    PACKET_POOL,
     WIRE_OVERHEAD,
     Packet,
-    PacketPool,
     wire_bytes,
 )
 from repro.netstack.frames import FramePolicy
@@ -42,9 +40,7 @@ __all__ = [
     "IP_UDP_HEADER",
     "Ipv4Header",
     "MacAddress",
-    "PACKET_POOL",
     "Packet",
-    "PacketPool",
     "Reassembler",
     "UdpHeader",
     "WIRE_OVERHEAD",

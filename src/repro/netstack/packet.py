@@ -14,11 +14,10 @@ obs/validate tooling) keep dict-style access through the :class:`PacketMeta`
 shim returned by the ``meta`` property, which maps the hot keys onto the
 slots and spills anything else into a lazily-created ``_extra`` dict.
 
-A process-global :class:`PacketPool` free-list recycles records on the
-runtime delivery path: ``acquire`` resets every field (including a fresh
-global ``seq``, so pooled and freshly-allocated packets are byte-identical
-in behaviour) and falls back to plain allocation when the pool is empty —
-it never blocks.
+``seq`` is an id the caller passes in: code running inside a simulation
+draws it from that simulation's ``sim.ids``, so two simulators in one
+process never share an id stream.  Packets built outside any simulation
+(codec tests, :func:`parse_wire_bytes`) keep the default ``0``.
 
 ``wire_bytes`` produces the real on-the-wire byte string (Ethernet + IPv4 +
 UDP + payload) using the codecs in this package; it is exercised by tests
@@ -39,43 +38,6 @@ IP_UDP_HEADER = Ipv4Header.LENGTH + UdpHeader.LENGTH
 
 #: Total per-datagram wire overhead for a non-fragmented UDP packet.
 WIRE_OVERHEAD = ETHERNET_OVERHEAD + IP_UDP_HEADER
-
-_packet_counter = [0]
-
-
-#: stride between per-partition sequence bases: partition ``i`` of a
-#: partitioned run counts from ``i * PARTITION_SEQ_STRIDE``, so ids stay
-#: globally unique across the whole logical run (2**48 packets per
-#: partition is unreachable in practice).
-PARTITION_SEQ_STRIDE = 1 << 48
-
-
-def partition_seq_base(index):
-    """The packet-sequence base of partition ``index`` of a logical run."""
-    if index < 0:
-        raise ValueError("partition index must be >= 0, got %r" % (index,))
-    return index * PARTITION_SEQ_STRIDE
-
-
-def reset_packet_counter(base=0):
-    """Reset the global packet sequence counter (and drain the free-list).
-
-    Packet ``seq`` numbers are process-global, so two experiment cells run
-    back-to-back in one process would otherwise see different absolute
-    sequence numbers than the same cells run in fresh worker processes.
-    :func:`repro.simnet.cell.run_cell` calls this before every cell so a
-    cell's observable behaviour is identical wherever it executes.  The
-    packet pool is re-blanked for the same reason: a cell starts from
-    factory-fresh records whether or not another cell ran first.
-
-    ``base`` offsets the counter: the partitions of one space-partitioned
-    run (:mod:`repro.dist`) each reset to :func:`partition_seq_base` of
-    their partition index, so the ids minted by different partitions of
-    the *same* logical run never collide.
-    """
-    _packet_counter[0] = base
-    PACKET_POOL.reset()
-
 
 #: metadata keys promoted to slots — everything the per-packet hot path
 #: touches; anything else goes through the ``_extra`` spill dict
@@ -102,7 +64,8 @@ class Packet:
         "_extra",      # lazy spill dict for cold keys (arp, dds_topic, ...)
     )
 
-    def __init__(self, src_ip, dst_ip, src_port, dst_port, payload=None, payload_len=None, trace=None):
+    def __init__(self, src_ip, dst_ip, src_port, dst_port, payload=None,
+                 payload_len=None, trace=None, seq=0):
         self.src_ip = src_ip
         self.dst_ip = dst_ip
         self.src_port = src_port
@@ -113,8 +76,7 @@ class Packet:
                 raise ValueError("either payload or payload_len is required")
             payload_len = len(payload)
         self.payload_len = payload_len
-        _packet_counter[0] += 1
-        self.seq = _packet_counter[0]
+        self.seq = seq
         self.trace = trace
         self.insane = None
         self.flow = None
@@ -257,78 +219,6 @@ class PacketMeta:
 
     def __repr__(self):
         return "PacketMeta(%r)" % (dict(self.items()),)
-
-
-class PacketPool:
-    """A preallocated free-list of :class:`Packet` records.
-
-    ``acquire`` mirrors ``Packet.__init__`` exactly — including the global
-    sequence-counter bump and the ``payload_len`` validation — so a pooled
-    record is observationally identical to a fresh one.  Exhaustion falls
-    back to plain allocation (never blocks, never fails); ``release``
-    clears every reference-holding field before parking the record so no
-    buffer, trace, or payload outlives its packet.
-    """
-
-    __slots__ = ("capacity", "preallocate", "_free")
-
-    def __init__(self, capacity=1024, preallocate=256):
-        self.capacity = capacity
-        self.preallocate = preallocate
-        self._free = []
-        self.reset()
-
-    def reset(self):
-        """Drop all parked records and re-preallocate blanks."""
-        new = Packet.__new__
-        self._free[:] = [new(Packet) for _ in range(self.preallocate)]
-
-    def acquire(self, src_ip, dst_ip, src_port, dst_port, payload=None,
-                payload_len=None, trace=None):
-        """A fully-reset packet record, pooled when possible."""
-        free = self._free
-        packet = free.pop() if free else Packet.__new__(Packet)
-        packet.src_ip = src_ip
-        packet.dst_ip = dst_ip
-        packet.src_port = src_port
-        packet.dst_port = dst_port
-        packet.payload = payload
-        if payload_len is None:
-            if payload is None:
-                raise ValueError("either payload or payload_len is required")
-            payload_len = len(payload)
-        packet.payload_len = payload_len
-        _packet_counter[0] += 1
-        packet.seq = _packet_counter[0]
-        packet.trace = trace
-        packet.insane = None
-        packet.flow = None
-        packet.tx_buffer = None
-        packet.rx_buffer = None
-        packet._extra = None
-        return packet
-
-    def release(self, packet):
-        """Park ``packet`` for reuse (dropped when the pool is full).
-
-        Only call this at a provably-bounded lifetime point — after the
-        packet's last consumer is done with it (the runtime's dispatch
-        path); protocols that retain packets (retransmit queues) must not
-        release.
-        """
-        if len(self._free) < self.capacity:
-            packet.payload = None
-            packet.trace = None
-            packet.insane = None
-            packet.flow = None
-            packet.tx_buffer = None
-            packet.rx_buffer = None
-            packet._extra = None
-            self._free.append(packet)
-
-
-#: the process-global free-list used by the runtime delivery path
-PACKET_POOL = PacketPool()
 
 
 def wire_bytes(packet, src_mac=None, dst_mac=None):

@@ -164,7 +164,7 @@ class UtcpStack:
         from repro.netstack.packet import Packet
 
         packet = Packet(self.host.ip, peer_ip, self.port, self.port,
-                        payload=segment.to_bytes())
+                        payload=segment.to_bytes(), seq=next(self.sim.ids))
         self.segments_sent.value += 1
 
         def op():

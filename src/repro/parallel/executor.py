@@ -14,8 +14,12 @@ Workers are started with the ``spawn`` method (never ``fork``): each one
 imports the package fresh, so no parent-process module state — heaps,
 rng, counters — can leak in.  Every cell then goes through
 :func:`repro.simnet.cell.run_cell`, which builds an isolated simulator
-and resets the known process-globals, so a long-lived worker running many
-cells behaves exactly like a fresh process per cell.
+that owns its rng and ids, so a long-lived worker running many cells
+behaves exactly like a fresh process per cell.
+
+Each payload is written to the cache as soon as its cell returns, so a
+cell that raises does not take the finished cells down with it: they are
+cache hits on the rerun.
 
 An optional :class:`~repro.parallel.cache.ResultCache` short-circuits
 cells whose content-addressed key already has a stored payload; cached
@@ -176,10 +180,15 @@ class SweepExecutor:
                     continue
             pending.append((key, cell))
 
+        def finished(key, payload):
+            payloads[key] = payload
+            if self.cache is not None:
+                self.cache.put(cache_key(unique[key]), unique[key], payload)
+
         if pending:
             if self.workers == 1:
                 for key, cell in pending:
-                    payloads[key] = run_cell(cell)
+                    finished(key, run_cell(cell))
             else:
                 context = multiprocessing.get_context(self.mp_context)
                 runners = dict(CELL_RUNNERS)
@@ -192,11 +201,8 @@ class SweepExecutor:
                         for key, _cell in pending
                     }
                     for future in as_completed(futures):
-                        payloads[futures[future]] = future.result()
+                        finished(futures[future], future.result())
             sweep.executed += len(pending)
-            if self.cache is not None:
-                for key, cell in pending:
-                    self.cache.put(cache_key(cell), cell, payloads[key])
 
         for key, cell in ordered:
             sweep.results.append(CellResult(

@@ -12,9 +12,11 @@ one fuzzed workload spec.  Cells are plain JSON-able dicts::
 :func:`run_cell` is the single entrypoint every worker process (and the
 serial fallback) goes through.  It guarantees *isolation*: each cell gets
 a freshly built :class:`~repro.simnet.Simulator`/testbed (every registered
-runner constructs its own), derives any missing seed deterministically
-from the cell key, and resets the known process-global counters first —
-so a cell's payload is bit-identical whether it runs first or last in a
+runner constructs its own) and derives any missing seed deterministically
+from the cell key.  Everything a simulation draws — its rng stream and
+the ids of its packets, sessions and sinks — belongs to that simulator
+(``sim.rng``, ``sim.ids``), so there is no process-global state to reset:
+a cell's payload is bit-identical whether it runs first or last in a
 long-lived worker, in the parent process, or alone.  That property is
 what lets the sweep executor promise digest-equal results at any worker
 count.
@@ -85,21 +87,6 @@ def derive_seed(key):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _reset_process_globals():
-    """Reset known process-global mutable state before a cell runs.
-
-    The audit behind this list: the packet sequence counter in
-    :mod:`repro.netstack.packet` is the only module-level counter that
-    leaks across simulations (rng state is always instance-owned —
-    ``Simulator.rng``, ``random_spec``'s private ``random.Random`` — and
-    the datapath registry is populated once at import with immutable
-    classes).
-    """
-    from repro.netstack.packet import reset_packet_counter
-
-    reset_packet_counter()
-
-
 def run_cell(cell):
     """Execute one cell in isolation and return its JSON-able payload.
 
@@ -118,5 +105,4 @@ def run_cell(cell):
     params = dict(cell.get("params") or {})
     if "seed" not in params:
         params["seed"] = derive_seed(cell_key(cell))
-    _reset_process_globals()
     return runner(**params)

@@ -37,6 +37,7 @@ function of the sequence of ``schedule*`` calls — same seed, same code ⇒
 bit-identical simulated timestamps, results, and rng stream.
 """
 
+import itertools
 import random
 from collections import deque
 from heapq import heapify, heappop, heappush
@@ -171,6 +172,10 @@ class Simulator:
         self._peak_heap = 0
         self._purged = 0
         self.rng = random.Random(seed)
+        #: the simulation's id source: packet seqs, unnamed session app
+        #: ids, sink endpoints, qtokens and containers all draw from it,
+        #: so two simulators in one process never see each other's ids.
+        self.ids = itertools.count(1)
         #: (process_name, exception) for every process that died with an
         #: unhandled exception — checked by tests so failures cannot pass
         #: silently.

@@ -21,6 +21,7 @@ traces.
 """
 
 import heapq
+import itertools
 import random
 
 from repro.simnet.errors import SimulationError
@@ -63,6 +64,8 @@ class LegacySimulator:
         self._seq = 0
         self._executed = 0
         self.rng = random.Random(seed)
+        #: the simulation's id source (see :attr:`Simulator.ids`)
+        self.ids = itertools.count(1)
         #: (process_name, exception) for every process that died with an
         #: unhandled exception — checked by tests so failures cannot pass
         #: silently.

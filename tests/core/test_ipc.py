@@ -1,12 +1,13 @@
 """Token ring tests."""
 
 from repro.core.ipc import Token, TokenRing
+from repro.core.runtime import InsaneDeployment
 from repro.hw import Testbed
 
 
 def make_ring(capacity=4):
     bed = Testbed.local()
-    return bed, TokenRing(bed.sim, bed.hosts[0], capacity, "ring")
+    return bed, TokenRing(bed.sim, capacity, "ring")
 
 
 def make_token(slot=1):
@@ -64,9 +65,10 @@ def test_blocking_enqueue_applies_backpressure():
 
 
 def test_half_cost_reflects_profile():
-    bed, ring = make_ring()
+    bed = Testbed.local()
+    binding = InsaneDeployment(bed).runtime(0).ensure_binding("udp")
     stage = bed.profile.stage("insane_ipc")
-    effect = ring.half_cost(burst=1)
+    effect = binding.ipc_half_cost()
     expected = stage.cost(0, burst=1) / 2.0
     # jittered, but within a few percent
     assert abs(effect.delay - expected) / expected < 0.2

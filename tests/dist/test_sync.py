@@ -3,9 +3,9 @@
 The headline assertion of :mod:`repro.dist`: running a generated city cut
 across partitions — in-process or across real worker processes — produces
 the *same* merged record digest as the serial run, bit for bit.  Everything
-else here guards the mechanisms that make that possible: disjoint
-packet-id spaces per partition, a provable simulation horizon, and a
-merge that refuses to paper over overlapping counters.
+else here guards the mechanisms that make that possible: a provable
+simulation horizon and a merge that refuses to paper over overlapping
+counters.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.dist import (
 )
 from repro.dist.sync import city_end_of_time
 from repro.hw.generate import resolve_topology
-from repro.netstack.packet import PARTITION_SEQ_STRIDE, partition_seq_base
 
 TINY = {"hosts": 16, "regions": 4, "messages": 2, "seed": 11}
 
@@ -75,25 +74,6 @@ class TestProcessTransportAcceptance:
         assert all(meta["events"] > 0 for meta in run["per_partition"])
         assert run["digest"] == reference["digest"]
         assert run["events"] == reference["events"]
-
-
-class TestSeqDisjointness:
-    def test_partitions_mint_packet_ids_in_disjoint_ranges(self):
-        """Satellite regression: every partition stamps packet ids from
-        its own ``index << 48`` base, so merged records can never collide
-        on sequence numbers minted by different partitions."""
-        run = run_city_partitioned(resolve_topology(TINY), 4,
-                                   transport="inline")
-        metas = run["per_partition"]
-        assert [meta["seq_base"] for meta in metas] \
-            == [partition_seq_base(index) for index in range(4)]
-        for meta in metas:
-            assert meta["seq_base"] == meta["partition"] * PARTITION_SEQ_STRIDE
-            assert meta["seq_base"] <= meta["seq_last"] \
-                < meta["seq_base"] + PARTITION_SEQ_STRIDE
-
-    def test_stride_leaves_headroom(self):
-        assert PARTITION_SEQ_STRIDE == 1 << 48
 
 
 class TestMerge:

@@ -3,7 +3,7 @@
 ``corpus.json`` pins sha256 digests of the paper workloads (fig5/fig8a/
 fig8b), the failover bench, and four differential-validation workloads.
 If a commit moves any digest, this test names the exact entry — re-pin
-deliberately with ``insane-validate golden --regen --force``.
+deliberately with ``insane validate golden --regen --force``.
 """
 
 import json
@@ -24,7 +24,7 @@ class TestCorpusFile:
         path = corpus_path()
         assert os.path.exists(path), (
             "tests/golden/corpus.json missing — regenerate with "
-            "insane-validate golden --regen"
+            "insane validate golden --regen"
         )
         corpus = load_corpus()
         assert corpus["version"] == 1

@@ -1,9 +1,11 @@
-"""Tests for the hot-path packet model and full wire serialization."""
+"""Tests for the hot-path packet model, its slotted-metadata shim and
+full wire serialization."""
 
 import pytest
 
 from repro.netstack import Packet, WIRE_OVERHEAD, wire_bytes
 from repro.netstack.packet import parse_wire_bytes
+from repro.simnet import Simulator
 
 
 def make_packet(payload=b"hello world"):
@@ -28,9 +30,13 @@ def test_packet_requires_payload_or_length():
 
 
 def test_sequence_numbers_are_unique_and_increasing():
-    first = make_packet()
-    second = make_packet()
-    assert second.seq > first.seq
+    """A packet's seq comes from the simulation that builds it; a packet
+    built outside any simulation carries 0."""
+    sim = Simulator()
+    first = Packet("10.0.0.1", "10.0.0.2", 1, 2, payload=b"a", seq=next(sim.ids))
+    second = Packet("10.0.0.1", "10.0.0.2", 1, 2, payload=b"b", seq=next(sim.ids))
+    assert 0 < first.seq < second.seq
+    assert make_packet().seq == 0
 
 
 def test_memoryview_payload_is_zero_copy():
@@ -67,3 +73,64 @@ def test_trace_stamping_only_when_enabled():
     traced = Packet("10.0.0.1", "10.0.0.2", 1, 2, payload=b"x", trace={})
     traced.stamp("t0", 123)
     assert traced.trace == {"t0": 123}
+
+
+class TestPacketMetaShim:
+    def make(self):
+        return Packet("10.0.0.1", "10.0.0.2", 1, 2, payload=b"x")
+
+    def test_hot_keys_map_to_slots(self):
+        packet = self.make()
+        packet.meta["flow"] = "camera"
+        assert packet.flow == "camera"
+        packet.insane = (1, 2, 3)
+        assert packet.meta["insane"] == (1, 2, 3)
+        assert packet.meta.get("insane") == (1, 2, 3)
+
+    def test_absent_hot_key_behaves_like_missing_dict_key(self):
+        packet = self.make()
+        assert "tx_buffer" not in packet.meta
+        assert packet.meta.get("tx_buffer") is None
+        assert packet.meta.get("tx_buffer", "d") == "d"
+        assert packet.meta.pop("tx_buffer", "d") == "d"
+        with pytest.raises(KeyError):
+            packet.meta["tx_buffer"]
+        with pytest.raises(KeyError):
+            del packet.meta["tx_buffer"]
+
+    def test_pop_hot_key_clears_the_slot(self):
+        packet = self.make()
+        buffer = object()
+        packet.tx_buffer = buffer
+        assert packet.meta.pop("tx_buffer", None) is buffer
+        assert packet.tx_buffer is None
+
+    def test_cold_keys_spill_lazily(self):
+        packet = self.make()
+        assert packet._extra is None  # no dict until a cold key is written
+        packet.meta["arp"] = True
+        assert packet._extra == {"arp": True}
+        assert packet.meta["arp"] is True
+        assert "arp" in packet.meta
+        del packet.meta["arp"]
+        assert "arp" not in packet.meta
+
+    def test_dict_protocol_views(self):
+        packet = self.make()
+        meta = packet.meta
+        assert len(meta) == 0
+        assert not meta
+        meta["flow"] = "f"
+        meta["dds_topic"] = "t"
+        assert sorted(meta.keys()) == ["dds_topic", "flow"]
+        assert sorted(meta.items()) == [("dds_topic", "t"), ("flow", "f")]
+        assert sorted(meta.values()) == ["f", "t"]
+        assert sorted(iter(meta)) == ["dds_topic", "flow"]
+        assert len(meta) == 2
+        assert meta
+
+    def test_setdefault(self):
+        packet = self.make()
+        assert packet.meta.setdefault("flow", "default") == "default"
+        assert packet.flow == "default"
+        assert packet.meta.setdefault("flow", "other") == "default"

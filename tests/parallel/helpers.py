@@ -6,6 +6,7 @@ can import them by the ``"tests.parallel.helpers:<fn>"`` registry target.
 
 import os
 import random
+import time
 
 #: in-process execution counter — only meaningful for workers=1 runs,
 #: where cells execute in the parent interpreter.
@@ -39,16 +40,14 @@ def rng_stream_cell(seed=0, draws=8):
     }
 
 
-def packet_seq_cell(count=3, seed=0):
-    """Allocate packets and report their global sequence numbers.
+#: the one value :func:`failing_cell` raises for
+FAILING_VALUE = 2
 
-    With per-cell global resets, the first packet of every cell is seq 1
-    regardless of what ran before in the same process.
-    """
-    from repro.netstack.packet import Packet
 
-    packets = [
-        Packet("10.0.0.1", "10.0.0.2", 1000 + i, 2000, payload_len=64)
-        for i in range(count)
-    ]
-    return {"seqs": [packet.seq for packet in packets]}
+def failing_cell(value=0, seed=0, delay_s=0.0):
+    """:func:`echo_cell`, except that :data:`FAILING_VALUE` raises after
+    ``delay_s`` seconds of wall time (so parallel siblings finish first)."""
+    if value == FAILING_VALUE:
+        time.sleep(delay_s)
+        raise RuntimeError("cell value=%d fails" % value)
+    return echo_cell(value=value, seed=seed)

@@ -31,6 +31,7 @@ from tests.parallel import helpers
 def _test_kinds():
     saved = dict(CELL_RUNNERS)
     register_cell_kind("test.echo", "tests.parallel.helpers:echo_cell")
+    register_cell_kind("test.failing", "tests.parallel.helpers:failing_cell")
     helpers.EXECUTIONS.clear()
     yield
     CELL_RUNNERS.clear()
@@ -231,3 +232,20 @@ class TestExecutorCaching:
         hot = SweepExecutor(workers=2, cache=ResultCache(str(tmp_path))).run(cells)
         assert fresh.merged_digest() == warm.merged_digest() == hot.merged_digest()
         assert hot.cache_hits == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_cells_survive_a_raising_cell(self, tmp_path, workers):
+        """The cells that finished before a raising cell are on disk: a
+        rerun without the bad cell is all cache hits."""
+        delay_s = 0.0 if workers == 1 else 1.0
+        cells = [make_cell("test.failing", value=v, seed=0, delay_s=delay_s)
+                 for v in range(3)]
+        assert cells[-1]["params"]["value"] == helpers.FAILING_VALUE
+        with pytest.raises(RuntimeError, match="fails"):
+            SweepExecutor(workers=workers,
+                          cache=ResultCache(str(tmp_path))).run(cells)
+        rerun = SweepExecutor(workers=1, cache=ResultCache(str(tmp_path))).run(
+            cells[:-1]
+        )
+        assert rerun.cache_hits == 2
+        assert rerun.executed == 0

@@ -4,11 +4,15 @@ The headline assertions: the same cell set produces identical payloads,
 identical merge order, and identical merged digests at ``workers=1`` and
 ``workers=N`` — for a real fig8a throughput sub-grid and for a seeded
 fuzz batch — and per-cell isolation holds (derived seeds, rng streams,
-global counters) no matter which process runs a cell or in what order.
+per-simulation ids) no matter which process runs a cell or in what order.
 """
 
 import pytest
 
+from repro.core import QosPolicy, Session
+from repro.core.metrics import export_deployment
+from repro.core.runtime import InsaneDeployment
+from repro.hw import Testbed
 from repro.parallel import (
     SweepExecutor,
     cell_key,
@@ -18,7 +22,9 @@ from repro.parallel import (
     run_cell,
     run_sweep,
 )
+from repro.simnet import Timeout
 from repro.simnet.cell import CELL_RUNNERS
+from repro.trace import WireTap
 from tests.parallel import helpers
 
 
@@ -28,11 +34,39 @@ def _test_kinds():
     saved = dict(CELL_RUNNERS)
     register_cell_kind("test.echo", "tests.parallel.helpers:echo_cell")
     register_cell_kind("test.rng", "tests.parallel.helpers:rng_stream_cell")
-    register_cell_kind("test.packets", "tests.parallel.helpers:packet_seq_cell")
     helpers.EXECUTIONS.clear()
     yield
     CELL_RUNNERS.clear()
     CELL_RUNNERS.update(saved)
+
+
+def paced_deployment(seed, messages=20, gap_ns=10_000.0):
+    """Two unnamed sessions, one fast paced stream, every link tapped.
+
+    Returns ``(sim, tap, deployment)``; the caller drives ``sim``.
+    """
+    bed = Testbed.local(seed=seed)
+    tap = WireTap().attach_all(bed)
+    deployment = InsaneDeployment(bed)
+    tx = Session(deployment.runtime(0))
+    rx = Session(deployment.runtime(1))
+    source = tx.create_source(tx.create_stream(QosPolicy.fast()), channel=1)
+    sink = rx.create_sink(rx.create_stream(QosPolicy.fast()), channel=1)
+
+    def producer():
+        for _ in range(messages):
+            buffer = yield from tx.get_buffer_wait(source, 64)
+            yield from tx.emit_data(source, buffer, length=64)
+            yield Timeout(gap_ns)
+
+    def consumer():
+        while True:
+            delivery = yield from rx.consume_data(sink)
+            rx.release_buffer(sink, delivery)
+
+    bed.sim.process(producer(), name="paced.producer")
+    bed.sim.process(consumer(), name="paced.consumer")
+    return bed.sim, tap, deployment
 
 
 def fig8a_subgrid(messages=300):
@@ -150,12 +184,24 @@ class TestProcessIsolation:
         by_seed = {r.payload["seed"]: r.payload["draws"] for r in crowded.results}
         assert by_seed[7] == alone.results[0].payload["draws"]
 
-    def test_packet_counter_reset_per_cell(self):
-        """A long-lived process running many cells matches fresh workers."""
-        first = run_cell(make_cell("test.packets", count=3, seed=0))
-        second = run_cell(make_cell("test.packets", count=5, seed=0))
-        assert first["seqs"] == [1, 2, 3]
-        assert second["seqs"] == [1, 2, 3, 4, 5]
+    def test_two_simulators_do_not_see_each_other(self):
+        """Two same-seed simulations stepped alternately in 7 us slices
+        match a lone run of that seed made earlier in this process:
+        packet seqs and session app ids belong to their simulation."""
+        lone_sim, lone_tap, lone_deployment = paced_deployment(seed=3)
+        lone_sim.run()
+        lone_text = export_deployment(lone_deployment)
+        assert len(lone_tap) >= 20
+        assert 'app="app1"' in lone_text
+        runs = [paced_deployment(seed=3), paced_deployment(seed=3)]
+        until = 0.0
+        while any(sim.peek() is not None for sim, _tap, _dep in runs):
+            until += 7_000.0
+            for sim, _tap, _deployment in runs:
+                sim.run(until=until)
+        for _sim, tap, deployment in runs:
+            assert tap.records == lone_tap.records
+            assert export_deployment(deployment) == lone_text
 
     def test_runtime_registrations_reach_spawned_workers(self):
         """Kinds registered after import still run under workers>1."""
