@@ -4,13 +4,21 @@ This is the paper's central abstraction (§5.3): "the memory manager reserves
 a memory area (memory pools) [...] divided into memory slots, uniquely
 identified within the pool by a slot id".  Applications and datapaths never
 exchange payload bytes directly — they exchange slot ids, and payloads live
-in one backing buffer per pool.
+in one backing area per pool.
 
 The implementation is *really* zero-copy inside a host: a :class:`Buffer` is
-a ``memoryview`` into the pool's single ``bytearray``.  Only the simulated
-NIC DMA moves bytes between the pools of different hosts.  Lifecycle bugs
-(double release, use after emit) are therefore observable and tested.
+a ``memoryview`` into the pool's single anonymous memory mapping.  Only the
+simulated NIC DMA moves bytes between the pools of different hosts.
+Lifecycle bugs (double release, use after emit) are therefore observable and
+tested.
+
+Reserving the area does not touch it: the kernel supplies each page, zeroed,
+on its first write, and a slot's :class:`Buffer` is built on the slot's
+first allocation.  A pool costs the pages and buffers its peak occupancy
+touches, not its capacity.
 """
+
+import mmap
 
 from repro.core.errors import BufferLifecycleError, PoolExhaustedError
 from repro.simnet import Counter
@@ -70,7 +78,16 @@ class Buffer:
 
 
 class SlotPool:
-    """A pool of fixed-size slots carved out of one backing buffer."""
+    """A pool of fixed-size slots carved out of one lazily mapped area.
+
+    The area is one private anonymous mapping of ``slots * slot_bytes``
+    bytes: private, so a forked child gets its own copy of the slot bytes
+    rather than sharing them; anonymous, so no page is resident before its
+    first write.  Buffers are built up to a high-water mark as slots are
+    first allocated.  Allocation takes the most recently released slot
+    first, otherwise the lowest slot id never used; slots never used count
+    as free.
+    """
 
     def __init__(self, sim, slots, slot_bytes, name="pool"):
         if slots < 1 or slot_bytes < 1:
@@ -79,16 +96,13 @@ class SlotPool:
         self.name = name
         self.slots = slots
         self.slot_bytes = slot_bytes
-        self._backing = bytearray(slots * slot_bytes)
-        self._view = memoryview(self._backing)
-        # Buffer objects are built once and recycled through the free list
-        # (popping from the end yields slot 0 first, as the id-based free
-        # list did); allocation then never constructs objects or slices
-        # views on the hot path.
-        self._free = [
-            Buffer(self, slot_id, self._view[slot_id * slot_bytes:(slot_id + 1) * slot_bytes])
-            for slot_id in range(slots - 1, -1, -1)
-        ]
+        self._view = memoryview(
+            mmap.mmap(-1, slots * slot_bytes, flags=mmap.MAP_PRIVATE)
+        )
+        #: slots ``[0, _built)`` have a Buffer; the rest were never used
+        self._built = 0
+        #: released buffers, reused last-in first-out
+        self._free = []
         self._live = {}
         self.allocations = Counter(name + ".allocations")
         self.exhaustions = Counter(name + ".exhaustions")
@@ -96,11 +110,11 @@ class SlotPool:
 
     @property
     def free_slots(self):
-        return len(self._free)
+        return len(self._free) + self.slots - self._built
 
     @property
     def in_use(self):
-        return self.slots - len(self._free)
+        return self._built - len(self._free)
 
     def try_alloc(self, size=0):
         """Allocate a slot, or return ``None`` (counting the exhaustion)."""
@@ -109,13 +123,21 @@ class SlotPool:
                 "requested %d B but slots are %d B; fragment at the "
                 "application level" % (size, self.slot_bytes)
             )
-        if not self._free:
+        free = self._free
+        if free:
+            buffer = free.pop()
+            buffer.length = 0
+            buffer.refcount = 1
+            buffer.frozen = False
+        elif self._built < self.slots:
+            slot_id = self._built
+            self._built = slot_id + 1
+            start = slot_id * self.slot_bytes
+            buffer = Buffer(self, slot_id,
+                            self._view[start:start + self.slot_bytes])
+        else:
             self.exhaustions.value += 1
             return None
-        buffer = self._free.pop()
-        buffer.length = 0
-        buffer.refcount = 1
-        buffer.frozen = False
         self._live[buffer.slot_id] = buffer
         self.allocations.value += 1
         return buffer

@@ -70,13 +70,13 @@ BLOCK_TIMEOUT_S = 120.0
 def city_end_of_time(spec):
     """A provable upper bound on the last event instant of a city run.
 
-    Every source is finite (``flows * messages`` pre-scheduled sends plus
-    at most one rpc reply each), every queue residency is bounded (NIC
-    backlog by total frames, switch queues by their admission ceilings,
-    strict-priority starvation by total traffic through the port), so a
-    generous sum of worst cases bounds the horizon.  Null-message clocks
-    creep past this bound in ``horizon / lookahead`` exchanges and the
-    run terminates.
+    Every source is finite (``flows * messages`` sends, each queued by
+    its flow's previous one, plus at most one rpc reply each), every
+    queue residency is bounded (NIC backlog by total frames, switch
+    queues by their admission ceilings, strict-priority starvation by
+    total traffic through the port), so a generous sum of worst cases
+    bounds the horizon.  Null-message clocks creep past this bound in
+    ``horizon / lookahead`` exchanges and the run terminates.
     """
     from repro.hw.profiles import PROFILES
 
@@ -215,6 +215,19 @@ class PartitionRunner:
         """The peer whose channel clock gates progress (min, ties by id)."""
         return min(self.peers, key=lambda peer: (self.in_clock[peer], peer))
 
+    def describe_stall(self, peer):
+        """Where this partition stands while it waits on ``peer``: its
+        clocks and the last announcement each way on that channel."""
+        nxt = self.sim.peek()
+        return (
+            "partition %d: now %.1f ns, next event %s, safe %.1f ns; "
+            "partition %d last announced %.1f ns, we last announced "
+            "%.1f ns to it"
+            % (self.index, self.sim.now,
+               "none" if nxt is None else "%.1f ns" % nxt, self.safe(),
+               peer, self.in_clock[peer], self.out_clock[peer])
+        )
+
     def meta(self):
         return {
             "partition": self.index,
@@ -266,8 +279,9 @@ def _city_worker(spec, index, assignment, in_queues, out_queues,
             except queue_mod.Empty:
                 raise RuntimeError(
                     "partition %d waited %.0fs on partition %d with no "
-                    "announcement — the run is wedged"
-                    % (index, BLOCK_TIMEOUT_S, peer)
+                    "announcement — the run is wedged (%s)"
+                    % (index, BLOCK_TIMEOUT_S, peer,
+                       runner.describe_stall(peer))
                 )
 
         def send(peer, message):
@@ -313,9 +327,12 @@ def _run_process(spec, assignment, mp_context="spawn"):
                     timeout=BLOCK_TIMEOUT_S * 2
                 )
             except queue_mod.Empty:
+                missing = [i for i in range(count) if i not in outcomes]
                 raise RuntimeError(
-                    "partitioned run wedged: %d of %d partitions reported"
-                    % (len(outcomes), count)
+                    "partitioned run wedged: %d of %d partitions reported; "
+                    "never reported: %s"
+                    % (len(outcomes), count,
+                       ", ".join("p%d" % i for i in missing))
                 )
             if kind == "error":
                 raise RuntimeError(
@@ -372,8 +389,8 @@ def _run_inline(spec, assignment):
                 runner.advance()
                 progressed = True
         if not progressed:
-            state = ", ".join(
-                "p%d@%.1f" % (runner.index, runner.sim.now)
+            state = "; ".join(
+                runner.describe_stall(runner.blocking_peer())
                 for runner in runners
             )
             raise RuntimeError(

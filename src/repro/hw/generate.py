@@ -416,15 +416,18 @@ class CityNetwork:
     # -- workload ----------------------------------------------------------
 
     def schedule_workload(self):
-        """Schedule every owned flow's sends (call once, before running)."""
-        spec = self.spec
+        """Schedule every owned flow's first send (call once, before
+        running); each send schedules the flow's next one."""
         for flow in self.plan["flows"]:
-            if flow["src"] not in self.hosts:
-                continue
-            base = CITY_EPOCH_NS + flow["phase_ns"]
-            for k in range(spec["messages"]):
-                depart = base + k * spec["interval_ns"] + self.tx_cost_ns
-                self.sim.schedule_abs(depart, self._launch, flow["id"], k)
+            if flow["src"] in self.hosts:
+                self._schedule_send(flow, 0)
+
+    def _schedule_send(self, flow, k):
+        # the next send is queued while the current one fires, so it is
+        # always on the heap before it is due and sim.peek() sees it
+        base = CITY_EPOCH_NS + flow["phase_ns"]
+        depart = base + k * self.spec["interval_ns"] + self.tx_cost_ns
+        self.sim.schedule_abs(depart, self._launch, flow["id"], k)
 
     def _make_packet(self, flow, k, is_reply):
         src = self.plan["hosts"][flow["dst" if is_reply else "src"]]
@@ -437,6 +440,8 @@ class CityNetwork:
 
     def _launch(self, flow_id, k):
         flow = self.plan["flows"][flow_id]
+        if k + 1 < self.spec["messages"]:
+            self._schedule_send(flow, k + 1)
         packet = self._make_packet(flow, k, False)
         self.hosts[flow["src"]].nic.transmit(packet)
 

@@ -2,10 +2,13 @@
 
 ``tests/golden/corpus.json`` pins sha256 digests of the simulated results
 of the paper workloads (fig5 ping-pong, fig8a streaming, fig8b 8-sink),
-the failover bench, and a handful of differential-validation workloads —
-everything a behaviour-changing commit would move.  A tier-1 test
-(``tests/golden/test_corpus.py``) recomputes and compares them, so trace
-drift fails CI with the exact entry that moved.
+the failover bench, a handful of differential-validation workloads and
+the serial runs of two generated cities — everything a behaviour-changing
+commit would move.  The city entries anchor the partitioned runs too:
+those are checked against the serial digest, which would not notice both
+sides drifting together.  A tier-1 test (``tests/golden/test_corpus.py``)
+recomputes and compares them, so trace drift fails CI with the exact
+entry that moved.
 
 Regeneration is deliberate: :func:`regenerate_corpus` (exposed as
 ``insane validate golden --regen``) refuses to overwrite an existing
@@ -30,6 +33,10 @@ FAULTS_FAIL_AT_NS = 1_000_000.0
 
 #: seeds of the differential-validation workloads pinned in the corpus.
 VALIDATE_SEEDS = (0, 1, 2, 3)
+
+#: city presets whose serial run is pinned, all at one seed.
+CITY_TOPOLOGIES = ("smoke64", "city256")
+CITY_SEED = 0
 
 CORPUS_VERSION = 1
 
@@ -56,6 +63,8 @@ def compute_corpus():
     """Recompute every corpus entry from the current code."""
     from repro.bench.faults import _run_failover_once
     from repro.bench.perfbench import run_workload
+    from repro.dist.sync import run_city_serial
+    from repro.hw.generate import resolve_topology
     from repro.validate.workloads import random_spec, run_spec
 
     corpus = {
@@ -71,7 +80,9 @@ def compute_corpus():
                 "fail_at_ns": FAULTS_FAIL_AT_NS,
             },
             "validate_seeds": list(VALIDATE_SEEDS),
+            "city": {"topologies": list(CITY_TOPOLOGIES), "seed": CITY_SEED},
         },
+        "city": {},
         "engine": {},
         "faults": {},
         "validate": {},
@@ -94,6 +105,9 @@ def compute_corpus():
     for seed in VALIDATE_SEEDS:
         result = run_spec(random_spec(seed))
         corpus["validate"]["seed-%d" % seed] = result.trace.digest()
+    for name in CITY_TOPOLOGIES:
+        spec = dict(resolve_topology(name), seed=CITY_SEED)
+        corpus["city"][name] = run_city_serial(spec)["digest"]
     return corpus
 
 
@@ -121,7 +135,7 @@ def check_corpus(path=None):
             "corpus params changed: pinned %r, current %r"
             % (pinned.get("params"), current["params"])
         )
-    for section in ("engine", "faults", "validate"):
+    for section in ("city", "engine", "faults", "validate"):
         pinned_section = pinned.get(section, {})
         for key, digest in current[section].items():
             expected = pinned_section.get(key)

@@ -1,5 +1,8 @@
 """Memory manager tests: slot lifecycle, zero-copy semantics, accounting."""
 
+import mmap
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,52 @@ from repro.simnet import Simulator
 
 def make_pool(slots=4, slot_bytes=64):
     return SlotPool(Simulator(), slots=slots, slot_bytes=slot_bytes, name="test")
+
+
+def resident_bytes():
+    """This process's current resident set size."""
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * mmap.PAGESIZE
+
+
+class FreeListModel:
+    """Reference allocation order: a free list of every slot id, built up
+    front in descending order, popped from the end and pushed on the final
+    release unless a blocked allocator takes the slot."""
+
+    def __init__(self, slots):
+        self.free = list(range(slots - 1, -1, -1))
+        self.refs = {}
+        self.waiters = 0
+
+    def alloc(self):
+        if not self.free:
+            return None
+        slot_id = self.free.pop()
+        self.refs[slot_id] = 1
+        return slot_id
+
+    def add_waiter(self):
+        slot_id = self.alloc()
+        if slot_id is None:
+            self.waiters += 1
+        return slot_id
+
+    def addref(self, slot_id):
+        self.refs[slot_id] += 1
+
+    def release(self, slot_id):
+        """Drop one reference; returns the slot id if a waiter took it."""
+        self.refs[slot_id] -= 1
+        if self.refs[slot_id]:
+            return None
+        if self.waiters:
+            self.waiters -= 1
+            self.refs[slot_id] = 1
+            return slot_id
+        del self.refs[slot_id]
+        self.free.append(slot_id)
+        return None
 
 
 class TestSlotPool:
@@ -128,6 +177,67 @@ class TestSlotPool:
                 pool.release(live.pop())
             assert pool.free_slots + pool.in_use == 8
             assert pool.in_use == len(live)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["alloc", "addref", "release", "wait"]),
+                  st.integers(min_value=0, max_value=63)),
+        min_size=1, max_size=120,
+    ))
+    def test_property_allocation_order_matches_free_list(self, ops):
+        sim = Simulator()
+        pool = SlotPool(sim, slots=5, slot_bytes=8, name="order")
+        model = FreeListModel(5)
+        live = {}
+        handed = []
+
+        def waiter(buffer, exception):
+            handed.append(buffer)
+
+        for op, pick in ops:
+            expected = None
+            if op == "alloc":
+                buffer = pool.try_alloc()
+                got = None if buffer is None else buffer.slot_id
+                assert got == model.alloc()
+                if buffer is not None:
+                    live[buffer.slot_id] = buffer
+            elif op == "wait":
+                expected = model.add_waiter()
+                pool.add_alloc_waiter(waiter)
+            elif live:
+                slot_id = sorted(live)[pick % len(live)]
+                if op == "addref":
+                    pool.addref(live[slot_id])
+                    model.addref(slot_id)
+                else:
+                    pool.release(live[slot_id])
+                    if model.refs[slot_id] == 1:
+                        del live[slot_id]
+                    expected = model.release(slot_id)
+            sim.run()
+            assert [buffer.slot_id for buffer in handed] == \
+                ([] if expected is None else [expected])
+            for buffer in handed:
+                assert buffer.refcount == 1
+                live[buffer.slot_id] = buffer
+            handed.clear()
+            assert pool.free_slots == len(model.free)
+            assert pool.in_use == 5 - len(model.free)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_arena_costs_only_touched_pages(self):
+        before = resident_bytes()
+        pool = SlotPool(Simulator(), slots=65_536, slot_bytes=9_216,
+                        name="arena")
+        buffer = pool.alloc()
+        buffer.write(b"\xa5" * 9_216)
+        pool.release(buffer)
+        grown = resident_bytes() - before
+        assert grown < 16 * 2**20, "a 604 MB pool made RSS grow %.1f MB" % (
+            grown / 2**20)
+        assert pool.free_slots == 65_536
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

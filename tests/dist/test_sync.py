@@ -17,7 +17,8 @@ from repro.dist import (
     run_city_partitioned,
     run_city_serial,
 )
-from repro.dist.sync import city_end_of_time
+from repro.dist.partition import partition_regions
+from repro.dist.sync import PartitionRunner, city_end_of_time
 from repro.hw.generate import resolve_topology
 
 TINY = {"hosts": 16, "regions": 4, "messages": 2, "seed": 11}
@@ -104,6 +105,23 @@ class TestHorizon:
         short = resolve_topology(TINY)
         long = resolve_topology(dict(TINY, messages=64))
         assert city_end_of_time(long) > city_end_of_time(short)
+
+
+class TestStallReport:
+    def test_a_blocked_partition_reports_its_clocks(self):
+        spec = resolve_topology(TINY)
+        runner = PartitionRunner(spec, 0,
+                                 partition_regions(spec["regions"], 2))
+        runner.flush(lambda peer, message: None)
+        runner.receive(1, (5_000.0, []))
+        runner.advance()
+        assert not runner.can_advance()
+        text = runner.describe_stall(1)
+        assert "partition 0: now %.1f ns" % runner.sim.now in text
+        assert "next event %.1f ns" % runner.sim.peek() in text
+        assert "safe 5000.0 ns" in text
+        assert "partition 1 last announced 5000.0 ns" in text
+        assert "we last announced 20000.0 ns to it" in text
 
 
 class TestCityCell:

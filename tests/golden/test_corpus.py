@@ -1,7 +1,8 @@
 """Tier-1 guard: the pinned golden-trace corpus must hold.
 
 ``corpus.json`` pins sha256 digests of the paper workloads (fig5/fig8a/
-fig8b), the failover bench, and four differential-validation workloads.
+fig8b), the failover bench, four differential-validation workloads and
+the serial runs of the smoke64 and city256 cities.
 If a commit moves any digest, this test names the exact entry — re-pin
 deliberately with ``insane validate golden --regen --force``.
 """
@@ -28,8 +29,11 @@ class TestCorpusFile:
         )
         corpus = load_corpus()
         assert corpus["version"] == 1
-        for section in ("engine", "faults", "validate", "params"):
+        for section in ("city", "engine", "faults", "validate", "params"):
             assert section in corpus
+        assert set(corpus["city"]) == set(
+            corpus["params"]["city"]["topologies"]
+        )
         assert set(corpus["engine"]) == {
             "fig5_pingpong", "fig8a_streaming", "fig8b_8sink",
         }
@@ -40,7 +44,7 @@ class TestCorpusFile:
 
     def test_digests_look_like_sha256(self):
         corpus = load_corpus()
-        for section in ("engine", "faults", "validate"):
+        for section in ("city", "engine", "faults", "validate"):
             for key, digest in corpus[section].items():
                 assert isinstance(digest, str) and len(digest) == 64, (
                     "%s/%s is not a sha256 hex digest: %r"
@@ -85,3 +89,12 @@ class TestRegeneration:
         path.write_text(json.dumps(corpus))
         problems = check_corpus(path=str(path))
         assert any("unknown entry validate/seed-99" in p for p in problems)
+
+    def test_tampered_city_digest_is_named_in_the_report(self, tmp_path):
+        corpus = load_corpus()
+        corpus["city"]["smoke64"] = "0" * 64
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus))
+        problems = check_corpus(path=str(path))
+        assert len(problems) == 1
+        assert "golden digest moved: city/smoke64" in problems[0]

@@ -5,12 +5,14 @@ import pytest
 from repro.core.errors import TopologyError
 from repro.hw.generate import (
     CITY_PRESETS,
+    CityNetwork,
     city_plan,
     class_queue_ceilings,
     normalize_city_spec,
     resolve_topology,
     topology_digest,
 )
+from repro.simnet import Simulator
 
 
 def tiny(**overrides):
@@ -110,3 +112,21 @@ class TestPlan:
         plan = city_plan(resolve_topology(tiny()))
         for host in plan["hosts"]:
             assert host["ip"].startswith("10.%d.0." % host["region"])
+
+
+class TestWorkload:
+    def test_peak_heap_does_not_grow_with_the_message_count(self):
+        """Each flow keeps one send pending, so the event heap is bounded
+        by the frames in flight, not by flows x messages."""
+        peaks = []
+        for messages in (16, 64):
+            spec = resolve_topology(dict(CITY_PRESETS["smoke64"],
+                                         messages=messages))
+            sim = Simulator(seed=spec["seed"])
+            net = CityNetwork(sim, spec)
+            net.schedule_workload()
+            sim.run()
+            flows = len(city_plan(spec)["flows"])
+            assert len(net.deliveries) == flows * messages
+            peaks.append(sim.stats()["peak_heap"])
+        assert peaks[0] == peaks[1], peaks
