@@ -60,15 +60,14 @@ EXPERIMENTS = {
     ),
     "validate": lambda args: run_validate(seed=args.seed, quick=args.quick),
     "breakdown": lambda args: run_breakdown_cmd(args),
-    "profile": lambda args: run_profile_cmd(args),
     "capacity": lambda args: run_capacity_cmd(args),
     "city": lambda args: run_city_cmd(args),
     "fanout": lambda args: run_fanout_cmd(args),
 }
 
-#: meta-tools excluded from ``insane bench all`` (they measure the harness
-#: or plan capacity/scale, not the paper)
-NOT_IN_ALL = ("profile", "capacity", "city", "fanout")
+#: meta-tools excluded from ``insane bench all`` (they plan capacity and
+#: scale, not the paper)
+NOT_IN_ALL = ("capacity", "city", "fanout")
 
 
 def run_fanout_cmd(args):
@@ -106,26 +105,6 @@ def run_fanout_cmd(args):
         raise SystemExit("fanout: fluid tier exceeded the declared error "
                          "bound (epsilon %.2f)" % diff["epsilon"])
     return report.to_dict()
-
-
-def run_profile_cmd(args):
-    """cProfile one perf workload; see :mod:`repro.bench.profiling`."""
-    from repro.bench.perfbench import QUICK_MESSAGES, QUICK_ROUNDS
-    from repro.bench.profiling import PROFILE_WORKLOADS, run_profile
-
-    workload = args.workload or "fig8a_streaming"
-    if workload not in PROFILE_WORKLOADS:
-        raise SystemExit("profile: unknown workload %r (choose from %s)"
-                         % (workload, ", ".join(PROFILE_WORKLOADS)))
-    return run_profile(
-        workload,
-        engine=args.engine,
-        top=args.top,
-        rounds=args.rounds if args.rounds is not None else QUICK_ROUNDS,
-        messages=(args.messages if args.messages is not None
-                  else QUICK_MESSAGES),
-        seed=args.seed,
-    )
 
 
 def _parse_clients(text):
@@ -397,18 +376,6 @@ def main(argv=None):
                         help="breakdown only: collect lifecycle spans per datapath")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="breakdown --trace: write a Chrome-trace JSON here")
-    parser.add_argument("--workload", metavar="NAME", default=None,
-                        help="profile only: which perf workload to profile "
-                             "(a bench_wallclock suite name or "
-                             "'engine_churn'; default fig8a_streaming)")
-    parser.add_argument("--engine", choices=("fast", "legacy"),
-                        default="fast",
-                        help="profile only: which event loop runs the "
-                             "stack ('legacy' is the reference engine "
-                             "under the same stack)")
-    parser.add_argument("--top", type=int, default=25, metavar="N",
-                        help="profile only: functions in the cumulative-"
-                             "time table")
     parser.add_argument("--datapath", metavar="NAME", default="kernel_udp",
                         help="capacity only: datapath to pin "
                              "(kernel_udp, xdp, dpdk, rdma)")

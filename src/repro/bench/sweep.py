@@ -104,19 +104,6 @@ def run_multisink_cell(sinks, profile="local", messages=20000, size=1024,
     }
 
 
-def run_perf_workload_cell(workload, engine="fast", rounds=None,
-                           messages=None, profile="local", seed=0, reps=1):
-    """One perf-suite measurement (wall-clock; never digest-compared)."""
-    from repro.bench import perfbench
-
-    return perfbench.run_workload(
-        workload, engine,
-        rounds=perfbench.QUICK_ROUNDS if rounds is None else rounds,
-        messages=perfbench.QUICK_MESSAGES if messages is None else messages,
-        profile=profile, seed=seed, reps=reps,
-    )
-
-
 # -- grid builders ------------------------------------------------------------
 
 def fig5_cells(profile="local", rounds=2000, seed=0):

@@ -5,7 +5,6 @@ One entry point in front of every subsystem::
     insane bench fig7 --profile cloud     # tables and figures
     insane validate differential --n 50   # engine oracles and fuzzing
     insane scenario run corpus/           # scenario DSL + SLO verdicts
-    insane profile --workload fig8a_streaming
 
 Sub-command argv is forwarded *verbatim* to the sub-CLI mains, which are
 also reachable as ``python -m repro.bench`` and ``python -m
@@ -35,9 +34,6 @@ def _usage():
     ]
     for name in sorted(COMMANDS):
         lines.append("  %-10s %s" % (name, COMMANDS[name][1]))
-    lines.append("  %-10s %s" % ("profile",
-                                 "cProfile one perf workload "
-                                 "(= bench profile)"))
     lines.append("")
     lines.append("Run `insane COMMAND --help` for command options.")
     return "\n".join(lines)
@@ -52,9 +48,6 @@ def main(argv=None):
     if command in ("-h", "--help", "help"):
         print(_usage())
         return 0
-    if command == "profile":
-        # shorthand: `insane profile ...` == `insane bench profile ...`
-        command, rest = "bench", ["profile"] + rest
     entry = COMMANDS.get(command)
     if entry is None:
         print("insane: unknown command %r\n" % command, file=sys.stderr)

@@ -7,8 +7,6 @@ are declared once here and grafted onto each parser, so a flag learnt
 on one sub-command works the same on every other.
 """
 
-import argparse
-
 
 def add_execution_options(parser, seed=0, workers=1, workers_help=None,
                           json_help=None):
@@ -38,13 +36,6 @@ def add_execution_options(parser, seed=0, workers=1, workers_help=None,
                         help=json_help or "write machine-readable results "
                                           "to a JSON file")
     return parser
-
-
-def execution_parent(**kwargs):
-    """The shared options as an ``argparse`` parent parser."""
-    parent = argparse.ArgumentParser(add_help=False)
-    add_execution_options(parent, **kwargs)
-    return parent
 
 
 def make_cache(args):

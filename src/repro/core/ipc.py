@@ -8,7 +8,7 @@ shared memory (paper §5.3, Fig. 4).  The simulated ring is a bounded
 dequeuing side so that the cost lands on the correct simulated core.
 """
 
-from repro.simnet import Counter, Get, Put, Store
+from repro.simnet import Counter, Put, Store
 
 
 class Token:
@@ -79,9 +79,6 @@ class TokenRing:
     def try_dequeue(self):
         ok, token = self.store.try_get()
         return token if ok else None
-
-    def dequeue_effect(self):
-        return Get(self.store)
 
     def drain(self, max_items):
         """Dequeue up to ``max_items`` tokens without blocking."""

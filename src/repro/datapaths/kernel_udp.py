@@ -133,12 +133,6 @@ class UdpSocket:
             packet.stamp("app_rx", self.datapath.sim.now)
         return batch
 
-    def try_recv(self):
-        """Non-blocking poll; returns a packet or None (no cost model —
-        cost is the caller's poll loop, covered by the detect scalar)."""
-        ok, packet = self.buffer.try_get()
-        return packet if ok else None
-
     def _check_open(self):
         if self.closed:
             raise RuntimeError("socket on port %d is closed" % self.port)

@@ -46,6 +46,7 @@ import json
 import math
 import multiprocessing
 import queue as queue_mod
+import time
 import traceback
 from collections import deque
 
@@ -65,6 +66,10 @@ _INF = float("inf")
 #: channel before declaring the run wedged — generous; the protocol
 #: guarantees the awaited announcement is already in flight.
 BLOCK_TIMEOUT_S = 120.0
+
+#: how often (wall-clock seconds) the parent, waiting for results, checks
+#: whether a worker that has not reported has died.
+_POLL_S = 0.2
 
 
 def city_end_of_time(spec):
@@ -321,19 +326,24 @@ def _run_process(spec, assignment, mp_context="spawn"):
         worker.start()
     outcomes = {}
     try:
+        silent_since = time.monotonic()
         while len(outcomes) < count:
             try:
-                kind, index, *rest = result_queue.get(
-                    timeout=BLOCK_TIMEOUT_S * 2
-                )
+                report = result_queue.get(timeout=_POLL_S)
             except queue_mod.Empty:
-                missing = [i for i in range(count) if i not in outcomes]
-                raise RuntimeError(
-                    "partitioned run wedged: %d of %d partitions reported; "
-                    "never reported: %s"
-                    % (len(outcomes), count,
-                       ", ".join("p%d" % i for i in missing))
-                )
+                report = _check_dead_workers(workers, outcomes, result_queue)
+                if report is None:
+                    if time.monotonic() - silent_since < BLOCK_TIMEOUT_S * 2:
+                        continue
+                    missing = [i for i in range(count) if i not in outcomes]
+                    raise RuntimeError(
+                        "partitioned run wedged: %d of %d partitions "
+                        "reported; never reported: %s"
+                        % (len(outcomes), count,
+                           ", ".join("p%d" % i for i in missing))
+                    )
+            silent_since = time.monotonic()
+            kind, index, *rest = report
             if kind == "error":
                 raise RuntimeError(
                     "partition %d failed:\n%s" % (index, rest[0])
@@ -346,6 +356,25 @@ def _run_process(spec, assignment, mp_context="spawn"):
         for worker in workers:
             worker.join()
     return [(outcomes[i][0], outcomes[i][1]) for i in range(count)]
+
+
+def _check_dead_workers(workers, outcomes, result_queue):
+    """None while every worker yet to report is alive.  Otherwise drain
+    the queue once more — an exited worker's result may still be in the
+    pipe — and fail naming the dead partitions if it holds nothing."""
+    dead = [(index, worker.exitcode) for index, worker in enumerate(workers)
+            if index not in outcomes and worker.exitcode is not None]
+    if not dead:
+        return None
+    try:
+        return result_queue.get(timeout=_POLL_S)
+    except queue_mod.Empty:
+        raise RuntimeError(
+            "partitioned run failed: %s; %d of %d partitions reported"
+            % ("; ".join("partition p%d died before reporting (exit code "
+                         "%s)" % (index, code) for index, code in dead),
+               len(outcomes), len(workers))
+        ) from None
 
 
 # -- inline transport ------------------------------------------------------

@@ -410,9 +410,6 @@ class CityNetwork:
     def region_of_ip(self, ip):
         return self._region_by_ip[ip]
 
-    def owns_host(self, index):
-        return index in self.hosts
-
     # -- workload ----------------------------------------------------------
 
     def schedule_workload(self):

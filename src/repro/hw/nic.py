@@ -164,11 +164,5 @@ class Nic:
             self._steering[port] = queue
         return queue
 
-    def steer_port(self, port, queue):
-        """Add one more port to an existing steering queue."""
-        if port in self._steering:
-            raise ValueError("port %d already steered on %s" % (port, self.name))
-        self._steering[port] = queue
-
     def release_port(self, port):
         self._steering.pop(port, None)

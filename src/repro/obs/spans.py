@@ -17,7 +17,8 @@ record.  Stamps never schedule events or draw from the rng, so enabling
 tracing does not perturb simulated results (the determinism contract),
 and every hook is guarded by an attribute-load + ``None``-check so runs
 with tracing off execute identical Python (the no-op-hook guarantee,
-asserted against ``BENCH_wallclock.json`` by the perf smoke).
+held by the golden corpus: tracing-off paper workloads must match their
+pinned ``engine`` digests and ``schedule`` counts).
 
 Spans are derived, not stored: each stamp closes the stage that began at
 the previous stamp, so :func:`spans_of` turns a record's insertion-ordered

@@ -77,10 +77,6 @@ class SweepResult:
         """Mapping of cell key -> payload."""
         return {result.key: result.payload for result in self.results}
 
-    def payload_for(self, cell):
-        """The payload of ``cell`` (KeyError if it was not in the sweep)."""
-        return self.by_key()[cell_key(cell)]
-
     def merged_digest(self):
         """sha256 over the key-ordered ``(key, payload)`` stream.
 

@@ -529,10 +529,15 @@ class Simulator:
         self._cancelled -= purged
 
     def stats(self):
-        """Counters for perf diagnosis, surfaced in benchmark reports."""
+        """Counters for perf diagnosis, surfaced in benchmark reports.
+
+        ``scheduled`` counts scheduler round trips (heap pushes and lane
+        appends); a fused step is executed without one.
+        """
         return {
             "engine": "fast",
             "events_executed": self._executed,
+            "scheduled": self._seq,
             "heap_size": len(self._heap),
             "lane_size": len(self._lane),
             "peak_heap": self._peak_heap,

@@ -1,23 +1,18 @@
 """The pre-overhaul event loop, kept as an independent reference engine.
 
 This module preserves the original object-per-event :class:`LegacySimulator`
-so that the differential oracle (:mod:`repro.validate.differential`), the
-golden-trace tests and the wall-clock harness (:mod:`repro.bench.perfbench`)
-can run the *same* workloads, on the same application stack, through two
-independently written event loops and compare:
-
-* simulated results — the fast engine must produce bit-identical
-  ``(now, executed, failures)`` and statistics for identical seeds, which
-  is only provable against an independent implementation;
-* events/sec and wall seconds — the engine speedup recorded in
-  ``BENCH_wallclock.json`` is measured, not asserted.
+so that the differential oracle (:mod:`repro.validate.differential`) and
+the golden-trace tests can run the *same* workloads, on the same
+application stack, through two independently written event loops and
+compare simulated results: the fast engine must produce bit-identical
+``(now, executed, failures)`` and results for identical seeds, which is
+only provable against an independent implementation.
 
 The API surface matches :class:`repro.simnet.Simulator` (including the
 ``schedule_cancellable`` / ``stats`` extensions) so the two are drop-in
 interchangeable via ``Testbed(..., sim=...)``.  Only the event loop
 differs: the application layers run the one stack either way.  Do not use
-this engine for new code; it exists to be raced against and to notarize
-traces.
+this engine for new code; it exists to notarize traces.
 """
 
 import heapq
@@ -151,11 +146,13 @@ class LegacySimulator:
         """The same counters as :meth:`repro.simnet.Simulator.stats`.
 
         The legacy engine has no zero-delay lane and never purges, so those
-        entries are structurally zero.
+        entries are structurally zero.  Nor does it fuse steps: every
+        executed event was ``scheduled`` first.
         """
         return {
             "engine": "legacy",
             "events_executed": self._executed,
+            "scheduled": self._seq,
             "heap_size": len(self._heap),
             "lane_size": 0,
             "peak_heap": 0,

@@ -48,10 +48,6 @@ class Store:
         return len(self._items)
 
     @property
-    def is_full(self):
-        return len(self._items) >= self.capacity
-
-    @property
     def is_empty(self):
         return not self._items
 

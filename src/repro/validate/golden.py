@@ -10,6 +10,12 @@ sides drifting together.  A tier-1 test (``tests/golden/test_corpus.py``)
 recomputes and compares them, so trace drift fails CI with the exact
 entry that moved.
 
+The ``schedule`` section pins each paper workload's count of scheduler
+round trips (``Simulator.stats()["scheduled"]``).  The engine's fused
+paths skip round trips but count each step as executed, so the digests
+cannot see whether they ran; a fused path that stops engaging raises
+its workload's count.
+
 Regeneration is deliberate: :func:`regenerate_corpus` (exposed as
 ``insane validate golden --regen``) refuses to overwrite an existing
 corpus without ``force`` — re-pinning golden traces is a reviewed action,
@@ -20,8 +26,14 @@ import hashlib
 import json
 import os
 
-#: corpus entries: reduced iteration counts — identity, not throughput.
-ENGINE_WORKLOADS = ("fig5_pingpong", "fig8a_streaming", "fig8b_8sink")
+#: the paper workloads pinned in the ``engine`` and ``schedule`` sections:
+#: fig5 ping-pong latency, fig8a streaming throughput and fig8b 8-sink
+#: fan-out, at reduced iteration counts — identity, not throughput.
+ENGINE_WORKLOADS = {
+    "fig5_pingpong": {"kind": "pingpong", "size": 64},
+    "fig8a_streaming": {"kind": "stream", "size": 1024, "sinks": 1},
+    "fig8b_8sink": {"kind": "stream", "size": 1024, "sinks": 8},
+}
 ENGINE_ROUNDS = 40
 ENGINE_MESSAGES = 150
 ENGINE_SEED = 7
@@ -59,10 +71,49 @@ def _digest(payload):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def run_workload(name, engine="fast", rounds=ENGINE_ROUNDS,
+                 messages=ENGINE_MESSAGES, seed=ENGINE_SEED):
+    """Run one :data:`ENGINE_WORKLOADS` entry on the INSANE fast path.
+
+    ``engine`` picks the event loop ("fast" or "legacy"); the stack above
+    it is the same either way, so the ``outcome`` — what the ``engine``
+    digest hashes — must be bit-identical across engines.  Returns
+    ``{"outcome": ..., "stats": sim.stats()}``.
+    """
+    from repro.bench.harness import InsaneBenchApp
+    from repro.hw import Testbed
+    from repro.hw.profiles import PROFILES
+    from repro.simnet import Simulator
+    from repro.simnet.legacy import LegacySimulator
+
+    shape = ENGINE_WORKLOADS[name]
+    sim = {"fast": Simulator, "legacy": LegacySimulator}[engine](seed=seed)
+    testbed = Testbed(PROFILES["local"], hosts=2, seed=seed, sim=sim)
+    app = InsaneBenchApp(testbed, "fast")
+    if shape["kind"] == "pingpong":
+        tally = app.pingpong(rounds, shape["size"])
+        result = {"median_rtt_ns": tally.median, "rounds": rounds}
+    else:
+        meters = app.stream(messages, shape["size"], sinks=shape["sinks"])
+        result = {
+            "per_sink_gbps": [meter.gbps() for meter in meters],
+            "messages": messages,
+        }
+    stats = sim.stats()
+    return {
+        "outcome": {
+            "sim_ns": sim.now,
+            "events": stats["events_executed"],
+            "result": result,
+            "failures": len(sim.failures),
+        },
+        "stats": stats,
+    }
+
+
 def compute_corpus():
     """Recompute every corpus entry from the current code."""
     from repro.bench.faults import _run_failover_once
-    from repro.bench.perfbench import run_workload
     from repro.dist.sync import run_city_serial
     from repro.hw.generate import resolve_topology
     from repro.validate.workloads import random_spec, run_spec
@@ -85,19 +136,13 @@ def compute_corpus():
         "city": {},
         "engine": {},
         "faults": {},
+        "schedule": {},
         "validate": {},
     }
     for name in ENGINE_WORKLOADS:
-        record = run_workload(
-            name, engine="fast", rounds=ENGINE_ROUNDS,
-            messages=ENGINE_MESSAGES, seed=ENGINE_SEED,
-        )
-        corpus["engine"][name] = _digest({
-            "sim_ns": record["sim_ns"],
-            "events": record["events"],
-            "result": record["result"],
-            "failures": record["failures"],
-        })
+        record = run_workload(name)
+        corpus["engine"][name] = _digest(record["outcome"])
+        corpus["schedule"][name] = record["stats"]["scheduled"]
     _results, faults_digest = _run_failover_once(
         FAULTS_SEED, FAULTS_MESSAGES, FAULTS_INTERVAL_NS, FAULTS_FAIL_AT_NS
     )
@@ -135,16 +180,17 @@ def check_corpus(path=None):
             "corpus params changed: pinned %r, current %r"
             % (pinned.get("params"), current["params"])
         )
-    for section in ("city", "engine", "faults", "validate"):
+    for section in ("city", "engine", "faults", "schedule", "validate"):
         pinned_section = pinned.get(section, {})
-        for key, digest in current[section].items():
+        what = "schedule count" if section == "schedule" else "golden digest"
+        for key, value in current[section].items():
             expected = pinned_section.get(key)
             if expected is None:
                 problems.append("corpus is missing %s/%s" % (section, key))
-            elif expected != digest:
+            elif expected != value:
                 problems.append(
-                    "golden digest moved: %s/%s pinned %s, current %s"
-                    % (section, key, expected, digest)
+                    "%s moved: %s/%s pinned %s, current %s"
+                    % (what, section, key, expected, value)
                 )
         for key in pinned_section:
             if key not in current[section]:

@@ -32,7 +32,7 @@ class TestCli:
             "fig8a", "fig8b", "fig9a", "fig9b", "fig11",
             "ablation-tsn", "ablation-threads", "ablation-batching", "ablation-qos",
             "ablation-rx-threads", "faults", "validate", "breakdown",
-            "profile", "capacity", "city", "fanout",
+            "capacity", "city", "fanout",
         }
         assert expected == set(EXPERIMENTS)
 

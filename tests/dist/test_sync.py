@@ -8,6 +8,9 @@ simulation horizon and a merge that refuses to paper over overlapping
 counters.
 """
 
+import os
+import time
+
 import pytest
 
 from repro.dist import (
@@ -18,7 +21,7 @@ from repro.dist import (
     run_city_serial,
 )
 from repro.dist.partition import partition_regions
-from repro.dist.sync import PartitionRunner, city_end_of_time
+from repro.dist.sync import PartitionRunner, _city_worker, city_end_of_time
 from repro.hw.generate import resolve_topology
 
 TINY = {"hosts": 16, "regions": 4, "messages": 2, "seed": 11}
@@ -75,6 +78,27 @@ class TestProcessTransportAcceptance:
         assert all(meta["events"] > 0 for meta in run["per_partition"])
         assert run["digest"] == reference["digest"]
         assert run["events"] == reference["events"]
+
+
+class TestDeadWorker:
+    def test_a_worker_that_dies_is_named_with_its_exit_code(self,
+                                                            monkeypatch):
+        """A worker that exits without reporting fails the run at once,
+        naming its partition and exit code, instead of after the 240 s
+        silence bound."""
+        def dying_worker(spec, index, *args):
+            if index == 1:
+                os._exit(3)
+            _city_worker(spec, index, *args)
+
+        monkeypatch.setattr("repro.dist.sync._city_worker", dying_worker)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match=r"partition p1 died before reporting "
+                                 r"\(exit code 3\)"):
+            run_city_partitioned(resolve_topology(TINY), 2,
+                                 transport="process", mp_context="fork")
+        assert time.monotonic() - started < 10
 
 
 class TestMerge:

@@ -2,8 +2,9 @@
 
 ``corpus.json`` pins sha256 digests of the paper workloads (fig5/fig8a/
 fig8b), the failover bench, four differential-validation workloads and
-the serial runs of the smoke64 and city256 cities.
-If a commit moves any digest, this test names the exact entry — re-pin
+the serial runs of the smoke64 and city256 cities, plus each paper
+workload's count of scheduler round trips.
+If a commit moves any pin, this test names the exact entry — re-pin
 deliberately with ``insane validate golden --regen --force``.
 """
 
@@ -12,11 +13,16 @@ import os
 
 import pytest
 
+from repro.obs import EngineObserver
+from repro.simnet import Simulator
 from repro.validate.golden import (
+    ENGINE_WORKLOADS,
+    _digest,
     check_corpus,
     corpus_path,
     load_corpus,
     regenerate_corpus,
+    run_workload,
 )
 
 
@@ -29,7 +35,8 @@ class TestCorpusFile:
         )
         corpus = load_corpus()
         assert corpus["version"] == 1
-        for section in ("city", "engine", "faults", "validate", "params"):
+        for section in ("city", "engine", "faults", "schedule", "validate",
+                        "params"):
             assert section in corpus
         assert set(corpus["city"]) == set(
             corpus["params"]["city"]["topologies"]
@@ -37,6 +44,7 @@ class TestCorpusFile:
         assert set(corpus["engine"]) == {
             "fig5_pingpong", "fig8a_streaming", "fig8b_8sink",
         }
+        assert set(corpus["schedule"]) == set(corpus["engine"])
         assert "failover" in corpus["faults"]
         assert len(corpus["validate"]) == len(
             corpus["params"]["validate_seeds"]
@@ -51,11 +59,34 @@ class TestCorpusFile:
                     % (section, key, digest)
                 )
 
+    def test_schedule_counts_are_plain_non_negative_ints(self):
+        for key, count in load_corpus()["schedule"].items():
+            assert type(count) is int and count >= 0, (
+                "schedule/%s is not a non-negative int: %r" % (key, count)
+            )
+
 
 class TestCorpusHolds:
     def test_every_pinned_digest_matches_current_code(self):
         problems = check_corpus()
         assert problems == [], "\n".join(problems)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_WORKLOADS))
+    def test_schedule_pin_sees_what_the_digest_cannot(self, name,
+                                                      monkeypatch):
+        """An engine observer switches every fused path off: the digest
+        holds, each executed event was scheduled, and the count of
+        scheduler round trips rises above the pin."""
+        monkeypatch.setattr(Simulator, "observer", EngineObserver())
+        corpus = load_corpus()
+        record = run_workload(name)
+        stats = record["stats"]
+        assert _digest(record["outcome"]) == corpus["engine"][name]
+        assert stats["scheduled"] == (
+            stats["events_executed"] + stats["cancelled_purged"]
+            + stats["heap_size"] + stats["lane_size"]
+        )
+        assert stats["scheduled"] > corpus["schedule"][name]
 
 
 class TestRegeneration:
@@ -89,6 +120,16 @@ class TestRegeneration:
         path.write_text(json.dumps(corpus))
         problems = check_corpus(path=str(path))
         assert any("unknown entry validate/seed-99" in p for p in problems)
+
+    def test_tampered_schedule_count_is_named_in_the_report(self,
+                                                             tmp_path):
+        corpus = load_corpus()
+        corpus["schedule"]["fig8a_streaming"] += 1
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus))
+        problems = check_corpus(path=str(path))
+        assert len(problems) == 1
+        assert "schedule count moved: schedule/fig8a_streaming" in problems[0]
 
     def test_tampered_city_digest_is_named_in_the_report(self, tmp_path):
         corpus = load_corpus()

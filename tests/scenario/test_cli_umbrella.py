@@ -15,7 +15,7 @@ class TestUmbrella:
     def test_help_lists_every_subcommand(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        for name in ("bench", "validate", "scenario", "profile"):
+        for name in ("bench", "validate", "scenario"):
             assert name in out
 
     def test_no_args_is_an_error(self, capsys):

@@ -2,30 +2,19 @@
 
 The overhauled :class:`repro.simnet.Simulator` claims bit-identical
 behaviour to the pre-overhaul :class:`repro.simnet.legacy.LegacySimulator`
-when both run the one application stack.  That claim is what lets
-the perf harness present its speedup as a pure implementation change: same
-seed, same simulated timestamps, same results — only the wall clock moves.
-This module proves it on the paper workloads the harness measures.
+when both run the one application stack: same seed, same simulated
+timestamps, same results.  This module proves it on the paper workloads
+the golden corpus pins (:func:`repro.validate.golden.run_workload`).
 """
 
 import pytest
 
-from repro.bench.perfbench import run_churn, run_suite, run_workload
 from repro.simnet import Simulator
+from repro.validate.golden import run_workload
 
 # reduced iteration counts: these tests assert identity, not throughput
 ROUNDS = 60
 MESSAGES = 300
-
-
-def _strip_wall(record):
-    """The comparable portion of a run record (everything simulated)."""
-    return {
-        "sim_ns": record["sim_ns"],
-        "events": record["events"],
-        "result": record["result"],
-        "failures": record["failures"],
-    }
 
 
 @pytest.mark.parametrize("workload", ["fig5_pingpong", "fig8a_streaming"])
@@ -33,7 +22,7 @@ def test_same_seed_same_trace(workload):
     """Two runs with the same seed are indistinguishable."""
     first = run_workload(workload, rounds=ROUNDS, messages=MESSAGES, seed=7)
     second = run_workload(workload, rounds=ROUNDS, messages=MESSAGES, seed=7)
-    assert _strip_wall(first) == _strip_wall(second)
+    assert first["outcome"] == second["outcome"]
 
 
 @pytest.mark.parametrize(
@@ -49,27 +38,7 @@ def test_fast_engine_matches_legacy_engine(workload):
                         rounds=ROUNDS, messages=MESSAGES, seed=3)
     golden = run_workload(workload, engine="legacy",
                           rounds=ROUNDS, messages=MESSAGES, seed=3)
-    assert _strip_wall(fast) == _strip_wall(golden)
-
-
-def test_churn_stream_identical_across_engines():
-    """The engine microbenchmark drives both engines through one stream."""
-    fast = run_churn("fast", events=20_000, seed=1)
-    legacy = run_churn("legacy", events=20_000, seed=1)
-    assert fast["events"] == legacy["events"]
-    assert fast["sim_ns"] == legacy["sim_ns"]
-
-
-def test_suite_marks_every_entry_identical_with_a_speedup():
-    """``run_suite`` races both engines on every entry and records an
-    exact stream check plus a speedup for each."""
-    record = run_suite(reps=1)
-    assert set(record["suite"]) == {"fig5_pingpong", "fig8a_streaming",
-                                    "fig8b_8sink", "engine_churn"}
-    for name, entry in record["suite"].items():
-        assert entry["identical_stream"] is True, name
-        assert entry["speedup_events_per_sec"] > 0, name
-        assert entry["speedup_wall"] > 0, name
+    assert fast["outcome"] == golden["outcome"]
 
 
 def test_cancelled_timers_keep_heap_bounded():

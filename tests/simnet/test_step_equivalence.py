@@ -7,14 +7,16 @@ Whatever mix of driving modes the caller uses, the observable execution —
 event order, timestamps, rng stream, and the stats() counters including
 cancelled-timer purge accounting — must come out the same.
 
-The workload is a miniature of the perfbench churn mix: burst chains over
-slotted records, zero-delay cascades (lane traffic), short timers (heap
-churn), and immediately-cancelled decoy timers in sufficient volume to
-trigger lazy heap compaction.
+The workload is an engine churn mix: burst chains over slotted records,
+zero-delay cascades (lane traffic), short timers (heap churn), and
+immediately-cancelled decoy timers in sufficient volume to trigger lazy
+heap compaction.  The reference :class:`LegacySimulator`, which never
+inlines, must drive the same mix to the same execution.
 """
 
 from repro.simnet import ChargeChain, Simulator
 from repro.simnet.engine import _COMPACT_MIN
+from repro.simnet.legacy import LegacySimulator
 
 
 class _Record:
@@ -92,8 +94,8 @@ class _Driver:
         self.sim.schedule(1.0 + self.sim.rng.random() * 20.0, self.tick, None)
 
 
-def _build(seed=0, drivers=4, ticks=220):
-    sim = Simulator(seed=seed)
+def _build(seed=0, drivers=4, ticks=220, engine=Simulator):
+    sim = engine(seed=seed)
     dp = _Dp(sim)
     order = []
     budget = [ticks]
@@ -167,3 +169,21 @@ def test_mixed_driving_modes_match_run():
     assert mixed_order == run_order
     assert _final(mixed_sim) == _final(run_sim)
     assert mixed_sim.rng.random() == run_sim.rng.random()
+
+
+def test_churn_stream_identical_across_engines():
+    """On the legacy engine every chain step is a scheduled heap event;
+    on the fast engine steps run inline when provably next.  Both must
+    execute the one stream."""
+    fast_sim, fast_order = _build()
+    fast_sim.run()
+    legacy_sim, legacy_order = _build(engine=LegacySimulator)
+    legacy_sim.run()
+    assert legacy_order == fast_order
+    assert legacy_sim.now == fast_sim.now
+    assert (legacy_sim.stats()["events_executed"]
+            == fast_sim.stats()["events_executed"])
+    assert legacy_sim.rng.random() == fast_sim.rng.random()
+    # the comparison means something only if the fast engine inlined
+    assert (fast_sim.stats()["scheduled"]
+            < legacy_sim.stats()["scheduled"])
