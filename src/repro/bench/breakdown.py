@@ -1,30 +1,15 @@
 """Latency breakdown of INSANE fast (paper Fig. 6).
 
-Runs a paced one-way INSANE fast flow with per-packet tracing enabled and
-splits each message's latency into the paper's four components:
-
-* **send** — emit to NIC hand-off (client IPC, scheduler pass, mempool
-  exchange, userspace stack TX, driver call);
-* **network** — NIC hand-off to NIC receive-ring arrival (DMA,
-  serialization, propagation, and — on the cloud testbed — the switch);
-* **receive** — ring arrival to runtime dispatch (poll detection, driver
-  RX, stack RX, channel dispatch);
-* **data processing** — dispatch to the application's consume returning
-  (token delivery over the sink ring and the client-library pickup).
-
-The figure reports an RTT breakdown of a symmetric echo, so each one-way
-component is doubled.
+Runs the paced one-way probe (:mod:`repro.obs.probe`) with per-packet
+tracing enabled and splits each message's latency into the paper's four
+components: send, network, receive and data processing.  The figure
+reports an RTT breakdown of a symmetric echo, so each one-way component
+is doubled.
 """
 
-from repro.bench.harness import make_testbed
-from repro.core import QosPolicy, Session
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import InsaneDeployment
-from repro.hw import Testbed
-from repro.hw.profiles import PROFILES
-from repro.simnet import Tally, Timeout
-
-COMPONENTS = ("send", "network", "receive", "data_processing")
+from repro.core.runtime import build_stack
+from repro.obs.probe import COMPONENTS, run_paced_probe
 
 #: datapaths compared by the traced breakdown (paper Fig. 7 columns)
 TRACED_DATAPATHS = ("udp", "xdp", "dpdk", "rdma")
@@ -32,38 +17,9 @@ TRACED_DATAPATHS = ("udp", "xdp", "dpdk", "rdma")
 
 def run_breakdown(profile="local", messages=300, size=64, seed=0, gap_ns=30_000):
     """Measure the Fig. 6 breakdown; returns {component: mean_us_per_rtt}."""
-    testbed = make_testbed(profile, seed=seed)
-    sim = testbed.sim
-    deployment = InsaneDeployment(testbed, config=RuntimeConfig(trace=True))
-    tx = Session(deployment.runtime(0), "bd-tx")
-    rx = Session(deployment.runtime(1), "bd-rx")
-    tx_stream = tx.create_stream(QosPolicy.fast(), name="breakdown")
-    rx_stream = rx.create_stream(QosPolicy.fast(), name="breakdown")
-    source = tx.create_source(tx_stream, channel=1)
-    sink = rx.create_sink(rx_stream, channel=1)
-    tallies = {component: Tally(component) for component in COMPONENTS}
-
-    def producer():
-        for _ in range(messages):
-            buffer = yield from tx.get_buffer_wait(source, size)
-            yield from tx.emit_data(source, buffer, length=size)
-            yield Timeout(gap_ns)  # paced: isolate per-message pipeline
-
-    def consumer():
-        for _ in range(messages):
-            delivery = yield from rx.consume_data(sink)
-            consume_done = sim.now
-            trace = delivery.meta.get("trace")
-            if trace and "emit_ns" in trace:
-                tallies["send"].record(trace["nic_handoff"] - trace["emit_ns"])
-                tallies["network"].record(trace["nic_rx_arrival"] - trace["nic_handoff"])
-                tallies["receive"].record(trace["runtime_rx"] - trace["nic_rx_arrival"])
-                tallies["data_processing"].record(consume_done - trace["runtime_rx"])
-            rx.release_buffer(sink, delivery)
-
-    sim.process(consumer(), name="bd.consumer")
-    sim.process(producer(), name="bd.producer")
-    sim.run()
+    _testbed, deployment = build_stack(profile=profile, seed=seed,
+                                       config=RuntimeConfig(trace=True))
+    tallies, _datapath = run_paced_probe(deployment, messages, size, gap_ns)
     # one-way components doubled: the echo path is symmetric
     return {component: 2 * tallies[component].mean / 1000.0 for component in COMPONENTS}
 
@@ -72,10 +28,8 @@ def run_traced_breakdown(profile="local", messages=200, size=64, seed=0,
                          gap_ns=30_000, datapaths=TRACED_DATAPATHS):
     """Per-datapath critical-path breakdown via lifecycle tracing.
 
-    Runs one paced one-way flow per datapath — the mapping strategy is
-    pinned so the QoS layer cannot pick a different one, and RDMA runs
-    on a profile copy with the RNIC enabled — each with a fresh
-    :class:`~repro.obs.LifecycleTracer` attached through
+    Runs the paced probe once per datapath on a stack pinned to it, each
+    with a fresh :class:`~repro.obs.LifecycleTracer` attached through
     ``RuntimeConfig(tracer=...)``.  Returns ``{datapath: tracer}``,
     ready for :func:`repro.obs.breakdown_report` /
     :func:`repro.obs.chrome_trace`.
@@ -84,39 +38,13 @@ def run_traced_breakdown(profile="local", messages=200, size=64, seed=0,
 
     tracers = {}
     for name in datapaths:
-        prof = PROFILES[profile]
-        if name == "rdma" and not prof.rdma_nic:
-            prof = prof.replace(rdma_nic=True)
-        testbed = Testbed(prof, hosts=2, seed=seed)
-        sim = testbed.sim
         tracer = LifecycleTracer()
-        tracer.attach_engine(sim, label=name)
-        config = RuntimeConfig(
-            tracer=tracer,
-            mapping_strategy=lambda policy, available, _name=name: _name,
-        )
-        deployment = InsaneDeployment(testbed, config=config)
-        tx = Session(deployment.runtime(0), "tbd-tx")
-        rx = Session(deployment.runtime(1), "tbd-rx")
-        tx_stream = tx.create_stream(QosPolicy.fast(), name="traced")
-        rx_stream = rx.create_stream(QosPolicy.fast(), name="traced")
-        source = tx.create_source(tx_stream, channel=1)
-        sink = rx.create_sink(rx_stream, channel=1)
-
-        def producer(tx=tx, source=source):
-            for _ in range(messages):
-                buffer = yield from tx.get_buffer_wait(source, size)
-                yield from tx.emit_data(source, buffer, length=size)
-                yield Timeout(gap_ns)
-
-        def consumer(rx=rx, sink=sink):
-            for _ in range(messages):
-                delivery = yield from rx.consume_data(sink)
-                rx.release_buffer(sink, delivery)
-
-        sim.process(consumer(), name="tbd.consumer")
-        sim.process(producer(), name="tbd.producer")
-        sim.run()
+        testbed, deployment = build_stack(
+            name, profile=profile, seed=seed,
+            config=RuntimeConfig(tracer=tracer))
+        # the engine reads its observer only inside run()
+        tracer.attach_engine(testbed.sim, label=name)
+        run_paced_probe(deployment, messages, size, gap_ns)
         tracers[name] = tracer
     return tracers
 

@@ -12,26 +12,12 @@ before reporting.  A divergence here is a synchronization bug, not a
 statistic, so it raises instead of printing a quietly-wrong table.
 """
 
-from repro.hw.generate import DATAPATH_STAGES, resolve_topology
+from repro.core.runtime import normalize_datapath
+from repro.hw.generate import resolve_topology
 
 CITY_CELL_KIND = "bench.city"
 
 DEFAULT_PARTITIONS = (1, 2, 4)
-
-#: accepted datapath spellings -> generator stage-table name (the obs
-#: layer calls the kernel stack ``kernel_udp``; the generator ``udp``).
-_DATAPATH_ALIASES = {"kernel_udp": "udp"}
-
-
-def normalize_city_datapath(name):
-    """Canonical generator datapath name; raises ``ValueError`` if unknown."""
-    canonical = _DATAPATH_ALIASES.get(name, name)
-    if canonical not in DATAPATH_STAGES:
-        raise ValueError(
-            "unknown datapath %r (choose from %s)"
-            % (name, ", ".join(sorted(DATAPATH_STAGES) + ["kernel_udp"]))
-        )
-    return canonical
 
 
 def city_topology(topology="smoke64", nodes=None):
@@ -59,7 +45,7 @@ def city_cells(topology="smoke64", partitions=DEFAULT_PARTITIONS,
     # keeps the preset label); any override ships the resolved spec.
     if nodes is None and isinstance(topology, str):
         spec = topology
-    datapath = normalize_city_datapath(datapath)
+    datapath = normalize_datapath(datapath)
     return [
         make_cell(CITY_CELL_KIND, topology=spec, partitions=count,
                   datapath=datapath, seed=seed)
@@ -96,7 +82,7 @@ def run_city_bench(topology="smoke64", partitions=DEFAULT_PARTITIONS,
     report = sweep.to_report(
         kind=CITY_CELL_KIND,
         topology=(topology if isinstance(topology, str) else "custom"),
-        datapath=normalize_city_datapath(datapath),
+        datapath=normalize_datapath(datapath),
         seed=seed,
     )
     return report, sweep, rows

@@ -20,6 +20,7 @@ from repro.bench.ablations import (
 )
 from repro.bench.faults import run_faults
 from repro.cli.common import add_execution_options, make_cache
+from repro.core.runtime import normalize_datapath
 
 EXPERIMENTS = {
     "table1": lambda args: runner.run_table1(),
@@ -84,7 +85,11 @@ def run_fanout_cmd(args):
         raise SystemExit("fanout: --subscribers must be >= 1")
     if not 0.0 <= args.hot_fraction <= 1.0:
         raise SystemExit("fanout: --hot-fraction must be in [0, 1]")
-    datapath = None if args.datapath == "kernel_udp" else args.datapath
+    try:
+        datapath = (normalize_datapath(args.datapath) if args.datapath
+                    else None)
+    except ValueError as exc:
+        raise SystemExit("fanout: %s" % exc)
     report, metrics, diff = run_fanout_bench(
         subscribers=args.subscribers,
         messages=args.fanout_messages,
@@ -134,7 +139,7 @@ def run_capacity_cmd(args):
                else None)
     try:
         report, _ = run_capacity(
-            args.datapath,
+            args.datapath or "udp",
             **({"clients": clients} if clients else {}),
             profile=args.profile, workers=args.workers, cache=args.cache,
             seed=args.seed, think_ns=args.think * 1000.0,
@@ -182,7 +187,8 @@ def run_city_cmd(args):
                   if args.partitions else (1, 2, 4))
     try:
         report, _sweep, rows = run_city_bench(
-            args.topology, partitions=partitions, datapath=args.datapath,
+            args.topology, partitions=partitions,
+            datapath=args.datapath or "udp",
             nodes=args.nodes, workers=args.workers, cache=args.cache,
             seed=args.seed,
         )
@@ -237,17 +243,19 @@ def run_validate(seed=0, quick=True):
     """Differential oracle + golden-corpus check, bench-style.
 
     The full ``insane validate`` CLI has more knobs; this entry point runs
-    the two headline checks so ``insane bench all`` also exercises the
-    validation subsystem.
+    the two headline checks, the oracle through the same sweep driver as
+    ``insane validate differential``, so ``insane bench all`` also
+    exercises the validation subsystem.
     """
-    from repro.validate import check_corpus, run_differential
+    from repro.validate import check_corpus, parallel_differential
 
     n = 10 if quick else 50
-    checked, divergences = run_differential(seed=seed, n=n)
+    checked, diverged, _sweep = parallel_differential(seed=seed, n=n)
+    reports = [payload["report"] for payload in diverged]
     print("validate: differential oracle %d/%d workload(s), %d divergence(s)"
-          % (checked, n, len(divergences)))
-    for divergence in divergences:
-        print(divergence.report())
+          % (checked, n, len(reports)))
+    for report in reports:
+        print(report)
     problems = check_corpus()
     print("validate: golden corpus %s"
           % ("holds" if not problems else "FAILED"))
@@ -255,7 +263,7 @@ def run_validate(seed=0, quick=True):
         print("  - %s" % problem)
     return {
         "differential_checked": checked,
-        "divergences": [divergence.report() for divergence in divergences],
+        "divergences": reports,
         "golden_problems": list(problems),
     }
 
@@ -376,9 +384,11 @@ def main(argv=None):
                         help="breakdown only: collect lifecycle spans per datapath")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="breakdown --trace: write a Chrome-trace JSON here")
-    parser.add_argument("--datapath", metavar="NAME", default="kernel_udp",
-                        help="capacity only: datapath to pin "
-                             "(kernel_udp, xdp, dpdk, rdma)")
+    parser.add_argument("--datapath", metavar="NAME", default=None,
+                        help="capacity/city/fanout: datapath to pin "
+                             "(udp or kernel_udp, xdp, dpdk, rdma; "
+                             "default udp for capacity and city, "
+                             "unpinned for fanout)")
     parser.add_argument("--clients", metavar="N,N,...", default=None,
                         help="capacity only: comma-separated client counts "
                              "to sweep (default 1,2,4,8,16)")

@@ -33,9 +33,6 @@ def _make_mom_pair(system, testbed):
         def subscribe(node, topic, on_message):
             node.subscribe(topic, lambda _topic, payload: on_message(len(payload)))
 
-        def length_of(payload):
-            return len(payload)
-
     elif system == "cyclone_dds":
         domain = DdsDomain()
         node_a = CycloneDdsNode(testbed.hosts[0], domain)

@@ -1,7 +1,7 @@
 """The edge orchestrator: placement and live relocation of containers."""
 
 from repro.cloud.container import ContainerState
-from repro.core.qos import Acceleration
+from repro.cloud.placement import least_loaded
 
 
 class PlacementError(RuntimeError):
@@ -11,9 +11,10 @@ class PlacementError(RuntimeError):
 class EdgeOrchestrator:
     """Places containers on an :class:`~repro.core.runtime.InsaneDeployment`.
 
-    Placement policy: a container that *requires* acceleration only goes to
-    nodes exposing an accelerated datapath; among the candidates, the one
-    with the fewest running containers wins (least-loaded).
+    Placement policy (:func:`~repro.cloud.placement.least_loaded`): a
+    container that *requires* acceleration only goes to nodes exposing an
+    accelerated datapath; among the candidates, the one with the fewest
+    running containers wins, the first in deployment order on a tie.
     """
 
     def __init__(self, deployment, capacity_per_node=16):
@@ -36,27 +37,18 @@ class EdgeOrchestrator:
 
     # -- placement -----------------------------------------------------------
 
-    def candidates_for(self, spec):
-        nodes = []
-        for runtime in self.nodes():
-            if self.load(runtime) >= self.capacity_per_node:
-                continue
-            if spec.requires_acceleration and not self.accelerated(runtime):
-                continue
-            nodes.append(runtime)
-        return nodes
-
     def deploy(self, container, node=None):
         """Start ``container`` on ``node`` or on the best candidate."""
         spec = container.spec
         if node is None:
-            candidates = self.candidates_for(spec)
-            if not candidates:
+            node = least_loaded(self.nodes(), self.load,
+                                self.capacity_per_node,
+                                spec.requires_acceleration, self.accelerated)
+            if node is None:
                 raise PlacementError(
                     "no node satisfies %r (requires_acceleration=%s)"
                     % (spec.name, spec.requires_acceleration)
                 )
-            node = min(candidates, key=self.load)
         elif spec.requires_acceleration and not self.accelerated(node):
             raise PlacementError(
                 "%s lacks acceleration required by %r" % (node.host.name, spec.name)

@@ -7,10 +7,28 @@ build-time counterpart for the generated city fabrics of
 descriptor dicts, no simulator required), pick where each service
 instance lands — least-loaded, acceleration-aware, capacity-bounded.
 
+Both placers call :func:`least_loaded`, the one placement policy.
 Everything here is a pure function of its inputs (ties broken by host
 name), so the generator's placement is part of the topology plan: same
 ``(seed, spec)``, same placement, same digests.
 """
+
+
+def least_loaded(candidates, load, capacity, requires_acceleration,
+                 accelerated):
+    """The least-loaded, acceleration-aware placement policy.
+
+    A candidate is eligible when ``load(candidate)`` is below
+    ``capacity`` and, if ``requires_acceleration``, ``accelerated(
+    candidate)`` holds.  Returns the eligible candidate with the least
+    load — the earliest in ``candidates`` on a tie — or ``None``.
+    """
+    eligible = [
+        candidate for candidate in candidates
+        if load(candidate) < capacity
+        and (not requires_acceleration or accelerated(candidate))
+    ]
+    return min(eligible, key=load) if eligible else None
 
 
 class RegionPlacer:
@@ -32,16 +50,6 @@ class RegionPlacer:
     def load(self, host):
         return self._load.get(host["name"], 0)
 
-    def candidates_for(self, hosts, requires_acceleration=False):
-        eligible = []
-        for host in hosts:
-            if self.load(host) >= self.capacity_per_host:
-                continue
-            if requires_acceleration and not host.get("accelerated", False):
-                continue
-            eligible.append(host)
-        return eligible
-
     def place(self, service, hosts, requires_acceleration=False):
         """Place one ``service`` (a name) on the best of ``hosts``.
 
@@ -49,10 +57,12 @@ class RegionPlacer:
         eligible — an unplaceable service in a generated spec is a build
         bug, consistent with the switch table checks.
         """
-        eligible = self.candidates_for(
-            hosts, requires_acceleration=requires_acceleration
+        chosen = least_loaded(
+            sorted(hosts, key=lambda host: host["name"]), self.load,
+            self.capacity_per_host, requires_acceleration,
+            lambda host: host.get("accelerated", False),
         )
-        if not eligible:
+        if chosen is None:
             from repro.core.errors import TopologyError
 
             raise TopologyError(
@@ -60,8 +70,6 @@ class RegionPlacer:
                 "requires_acceleration=%s)"
                 % (service, len(hosts), requires_acceleration)
             )
-        chosen = min(eligible, key=lambda host: (self.load(host),
-                                                 host["name"]))
         self._load[chosen["name"]] = self.load(chosen) + 1
         return chosen
 

@@ -28,6 +28,8 @@ from repro.datapaths import (
     XdpDatapath,
 )
 from repro.datapaths.registry import available_datapaths
+from repro.hw import Testbed
+from repro.hw.profiles import PROFILES
 from repro.netstack import FramePolicy, Packet
 from repro.simnet import Counter, Timeout
 
@@ -1052,3 +1054,48 @@ class InsaneDeployment:
     def __exit__(self, exc_type, exc, tb):
         self.shutdown()
         return False
+
+
+#: accepted datapath spellings -> canonical registry name.  The obs layer
+#: labels the kernel stack ``kernel_udp``; the registry calls it ``udp``.
+DATAPATH_ALIASES = {
+    "udp": "udp",
+    "kernel_udp": "udp",
+    "xdp": "xdp",
+    "dpdk": "dpdk",
+    "rdma": "rdma",
+}
+
+
+def normalize_datapath(name):
+    """The registry name for a datapath spelling; ``ValueError`` if unknown."""
+    canonical = DATAPATH_ALIASES.get(name)
+    if canonical is None:
+        raise ValueError(
+            "unknown datapath %r (choose from %s)"
+            % (name, ", ".join(sorted(DATAPATH_ALIASES)))
+        )
+    return canonical
+
+
+def build_stack(datapath=None, profile="local", seed=0, hosts=2,
+                config=None):
+    """A fresh testbed and deployment, optionally pinned to ``datapath``.
+
+    ``profile`` names a recorded testbed; ``config`` defaults to a plain
+    :class:`RuntimeConfig`.  A pin replaces the QoS mapping with the
+    datapath.  The recorded testbeds have no RNIC, so an ``rdma`` pin is
+    the what-if that switches one on (paper §6: "not yet available").
+    Returns ``(testbed, deployment)``.
+    """
+    hw_profile = PROFILES[profile]
+    if config is None:
+        config = RuntimeConfig()
+    if datapath is not None:
+        datapath = normalize_datapath(datapath)
+        if datapath == "rdma" and not hw_profile.rdma_nic:
+            hw_profile = hw_profile.replace(rdma_nic=True)
+        config.mapping_strategy = \
+            lambda policy, available, _pin=datapath: _pin
+    testbed = Testbed(hw_profile, hosts=hosts, seed=seed)
+    return testbed, InsaneDeployment(testbed, config=config)

@@ -17,11 +17,7 @@ from repro.fluid.aggregate import (
     FluidAggregate,
 )
 from repro.fluid.controller import FidelityController
-from repro.fluid.envelope import (
-    Envelope,
-    calibrate_envelope,
-    envelope_from_breakdown,
-)
+from repro.fluid.envelope import Envelope, calibrate_envelope
 from repro.fluid.fanout import drive_fanout_scenario, run_hybrid_fanout
 
 __all__ = [
@@ -33,6 +29,5 @@ __all__ = [
     "FluidAggregate",
     "calibrate_envelope",
     "drive_fanout_scenario",
-    "envelope_from_breakdown",
     "run_hybrid_fanout",
 ]

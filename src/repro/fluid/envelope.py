@@ -3,28 +3,23 @@
 A flow modelled at fluid fidelity is not a stream of packet events but a
 *rate envelope*: per-stage service times calibrated against the
 packet-accurate engine, from which arrival instants and latencies are
-derived analytically.  Calibration runs the same traced one-message
-pipeline the Fig. 6 breakdown uses (:mod:`repro.bench.breakdown` /
-``repro.obs``): a short paced 1-publisher/1-sink DES probe with
+derived analytically.  Calibration is the Fig. 6 measurement itself:
+the paced 1-publisher/1-sink probe of :mod:`repro.obs.probe` with
 per-packet tracing on, decomposed into the paper's four components via
 the lifecycle stamps (``emit_ns`` → ``nic_handoff`` → ``nic_rx_arrival``
-→ ``runtime_rx`` → consume).  The envelope therefore inherits every
-profile scalar — stage costs, DMA, propagation, the L2 ring-pressure
-cliff — without re-deriving them by hand.
+→ ``runtime_rx`` → consume).  The Fig. 6 breakdown doubles those one-way
+means into its RTT presentation; the envelope keeps them one-way.  It
+therefore inherits every profile scalar — stage costs, DMA,
+propagation, the L2 ring-pressure cliff — without re-deriving them by
+hand.
 """
 
 from dataclasses import dataclass, field
 
-from repro.core import QosPolicy, Session
+from repro.core import QosPolicy
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import InsaneDeployment
-from repro.hw import Testbed
-from repro.hw.profiles import PROFILES
-from repro.simnet import Tally, Timeout
-
-#: the Fig. 6 decomposition, one-way (bench.breakdown doubles these for
-#: its RTT presentation; the fluid tier wants the one-way values)
-STAGES = ("send", "network", "receive", "data_processing")
+from repro.core.runtime import build_stack
+from repro.obs.probe import COMPONENTS, run_paced_probe
 
 
 @dataclass(frozen=True)
@@ -101,96 +96,31 @@ def _resolve_policy(qos):
 
 def calibrate_envelope(profile="local", size=1024, datapath=None, qos=None,
                        messages=64, seed=7919, gap_ns=30_000.0):
-    """Calibrate an :class:`Envelope` with a traced DES probe.
+    """Calibrate an :class:`Envelope` with the traced Fig. 6 probe.
 
-    Runs a paced one-way 1→1 flow (the :mod:`repro.bench.breakdown`
-    measurement shape) on a fresh 2-host testbed and averages the
-    lifecycle-stamp decomposition.  ``datapath`` pins the technology the
-    probe (and the flow it stands for) rides; ``qos`` is a policy dict or
-    :class:`QosPolicy` (defaults to INSANE fast)."""
-    prof = PROFILES[profile]
-    if datapath == "rdma" and not prof.rdma_nic:
-        # scenario convention: an explicit rdma pin is the what-if that
-        # enables the RNIC the recorded testbeds lack
-        prof = prof.replace(rdma_nic=True)
-    testbed = Testbed(prof, hosts=2, seed=seed)
-    sim = testbed.sim
-    config = RuntimeConfig(trace=True)
-    if datapath is not None:
-        config.mapping_strategy = \
-            lambda policy, available, _pin=datapath: _pin
-    deployment = InsaneDeployment(testbed, config=config)
-    policy = _resolve_policy(qos)
-    tx = Session(deployment.runtime(0), "env-tx")
-    rx = Session(deployment.runtime(1), "env-rx")
-    tx_stream = tx.create_stream(policy, name="envelope")
-    rx_stream = rx.create_stream(policy, name="envelope")
-    source = tx.create_source(tx_stream, channel=1)
-    sink = rx.create_sink(rx_stream, channel=1)
-    tallies = {stage: Tally(stage) for stage in STAGES}
-    one_way = Tally("one_way")
-
-    def producer():
-        for _ in range(messages):
-            buffer = yield from tx.get_buffer_wait(source, size)
-            yield from tx.emit_data(source, buffer, length=size)
-            yield Timeout(gap_ns)  # paced: isolate per-message pipeline
-
-    def consumer():
-        for _ in range(messages):
-            delivery = yield from rx.consume_data(sink)
-            done = sim.now
-            trace = delivery.meta.get("trace")
-            if trace and "emit_ns" in trace:
-                tallies["send"].record(
-                    trace["nic_handoff"] - trace["emit_ns"])
-                tallies["network"].record(
-                    trace["nic_rx_arrival"] - trace["nic_handoff"])
-                tallies["receive"].record(
-                    trace["runtime_rx"] - trace["nic_rx_arrival"])
-                tallies["data_processing"].record(
-                    done - trace["runtime_rx"])
-                one_way.record(done - trace["emit_ns"])
-            rx.release_buffer(sink, delivery)
-
-    sim.process(consumer(), name="env.consumer")
-    sim.process(producer(), name="env.producer")
-    sim.run()
+    Runs the paced one-way 1→1 probe on a fresh 2-host testbed and
+    averages its stamp decomposition.  ``datapath`` pins the technology
+    the probe (and the flow it stands for) rides; ``qos`` is a policy
+    dict or :class:`QosPolicy` (defaults to INSANE fast)."""
+    testbed, deployment = build_stack(datapath, profile=profile, seed=seed,
+                                      config=RuntimeConfig(trace=True))
+    tallies, probe_datapath = run_paced_probe(
+        deployment, messages, size, gap_ns, policy=_resolve_policy(qos))
+    one_way = tallies["one_way"]
     if one_way.count == 0:
         raise RuntimeError(
             "envelope calibration probe delivered nothing "
             "(profile=%r datapath=%r)" % (profile, datapath))
+    prof = testbed.profile
     return Envelope(
         profile=profile,
-        datapath=tx_stream.datapath,
+        datapath=probe_datapath,
         size=size,
         one_way_ns=one_way.mean,
         ipc_half_ns=prof.stage("insane_ipc").cost(0, burst=1) / 2.0,
-        stage_ns={stage: tallies[stage].mean for stage in STAGES},
+        stage_ns={stage: tallies[stage].mean for stage in COMPONENTS},
         fanout_per_sink_ns=prof.scalar("insane_fanout_per_sink_ns"),
         l2_ring_budget=prof.scalar("insane_l2_ring_budget"),
         l2_penalty_ns=prof.scalar("insane_l2_penalty_ns"),
         messages=one_way.count,
-    )
-
-
-def envelope_from_breakdown(components_us, profile="local", datapath="dpdk",
-                            size=64, messages=0):
-    """Build an :class:`Envelope` from a :func:`repro.bench.breakdown.
-    run_breakdown` result (``{component: mean_us_per_rtt}``; the RTT
-    convention doubles each one-way component, so this halves them)."""
-    prof = PROFILES[profile]
-    stage_ns = {stage: components_us[stage] * 1000.0 / 2.0
-                for stage in STAGES}
-    return Envelope(
-        profile=profile,
-        datapath=datapath,
-        size=size,
-        one_way_ns=sum(stage_ns.values()),
-        ipc_half_ns=prof.stage("insane_ipc").cost(0, burst=1) / 2.0,
-        stage_ns=stage_ns,
-        fanout_per_sink_ns=prof.scalar("insane_fanout_per_sink_ns"),
-        l2_ring_budget=prof.scalar("insane_l2_ring_budget"),
-        l2_penalty_ns=prof.scalar("insane_l2_penalty_ns"),
-        messages=messages,
     )

@@ -14,15 +14,13 @@ reference the differential validator (:mod:`repro.validate.fanout`)
 compares hybrid runs against.
 """
 
-from repro.core import QosPolicy, Session
+from repro.core import Session
 from repro.core.channel import ChannelKey
 from repro.core.config import RuntimeConfig
 from repro.core.errors import SessionError
-from repro.core.runtime import InsaneDeployment
-from repro.hw import Testbed
-from repro.hw.profiles import PROFILES
+from repro.core.runtime import build_stack
 from repro.netstack.packet import WIRE_OVERHEAD
-from repro.obs import LogHistogram
+from repro.obs.histogram import LogHistogram, gap_block, latency_block
 from repro.simnet import Timeout
 
 from repro.fluid.aggregate import (
@@ -31,7 +29,7 @@ from repro.fluid.aggregate import (
     FluidAggregate,
 )
 from repro.fluid.controller import FidelityController
-from repro.fluid.envelope import calibrate_envelope
+from repro.fluid.envelope import _resolve_policy, calibrate_envelope
 
 STREAM_NAME = "fanout"
 DATA_CHANNEL = 1
@@ -50,33 +48,6 @@ class _HotSink:
         self.first_ns = None
         self.last_ns = None
         self.deliveries = [] if keep_deliveries else None
-
-
-def _latency_block(hist):
-    return {
-        "count": hist.count,
-        "mean_ns": hist.mean,
-        "p50_ns": hist.percentile(50),
-        "p99_ns": hist.percentile(99),
-        "p999_ns": hist.percentile(99.9),
-        "max_ns": hist.maximum,
-        "histogram": hist.to_dict(),
-    }
-
-
-def _gap_block(deliveries):
-    gaps = sorted(b - a for a, b in zip(deliveries, deliveries[1:]))
-    if not gaps:
-        return {"nominal_ns": 0.0, "blackout_ns": 0.0}
-    return {"nominal_ns": gaps[len(gaps) // 2], "blackout_ns": gaps[-1]}
-
-
-def _resolve_policy(qos):
-    if qos is None:
-        return QosPolicy.fast()
-    if isinstance(qos, QosPolicy):
-        return qos
-    return QosPolicy.from_dict(qos)
 
 
 def _path_links(testbed, tx_nic, rx_nic):
@@ -130,15 +101,9 @@ def run_hybrid_fanout(subscribers, messages=64, size=1024,
                                       datapath=datapath, qos=qos,
                                       seed=seed + 7919)
     if testbed is None:
-        prof = PROFILES[profile]
-        if datapath == "rdma" and not prof.rdma_nic:
-            prof = prof.replace(rdma_nic=True)
-        testbed = Testbed(prof, hosts=2, seed=seed)
-        config = RuntimeConfig(trace=True)
-        if datapath is not None:
-            config.mapping_strategy = \
-                lambda policy, available, _pin=datapath: _pin
-        deployment = InsaneDeployment(testbed, config=config)
+        testbed, deployment = build_stack(datapath, profile=profile,
+                                          seed=seed,
+                                          config=RuntimeConfig(trace=True))
     sim = testbed.sim
     policy = _resolve_policy(qos)
     pub = Session(deployment.runtime(0), "fanout-pub")
@@ -328,11 +293,11 @@ def run_hybrid_fanout(subscribers, messages=64, size=1024,
         "duration_ns": window,
         "goodput_gbps": goodput,
         "min_sink_goodput_gbps": min(sink_rates) if sink_rates else 0.0,
-        "latency": _latency_block(merged),
-        "hot_latency": _latency_block(hot_hist),
-        "cold_latency": (_latency_block(aggregate.hist)
+        "latency": latency_block(merged),
+        "hot_latency": latency_block(hot_hist),
+        "cold_latency": (latency_block(aggregate.hist)
                          if aggregate is not None else None),
-        "gaps": _gap_block(gap_samples),
+        "gaps": gap_block(gap_samples),
         "wire": {
             "tx_frames": tx_nic.tx_frames.value,
             "fluid_tx_frames": tx_nic.fluid_tx_frames.value,

@@ -22,56 +22,15 @@ self-check inside the worker (a violating point aborts the sweep loudly),
 so the numbers the model is fitted to are self-verified.
 """
 
+from repro.core.runtime import build_stack, normalize_datapath
 from repro.loadgen.client import run_closed_loop
 from repro.loadgen.windows import NS_PER_S, WindowPlan
 from repro.report import RunReport
 
 CAPACITY_CELL_KIND = "loadgen.closed_loop"
 
-#: accepted datapath spellings -> canonical registry name.  The obs layer
-#: labels the kernel stack ``kernel_udp``; the registry calls it ``udp``.
-DATAPATH_ALIASES = {
-    "udp": "udp",
-    "kernel_udp": "udp",
-    "xdp": "xdp",
-    "dpdk": "dpdk",
-    "rdma": "rdma",
-}
-
 #: default client-count grid of ``insane bench capacity``.
 DEFAULT_CLIENTS = (1, 2, 4, 8, 16)
-
-
-def normalize_datapath(name):
-    canonical = DATAPATH_ALIASES.get(name)
-    if canonical is None:
-        raise ValueError(
-            "unknown datapath %r (choose from %s)"
-            % (name, ", ".join(sorted(DATAPATH_ALIASES)))
-        )
-    return canonical
-
-
-def build_stack(datapath, profile="local", seed=0):
-    """A fresh testbed + deployment with ``datapath`` pinned.
-
-    An rdma pin on an RNIC-less profile provisions the NIC, exactly as
-    the scenario compiler does for explicit rdma pins.
-    """
-    from repro.core.config import RuntimeConfig
-    from repro.core.runtime import InsaneDeployment
-    from repro.hw import Testbed
-    from repro.hw.profiles import PROFILES
-
-    datapath = normalize_datapath(datapath)
-    hw_profile = PROFILES[profile]
-    if datapath == "rdma" and not hw_profile.rdma_nic:
-        hw_profile = hw_profile.replace(rdma_nic=True)
-    testbed = Testbed(hw_profile, hosts=2, seed=seed)
-    config = RuntimeConfig()
-    config.mapping_strategy = lambda policy, available, _pin=datapath: _pin
-    deployment = InsaneDeployment(testbed, config=config)
-    return testbed, deployment
 
 
 def run_closed_loop_cell(datapath="udp", profile="local", clients=4,

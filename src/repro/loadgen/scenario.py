@@ -15,10 +15,6 @@ any accepted window raises before SLO evaluation ever runs.
 """
 
 from repro.core import QosPolicy
-from repro.core.config import RuntimeConfig
-from repro.core.runtime import InsaneDeployment
-from repro.hw import Testbed
-from repro.hw.profiles import PROFILES
 from repro.loadgen.capacity import (
     find_knee,
     fit_capacity_model,
@@ -30,19 +26,10 @@ from repro.loadgen.windows import WindowPlan
 
 def _run_point(spec, clients):
     """One closed-loop operating point on a fresh spec-derived stack."""
-    from repro.scenario.compile import build_schedule
+    from repro.scenario.compile import build_scenario_stack, build_schedule
 
     workload = spec["workload"]
-    topology = spec["topology"]
-    profile = PROFILES[topology["profile"]]
-    pin = workload.get("datapath")
-    if pin == "rdma" and not profile.rdma_nic:
-        profile = profile.replace(rdma_nic=True)
-    testbed = Testbed(profile, hosts=topology["hosts"], seed=spec["seed"])
-    config = RuntimeConfig(trace=True)
-    if pin is not None:
-        config.mapping_strategy = lambda policy, available, _pin=pin: _pin
-    deployment = InsaneDeployment(testbed, config=config)
+    testbed, deployment = build_scenario_stack(spec)
     schedule = build_schedule(spec)
     trace = None
     if len(schedule):

@@ -226,3 +226,24 @@ class LogHistogram:
         return "LogHistogram(n=%d, mean=%.1f, p99=%.1f)" % (
             self.count, self.mean, self.percentile(99),
         )
+
+
+def latency_block(hist):
+    """The JSON latency summary scenario and fan-out metrics report."""
+    return {
+        "count": hist.count,
+        "mean_ns": hist.mean,
+        "p50_ns": hist.percentile(50),
+        "p99_ns": hist.percentile(99),
+        "p999_ns": hist.percentile(99.9),
+        "max_ns": hist.maximum,
+        "histogram": hist.to_dict(),
+    }
+
+
+def gap_block(deliveries):
+    """Median (nominal) and maximum (blackout) inter-delivery gap."""
+    gaps = sorted(b - a for a, b in zip(deliveries, deliveries[1:]))
+    if not gaps:
+        return {"nominal_ns": 0.0, "blackout_ns": 0.0}
+    return {"nominal_ns": gaps[len(gaps) // 2], "blackout_ns": gaps[-1]}

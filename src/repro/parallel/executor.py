@@ -73,10 +73,6 @@ class SweepResult:
         """Cell payloads in key order."""
         return [result.payload for result in self.results]
 
-    def by_key(self):
-        """Mapping of cell key -> payload."""
-        return {result.key: result.payload for result in self.results}
-
     def merged_digest(self):
         """sha256 over the key-ordered ``(key, payload)`` stream.
 

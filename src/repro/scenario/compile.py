@@ -19,11 +19,11 @@ the property :func:`repro.scenario.runner.run_scenario_cell` digests.
 from repro.core import QosPolicy, Session
 from repro.core.config import RuntimeConfig
 from repro.core.errors import ScenarioError
-from repro.core.runtime import InsaneDeployment
+from repro.core.runtime import build_stack
 from repro.faults import FaultSchedule
 from repro.hw import Testbed
 from repro.hw.profiles import PROFILES
-from repro.obs import LogHistogram
+from repro.obs.histogram import LogHistogram, gap_block, latency_block
 from repro.simnet import Timeout
 
 #: stream/channel names shared by every driver — part of the spec's
@@ -53,6 +53,15 @@ def build_schedule(spec):
     return FaultSchedule.from_dict(_schedule_records(spec))
 
 
+def build_scenario_stack(spec):
+    """The spec's testbed and traced deployment, with its datapath pin."""
+    topology = spec["topology"]
+    return build_stack(spec["workload"].get("datapath"),
+                       profile=topology["profile"], seed=spec["seed"],
+                       hosts=topology["hosts"],
+                       config=RuntimeConfig(trace=True))
+
+
 class CompiledScenario:
     """One scenario wired onto a live (simulated) stack, ready to run."""
 
@@ -70,19 +79,7 @@ class CompiledScenario:
             self.deployment = None
             self.schedule = None
             return
-        profile = PROFILES[spec["topology"]["profile"]]
-        pin = self.workload.get("datapath")
-        if pin == "rdma" and not profile.rdma_nic:
-            # the recorded testbeds have no RNIC; an explicit rdma pin is
-            # the what-if that enables one (paper §6: "not yet available")
-            profile = profile.replace(rdma_nic=True)
-        self.testbed = Testbed(profile, hosts=spec["topology"]["hosts"],
-                               seed=spec["seed"])
-        config = RuntimeConfig(trace=True)
-        if pin is not None:
-            config.mapping_strategy = \
-                lambda policy, available, _pin=pin: _pin
-        self.deployment = InsaneDeployment(self.testbed, config=config)
+        self.testbed, self.deployment = build_scenario_stack(spec)
         self.schedule = build_schedule(spec)
 
     def run(self):
@@ -125,26 +122,6 @@ def run_scenario(spec):
 
 
 # -- shared metric blocks ------------------------------------------------------
-
-def _latency_block(hist):
-    return {
-        "count": hist.count,
-        "mean_ns": hist.mean,
-        "p50_ns": hist.percentile(50),
-        "p99_ns": hist.percentile(99),
-        "p999_ns": hist.percentile(99.9),
-        "max_ns": hist.maximum,
-        "histogram": hist.to_dict(),
-    }
-
-
-def _gap_block(deliveries):
-    """Median (nominal) and maximum (blackout) inter-delivery gap."""
-    gaps = sorted(b - a for a, b in zip(deliveries, deliveries[1:]))
-    if not gaps:
-        return {"nominal_ns": 0.0, "blackout_ns": 0.0}
-    return {"nominal_ns": gaps[len(gaps) // 2], "blackout_ns": gaps[-1]}
-
 
 def _failovers(deployment):
     return sum(runtime.failovers.value
@@ -198,8 +175,8 @@ def _drive_city(spec):
     delivered_count = len(run["records"]["deliveries"])
     counters = run["records"]["counters"]
     return {
-        "latency": _latency_block(paced),
-        "rpc_rtt": _latency_block(rpc),
+        "latency": latency_block(paced),
+        "rpc_rtt": latency_block(rpc),
         "delivered": delivered_count,
         "expected": expected,
         "delivery_ratio": (delivered_count / expected) if expected else 0.0,
@@ -261,8 +238,8 @@ def _drive_streaming(spec, testbed, deployment):
         "delivery_ratio": delivered / messages,
         "duration_ns": duration,
         "goodput_gbps": delivered * size * 8.0 / duration if duration else 0.0,
-        "latency": _latency_block(hist),
-        "gaps": _gap_block(deliveries),
+        "latency": latency_block(hist),
+        "gaps": gap_block(deliveries),
         "datapath": _datapath_block(pub_stream, initial),
         "failovers": _failovers(deployment),
     }
@@ -310,7 +287,7 @@ def _drive_pingpong(spec, testbed, deployment):
         "emitted": rounds,
         "delivered": hist.count,
         "duration_ns": sim.now,
-        "latency": _latency_block(hist),
+        "latency": latency_block(hist),
         "datapath": _datapath_block(c_stream, initial),
         "failovers": _failovers(deployment),
     }
@@ -464,8 +441,8 @@ def _drive_fanout(spec, testbed, deployment):
         "goodput_gbps": total * size * 8.0 / duration if duration > 0
         else 0.0,
         "min_sink_goodput_gbps": min(sink_rates),
-        "latency": _latency_block(hist),
-        "gaps": _gap_block(per_sink[0]),
+        "latency": latency_block(hist),
+        "gaps": gap_block(per_sink[0]),
         "datapath": _datapath_block(pub_stream, initial),
         "failovers": _failovers(deployment),
     }

@@ -41,7 +41,6 @@ CELL_RUNNERS = {
     "bench.throughput": "repro.bench.sweep:run_throughput_cell",
     "bench.multisink": "repro.bench.sweep:run_multisink_cell",
     "bench.loss": "repro.bench.faults:run_loss_cell",
-    "validate.spec": "repro.validate.parallel:run_spec_cell",
     "validate.differential": "repro.validate.parallel:run_differential_cell",
     "validate.fuzz": "repro.validate.parallel:run_fuzz_cell",
     "scenario.run": "repro.scenario.runner:run_scenario_cell",

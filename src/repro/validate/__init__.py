@@ -27,15 +27,18 @@ This package makes both contracts continuously checkable:
     duplicate-freedom, QoS-mapping monotonicity, fault-epoch
     exactly-once detection, time monotonicity.
 :mod:`repro.validate.fuzz`
-    A seeded fuzzer over specs (biased toward failover edge cases) with a
+    The per-spec fuzz check (properties, optionally the oracle) and a
     greedy shrinker that reduces failures to a compact repro spec.
 :mod:`repro.validate.golden`
-    The pinned golden-trace corpus under ``tests/golden/`` and its
-    regeneration tool (refuses to overwrite without ``--force``).
+    The pinned golden-trace corpus under ``tests/golden/`` — the paper
+    workloads and every other entry point (scenario corpus, fan-out,
+    capacity, baselines, breakdowns) — and its regeneration tool
+    (refuses to overwrite without ``--force``).
 :mod:`repro.validate.parallel`
-    Parallel fan-out of fuzz batches and differential sweeps via
-    :mod:`repro.parallel`, plus the executor's own checker
-    (serial-vs-parallel merged-digest equality).
+    The one driver of each sweep: differential and fuzz batches run as
+    cells on :mod:`repro.parallel`'s executor (inline at one worker),
+    plus the executor's own checker (serial-vs-parallel merged-digest
+    equality).
 
 Everything is exposed on the command line as ``insane validate`` (see
 :mod:`repro.validate.cli`) and as the pytest suites under
@@ -43,8 +46,8 @@ Everything is exposed on the command line as ``insane validate`` (see
 """
 
 from repro.validate.canonical import CanonicalTrace, TraceProbe
-from repro.validate.differential import Divergence, run_differential
-from repro.validate.fuzz import FuzzFailure, fuzz, shrink
+from repro.validate.differential import Divergence
+from repro.validate.fuzz import shrink
 from repro.validate.golden import (
     check_corpus,
     compute_corpus,
@@ -62,7 +65,6 @@ from repro.validate.workloads import RunResult, WorkloadSpec, random_spec, run_s
 __all__ = [
     "CanonicalTrace",
     "Divergence",
-    "FuzzFailure",
     "RunResult",
     "TraceProbe",
     "WorkloadSpec",
@@ -71,13 +73,11 @@ __all__ = [
     "check_run",
     "compute_corpus",
     "corpus_path",
-    "fuzz",
     "parallel_differential",
     "parallel_fuzz",
     "property_report",
     "random_spec",
     "regenerate_corpus",
-    "run_differential",
     "run_spec",
     "shrink",
 ]

@@ -15,8 +15,12 @@ Subcommands::
                                  [--epsilon 0.15] [--hot-fraction 0.05]
                                  [--json PATH]
 
-Also reachable as ``python -m repro.validate`` and as the ``validate``
-experiment of ``insane bench``.  Exit status is 0 iff every check passed.
+``differential`` and ``fuzz`` check every one of their ``--n`` specs as
+cells on the sweep executor (inline at one worker, the default), so the
+verdict and the ``--json`` report do not depend on ``--workers``.  Also
+reachable as ``python -m repro.validate`` and (differential and golden
+only) as the ``validate`` experiment of ``insane bench``.  Exit status is
+0 iff every check passed.
 """
 
 import argparse
@@ -24,42 +28,27 @@ import sys
 
 
 def _cmd_differential(args):
-    if args.workers > 1 or args.json:
-        from repro.validate.parallel import (
-            differential_report,
-            parallel_differential,
-        )
+    from repro.validate.parallel import (
+        differential_report,
+        parallel_differential,
+    )
 
-        checked, diverged, sweep = parallel_differential(
-            seed=args.seed, n=args.n, workers=args.workers,
-            perturb=args.perturb,
-            progress=print if args.verbose else None,
-        )
-        for payload in diverged:
-            print(payload["report"])
-        print(
-            "differential: %d/%d workload(s) checked, %d divergence(s) "
-            "(%d workers)" % (checked, args.n, len(diverged), args.workers)
-        )
-        if args.json:
-            from repro.report import write_reports
-
-            write_reports(args.json, [differential_report(sweep)])
-        return 1 if diverged else 0
-    from repro.validate.differential import run_differential
-
-    checked, divergences = run_differential(
-        seed=args.seed, n=args.n, perturb=args.perturb,
-        stop_on_first=not args.keep_going,
+    checked, diverged, sweep = parallel_differential(
+        seed=args.seed, n=args.n, workers=args.workers,
+        perturb=args.perturb,
         progress=print if args.verbose else None,
     )
-    for divergence in divergences:
-        print(divergence.report())
+    for payload in diverged:
+        print(payload["report"])
     print(
-        "differential: %d/%d workload(s) checked, %d divergence(s)"
-        % (checked, args.n, len(divergences))
+        "differential: %d/%d workload(s) checked, %d divergence(s) "
+        "(%d workers)" % (checked, args.n, len(diverged), args.workers)
     )
-    return 1 if divergences else 0
+    if args.json:
+        from repro.report import write_reports
+
+        write_reports(args.json, [differential_report(sweep)])
+    return 1 if diverged else 0
 
 
 def _cmd_properties(args):
@@ -83,41 +72,27 @@ def _cmd_properties(args):
 
 
 def _cmd_fuzz(args):
-    if args.workers > 1 or args.json:
-        from repro.validate.parallel import (
-            format_fuzz_failure,
-            fuzz_report,
-            parallel_fuzz,
-        )
+    from repro.validate.parallel import (
+        format_fuzz_failure,
+        fuzz_report,
+        parallel_fuzz,
+    )
 
-        checked, failures, sweep = parallel_fuzz(
-            seed=args.seed, n=args.n, workers=args.workers,
-            differential=args.differential, do_shrink=not args.no_shrink,
-            progress=print if args.verbose else None,
-        )
-        for payload in failures:
-            print(format_fuzz_failure(payload))
-        print(
-            "fuzz: %d spec(s) checked, %d failure(s) (%d workers)"
-            % (checked, len(failures), args.workers)
-        )
-        if args.json:
-            from repro.report import write_reports
-
-            write_reports(args.json, [fuzz_report(sweep)])
-        return 1 if failures else 0
-    from repro.validate.fuzz import fuzz
-
-    checked, failures = fuzz(
-        seed=args.seed, n=args.n, differential=args.differential,
-        do_shrink=not args.no_shrink,
+    checked, failures, sweep = parallel_fuzz(
+        seed=args.seed, n=args.n, workers=args.workers,
+        differential=args.differential, do_shrink=not args.no_shrink,
         progress=print if args.verbose else None,
     )
-    for failure in failures:
-        print(failure.report())
+    for payload in failures:
+        print(format_fuzz_failure(payload))
     print(
-        "fuzz: %d spec(s) checked, %d failure(s)" % (checked, len(failures))
+        "fuzz: %d spec(s) checked, %d failure(s) (%d workers)"
+        % (checked, len(failures), args.workers)
     )
+    if args.json:
+        from repro.report import write_reports
+
+        write_reports(args.json, [fuzz_report(sweep)])
     return 1 if failures else 0
 
 
@@ -313,11 +288,10 @@ def build_parser():
         help="scale one cost-model stage on the fast side only "
              "(self-test: the oracle must report a divergence)",
     )
-    differential.add_argument("--keep-going", action="store_true")
     differential.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="shard specs across N worker processes (checks all --n specs; "
-             "implies --keep-going)",
+        help="shard specs across N worker processes (every spec is "
+             "checked at any worker count)",
     )
     differential.add_argument("--json", metavar="PATH", default=None,
                               help="append a validate.differential RunReport "

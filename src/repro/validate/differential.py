@@ -1,11 +1,12 @@
 """The differential oracle: fast engine vs legacy engine, bit for bit.
 
-:func:`run_differential` executes the same seeded workloads on
+:func:`compare_spec` executes one seeded workload on
 :class:`repro.simnet.Simulator` and :class:`repro.simnet.legacy.LegacySimulator`
 (both driving the one application stack, which must make them
-bit-identical) and compares the canonical traces.  Any mismatch
-is reported as a :class:`Divergence` naming the first differing canonical
-event and the reproducer seed, so a failure shrinks to::
+bit-identical) and compares the canonical traces; the sweep over many
+seeds is :func:`repro.validate.parallel.parallel_differential`.  Any
+mismatch is reported as a :class:`Divergence` naming the first differing
+canonical event and the reproducer seed, so a failure shrinks to::
 
     insane validate repro --seed <seed>
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.hw.profiles import PROFILES
-from repro.validate.workloads import random_spec, run_spec
+from repro.validate.workloads import run_spec
 
 
 @dataclass
@@ -124,30 +125,3 @@ def compare_spec(spec, perturb=None):
         fast,
         legacy,
     )
-
-
-def run_differential(seed=0, n=50, perturb=None, stop_on_first=True,
-                     progress=None):
-    """The oracle over ``n`` random workloads seeded from ``seed``.
-
-    Returns ``(checked, divergences)``.  ``progress`` is an optional
-    callable receiving one status line per workload.
-    """
-    divergences = []
-    checked = 0
-    for index in range(n):
-        spec = random_spec(seed + index)
-        divergence, fast, _legacy = compare_spec(spec, perturb=perturb)
-        checked += 1
-        if progress is not None:
-            status = "DIVERGED" if divergence else "ok"
-            progress(
-                "[%d/%d] seed=%d %s (%d events, %d emitted) %s"
-                % (index + 1, n, spec.seed, spec.kind, len(fast.trace),
-                   fast.ledger["emitted"], status)
-            )
-        if divergence is not None:
-            divergences.append(divergence)
-            if stop_on_first:
-                break
-    return checked, divergences

@@ -1,11 +1,11 @@
 """Seeded property fuzzer with a greedy spec shrinker.
 
-:func:`fuzz` draws random workload specs (biased, via
-:func:`~repro.validate.workloads.random_spec`, toward failover edge cases:
-restore-before-detect windows and zero-survivor stranding), runs each on
-the fast engine, and checks every invariant in
-:mod:`repro.validate.properties`.  Optionally it also cross-checks the two
-engines differentially per spec.
+The fuzzer (:func:`repro.validate.parallel.parallel_fuzz`) draws random
+workload specs (biased, via :func:`~repro.validate.workloads.random_spec`,
+toward failover edge cases: restore-before-detect windows and
+zero-survivor stranding), runs each on the fast engine, and checks every
+invariant in :mod:`repro.validate.properties` (:func:`check_spec`).
+Optionally it also cross-checks the two engines differentially per spec.
 
 A failing spec is handed to :func:`shrink`, which greedily simplifies it —
 fewer messages, one sink, smaller payloads, plainer QoS, the local profile
@@ -14,33 +14,11 @@ result is a compact repro spec whose JSON form drops straight into a
 regression test.
 """
 
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import replace
 
 from repro.validate.differential import compare_spec
 from repro.validate.properties import check_run
-from repro.validate.workloads import random_spec, run_spec
-
-
-@dataclass
-class FuzzFailure:
-    """One fuzzed spec that violated an invariant, with its shrunken form."""
-
-    spec: object                 # the original failing WorkloadSpec
-    violations: List[str]
-    shrunk: object               # the minimized WorkloadSpec
-    shrunk_violations: List[str]
-
-    def report(self):
-        lines = [
-            "PROPERTY VIOLATION seed=%d" % self.spec.seed,
-            "  spec:   %s" % self.spec.describe(),
-            "  shrunk: %s" % self.shrunk.describe(),
-            "  repro JSON: %s" % self.shrunk.to_json(),
-        ]
-        for violation in self.shrunk_violations or self.violations:
-            lines.append("  - %s" % violation)
-        return "\n".join(lines)
+from repro.validate.workloads import run_spec
 
 
 def check_spec(spec, differential=False):
@@ -113,35 +91,3 @@ def _candidates(spec):
         yield replace(spec, fault_plan=())
     if spec.kind == "pingpong":
         yield replace(spec, kind="stream")
-
-
-def fuzz(seed=0, n=25, differential=False, do_shrink=True, progress=None):
-    """Fuzz ``n`` specs seeded from ``seed``; returns ``(checked, failures)``."""
-    failures = []
-    checked = 0
-    for index in range(n):
-        spec = random_spec(seed + index)
-        violations = check_spec(spec, differential=differential)
-        checked += 1
-        if progress is not None:
-            progress(
-                "[%d/%d] seed=%d %s %s"
-                % (index + 1, n, spec.seed, spec.kind,
-                   "FAILED" if violations else "ok")
-            )
-        if not violations:
-            continue
-        if do_shrink:
-            shrunk, shrunk_violations = shrink(
-                spec,
-                check=lambda s: check_spec(s, differential=differential),
-            )
-        else:
-            shrunk, shrunk_violations = spec, violations
-        failures.append(
-            FuzzFailure(
-                spec=spec, violations=violations,
-                shrunk=shrunk, shrunk_violations=shrunk_violations,
-            )
-        )
-    return checked, failures

@@ -10,6 +10,18 @@ sides drifting together.  A tier-1 test (``tests/golden/test_corpus.py``)
 recomputes and compares them, so trace drift fails CI with the exact
 entry that moved.
 
+Every other entry point that produces a result is pinned too, at reduced
+sizes, because elsewhere it is guarded only by tolerances (paper-shape
+assertions, SLO thresholds, the fan-out error bound) that a refactor can
+move inside of without anyone seeing:
+
+* ``scenario`` — the metrics digest of each checked-in corpus scenario;
+* ``fanout`` — a 10k-subscriber hybrid run and a full-DES run;
+* ``capacity`` — a two-point closed-loop client grid per datapath;
+* ``baselines`` — the Fig. 7, Fig. 9 and Fig. 11 systems;
+* ``breakdown`` — the Fig. 6 split and the traced per-datapath report
+  with its Chrome trace.
+
 The ``schedule`` section pins each paper workload's count of scheduler
 round trips (``Simulator.stats()["scheduled"]``).  The engine's fused
 paths skip round trips but count each step as executed, so the digests
@@ -50,7 +62,30 @@ VALIDATE_SEEDS = (0, 1, 2, 3)
 CITY_TOPOLOGIES = ("smoke64", "city256")
 CITY_SEED = 0
 
+#: the entry-point sections, at sizes that keep the whole check to a
+#: few seconds: fan-out runs by name, the capacity grid, the baseline
+#: systems' rounds and Fig. 11 frames, and the breakdown probe length.
+FANOUT_RUNS = {
+    "hybrid-10k": {"subscribers": 10_000, "messages": 16,
+                   "hot_fraction": 0.001},
+    "des-64": {"subscribers": 64, "messages": 16, "hot_fraction": 1.0},
+}
+CAPACITY_DATAPATHS = ("udp", "xdp", "dpdk", "rdma")
+CAPACITY_CLIENTS = (2, 4)
+CAPACITY_WINDOW_NS = 500_000.0
+CAPACITY_WINDOWS = 2
+BASELINE_ROUNDS = 20
+BASELINE_RESOLUTION = "HD"
+BASELINE_FRAMES = 4
+BREAKDOWN_MESSAGES = 40
+ENTRY_SEED = 0
+
 CORPUS_VERSION = 1
+
+#: the corpus sections, each a name -> digest map except ``schedule``
+#: (name -> scheduler round trips).
+SECTIONS = ("baselines", "breakdown", "capacity", "city", "engine",
+            "fanout", "faults", "scenario", "schedule", "validate")
 
 
 def corpus_path(root=None):
@@ -111,6 +146,80 @@ def run_workload(name, engine="fast", rounds=ENGINE_ROUNDS,
     }
 
 
+def _scenario_digests():
+    """Metrics digest of each checked-in corpus scenario, by name."""
+    from repro.scenario.compile import run_scenario
+    from repro.scenario.runner import (
+        builtin_corpus_dir,
+        load_suite,
+        metrics_digest,
+    )
+
+    return {
+        spec["scenario"]: metrics_digest(run_scenario(spec))
+        for spec in load_suite(builtin_corpus_dir())
+    }
+
+
+def _fanout_digests():
+    from repro.fluid import run_hybrid_fanout
+
+    return {
+        name: _digest(run_hybrid_fanout(seed=ENTRY_SEED, **shape))
+        for name, shape in FANOUT_RUNS.items()
+    }
+
+
+def _capacity_digests():
+    from repro.loadgen.capacity import run_capacity
+
+    return {
+        datapath: run_capacity(
+            datapath, clients=CAPACITY_CLIENTS, seed=ENTRY_SEED,
+            window_ns=CAPACITY_WINDOW_NS, windows=CAPACITY_WINDOWS,
+        )[0].digest()
+        for datapath in CAPACITY_DATAPATHS
+    }
+
+
+def _baseline_digests():
+    """Fig. 7's seven systems, Fig. 9's MoM systems, Fig. 11's streamers."""
+    from repro.bench.harness import SYSTEMS, run_pingpong
+    from repro.bench.mom import MOM_SYSTEMS, mom_pingpong
+    from repro.bench.streaming import STREAMING_SYSTEMS, streaming_run
+    from repro.bench.sweep import tally_payload
+
+    digests = {}
+    for system in SYSTEMS:
+        tally = run_pingpong(system, rounds=BASELINE_ROUNDS, seed=ENTRY_SEED)
+        digests["fig7-" + system] = _digest(tally_payload(tally))
+    for system in MOM_SYSTEMS:
+        tally = mom_pingpong(system, rounds=BASELINE_ROUNDS, seed=ENTRY_SEED)
+        digests["fig9-" + system] = _digest(tally_payload(tally))
+    for system in STREAMING_SYSTEMS:
+        digests["fig11-" + system] = _digest(streaming_run(
+            system, BASELINE_RESOLUTION, BASELINE_FRAMES, seed=ENTRY_SEED))
+    return digests
+
+
+def _breakdown_digests():
+    from repro.bench.breakdown import run_breakdown, run_traced_breakdown
+    from repro.obs import breakdown_report, chrome_trace
+
+    fig6 = {
+        profile: run_breakdown(profile, messages=BREAKDOWN_MESSAGES,
+                               seed=ENTRY_SEED)
+        for profile in ("local", "cloud")
+    }
+    tracers = run_traced_breakdown(messages=BREAKDOWN_MESSAGES,
+                                   seed=ENTRY_SEED)
+    return {
+        "fig6": _digest(fig6),
+        "traced": _digest({"report": breakdown_report(tracers),
+                           "chrome": chrome_trace(tracers)}),
+    }
+
+
 def compute_corpus():
     """Recompute every corpus entry from the current code."""
     from repro.bench.faults import _run_failover_once
@@ -121,6 +230,18 @@ def compute_corpus():
     corpus = {
         "version": CORPUS_VERSION,
         "params": {
+            "baselines": {
+                "rounds": BASELINE_ROUNDS,
+                "resolution": BASELINE_RESOLUTION,
+                "frames": BASELINE_FRAMES, "seed": ENTRY_SEED,
+            },
+            "breakdown": {"messages": BREAKDOWN_MESSAGES,
+                          "seed": ENTRY_SEED},
+            "capacity": {
+                "clients": list(CAPACITY_CLIENTS),
+                "window_ns": CAPACITY_WINDOW_NS,
+                "windows": CAPACITY_WINDOWS, "seed": ENTRY_SEED,
+            },
             "engine": {
                 "rounds": ENGINE_ROUNDS, "messages": ENGINE_MESSAGES,
                 "seed": ENGINE_SEED,
@@ -130,12 +251,18 @@ def compute_corpus():
                 "interval_ns": FAULTS_INTERVAL_NS,
                 "fail_at_ns": FAULTS_FAIL_AT_NS,
             },
+            "fanout": dict(FANOUT_RUNS, seed=ENTRY_SEED),
             "validate_seeds": list(VALIDATE_SEEDS),
             "city": {"topologies": list(CITY_TOPOLOGIES), "seed": CITY_SEED},
         },
+        "baselines": _baseline_digests(),
+        "breakdown": _breakdown_digests(),
+        "capacity": _capacity_digests(),
         "city": {},
         "engine": {},
+        "fanout": _fanout_digests(),
         "faults": {},
+        "scenario": _scenario_digests(),
         "schedule": {},
         "validate": {},
     }
@@ -180,7 +307,7 @@ def check_corpus(path=None):
             "corpus params changed: pinned %r, current %r"
             % (pinned.get("params"), current["params"])
         )
-    for section in ("city", "engine", "faults", "schedule", "validate"):
+    for section in SECTIONS:
         pinned_section = pinned.get(section, {})
         what = "schedule count" if section == "schedule" else "golden digest"
         for key, value in current[section].items():

@@ -1,43 +1,26 @@
-"""Parallel fan-out for the validation subsystem, plus its own checker.
+"""The validation sweeps on the sweep executor, plus its own checker.
 
 Fuzz batches and differential-oracle sweeps are embarrassingly parallel —
-every spec builds its own simulator pair — so they shard one cell per
-spec through :mod:`repro.parallel`.  The cell payloads carry the canonical
-trace digests, which makes *the executor itself* checkable: a serial run
-and a parallel run of the same cells must produce identical merged
-digests (:func:`check_parallel_equivalence`), closing the loop on the
-determinism contract the kernel already guarantees per-simulation.
+every spec builds its own simulator pair — so they run one cell per spec
+through :mod:`repro.parallel`, which runs them inline at ``workers=1``.
+:func:`parallel_differential` and :func:`parallel_fuzz` are the only
+drivers of the two checks: ``insane validate differential|fuzz`` and
+``insane bench validate`` all go through them.  The cell payloads carry
+the canonical trace digests, which makes *the executor itself*
+checkable: a serial run and a parallel run of the same cells must
+produce identical merged digests (:func:`check_parallel_equivalence`),
+closing the loop on the determinism contract the kernel already
+guarantees per-simulation.
 """
 
 import json
 
 from repro.parallel.cells import make_cell
 from repro.parallel.executor import SweepExecutor
-from repro.validate.workloads import WorkloadSpec, random_spec, run_spec
+from repro.validate.workloads import random_spec, run_spec
 
 
 # -- worker-side cell runners -------------------------------------------------
-
-def run_spec_cell(spec, engine="fast", seed=None):
-    """Run one explicit :class:`WorkloadSpec` (as a JSON dict) on ``engine``.
-
-    ``seed`` absorbs the executor's derived-seed injection; the spec's own
-    pinned seed is authoritative, so the injected value is ignored.
-    """
-    from repro.validate.properties import check_run
-
-    workload = WorkloadSpec.from_json(json.dumps(spec))
-    result = run_spec(workload, engine=engine)
-    return {
-        "spec": json.loads(workload.to_json()),
-        "engine": engine,
-        "digest": result.trace.digest(),
-        "events": len(result.trace),
-        "emitted": result.ledger["emitted"],
-        "sim_ns": result.ledger["sim_ns"],
-        "violations": list(check_run(result)),
-    }
-
 
 def run_fuzz_cell(seed, differential=False, do_shrink=True):
     """One fuzzed spec: draw, run, check, shrink on failure.
@@ -142,9 +125,8 @@ def parallel_differential(seed=0, n=50, workers=1, perturb=None, cache=None,
                           progress=None):
     """Fan the differential oracle out; returns ``(checked, diverged, sweep)``.
 
-    Unlike the serial :func:`~repro.validate.differential.run_differential`
-    this always checks all ``n`` specs (parallel workers cannot usefully
-    stop each other on the first divergence).
+    Every one of the ``n`` specs is checked, divergent or not; ``diverged``
+    is the list of divergent cell payloads, in cell-key order.
     """
     cells = differential_cells(seed=seed, n=n, perturb=perturb)
     sweep = SweepExecutor(workers=workers, cache=cache).run(cells)
@@ -260,7 +242,8 @@ def check_parallel_equivalence(seed=0, n=4, workers=2, cells=None):
 
 
 def format_fuzz_failure(payload):
-    """A fuzz-cell failure payload as the serial report's text shape."""
+    """A fuzz-cell failure payload as a report: the failing spec, the
+    shrunk repro spec and its violations."""
     lines = [
         "PROPERTY VIOLATION seed=%d" % payload["seed"],
         "  spec JSON: %s" % json.dumps(payload["spec"], sort_keys=True),

@@ -53,3 +53,20 @@ class TestCli:
     def test_bench_fanout_rejects_bad_population(self):
         with pytest.raises(SystemExit):
             main(["fanout", "--subscribers", "0", "--no-differential"])
+
+    @pytest.mark.parametrize("argv, initial", [
+        (["--datapath", "kernel_udp"], "udp"),
+        (["--datapath", "udp"], "udp"),
+        ([], "dpdk"),  # unpinned: the QoS mapping picks DPDK
+    ])
+    def test_bench_fanout_datapath_spellings(self, tmp_path, argv, initial):
+        out = tmp_path / "fanout.json"
+        assert main(["fanout", "--subscribers", "1000", "--messages", "16",
+                     "--no-differential", "--report", str(out)] + argv) == 0
+        (report,) = json.loads(out.read_text())
+        assert report["data"]["fanout"]["datapath"]["initial"] == initial
+
+    def test_bench_fanout_rejects_unknown_datapath(self):
+        with pytest.raises(SystemExit, match="unknown datapath 'tcp'"):
+            main(["fanout", "--subscribers", "10", "--datapath", "tcp",
+                  "--no-differential"])

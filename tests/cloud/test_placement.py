@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud import RegionPlacer
+from repro.cloud.placement import least_loaded
 from repro.core.errors import TopologyError
 
 
@@ -60,3 +61,20 @@ class TestPlacement:
         placer.place("svc-2", pool)
         assert sum(placer.placements().values()) == 3
         assert max(placer.placements().values()) == 2
+
+
+class TestLeastLoadedPolicy:
+    """The one policy both placers call (the orchestrator passes its
+    nodes in deployment order, the region placer sorted by name)."""
+
+    def test_ties_go_to_the_earliest_candidate(self):
+        load = {"b": 0, "a": 0, "c": 1}.get
+        assert least_loaded(["b", "a", "c"], load, 4, False,
+                            lambda _c: False) == "b"
+
+    def test_full_and_unaccelerated_candidates_are_ineligible(self):
+        load = {"a": 2, "b": 0, "c": 1}.get
+        accelerated = {"a": True, "b": False, "c": True}.get
+        assert least_loaded(["a", "b", "c"], load, 2, True,
+                            accelerated) == "c"
+        assert least_loaded(["a", "b"], load, 2, True, accelerated) is None

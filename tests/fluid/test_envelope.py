@@ -4,9 +4,10 @@ from."""
 
 import pytest
 
-from repro.fluid import calibrate_envelope, envelope_from_breakdown
-from repro.fluid.envelope import STAGES
+from repro.bench.breakdown import run_breakdown
+from repro.fluid import calibrate_envelope
 from repro.hw.profiles import PROFILES
+from repro.obs.probe import COMPONENTS as STAGES
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +59,16 @@ class TestFanoutService:
 
 
 class TestFromBreakdown:
-    def test_halves_the_rtt_convention(self):
-        components = {"send": 2.0, "network": 4.0, "receive": 6.0,
-                      "data_processing": 8.0}  # us per RTT
-        envelope = envelope_from_breakdown(components, profile="local")
-        assert envelope.stage_ns["send"] == 1000.0
-        assert envelope.stage_ns["data_processing"] == 4000.0
-        assert envelope.one_way_ns == sum(envelope.stage_ns.values())
+    def test_halves_the_rtt_convention(self, envelope):
+        # Fig. 6 runs the same probe: its RTT components are the
+        # envelope's one-way stage means doubled, exactly
+        components = run_breakdown("local", messages=envelope.messages,
+                                   size=512, seed=7919)
+        for stage in STAGES:
+            assert components[stage] == 2 * envelope.stage_ns[stage] / 1000.0
 
-    def test_serialization_round_trip_keys(self):
-        components = {stage: 1.0 for stage in STAGES}
-        envelope = envelope_from_breakdown(components)
+    def test_serialization_round_trip_keys(self, envelope):
         data = envelope.to_dict()
         assert data["datapath"] == "dpdk"
         assert set(data["stage_ns"]) == set(STAGES)
+        assert data == type(envelope)(**data).to_dict()

@@ -3,11 +3,17 @@
 ``corpus.json`` pins sha256 digests of the paper workloads (fig5/fig8a/
 fig8b), the failover bench, four differential-validation workloads and
 the serial runs of the smoke64 and city256 cities, plus each paper
-workload's count of scheduler round trips.
+workload's count of scheduler round trips.  It also pins every other
+entry point: the scenario corpus, the hybrid fan-out tier, the capacity
+grid, the baseline systems and the breakdowns.
 If a commit moves any pin, this test names the exact entry — re-pin
 deliberately with ``insane validate golden --regen --force``.
+
+The corpus takes a few seconds to compute, so it is computed once per
+session and every check below compares against that one copy.
 """
 
+import copy
 import json
 import os
 
@@ -15,8 +21,10 @@ import pytest
 
 from repro.obs import EngineObserver
 from repro.simnet import Simulator
+from repro.validate import golden
 from repro.validate.golden import (
     ENGINE_WORKLOADS,
+    SECTIONS,
     _digest,
     check_corpus,
     corpus_path,
@@ -24,6 +32,27 @@ from repro.validate.golden import (
     regenerate_corpus,
     run_workload,
 )
+
+
+@pytest.fixture(scope="session")
+def session_corpus():
+    return golden.compute_corpus()
+
+
+@pytest.fixture
+def computed(session_corpus, monkeypatch):
+    """``compute_corpus`` answers from the session's one computed copy."""
+    monkeypatch.setattr(golden, "compute_corpus",
+                        lambda: copy.deepcopy(session_corpus))
+    return session_corpus
+
+
+def _check_tampered(tmp_path, section, key, value):
+    corpus = load_corpus()
+    corpus[section][key] = value
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    return check_corpus(path=str(path))
 
 
 class TestCorpusFile:
@@ -35,8 +64,7 @@ class TestCorpusFile:
         )
         corpus = load_corpus()
         assert corpus["version"] == 1
-        for section in ("city", "engine", "faults", "schedule", "validate",
-                        "params"):
+        for section in SECTIONS + ("params",):
             assert section in corpus
         assert set(corpus["city"]) == set(
             corpus["params"]["city"]["topologies"]
@@ -49,10 +77,15 @@ class TestCorpusFile:
         assert len(corpus["validate"]) == len(
             corpus["params"]["validate_seeds"]
         )
+        assert len(corpus["scenario"]) == 28
+        assert set(corpus["capacity"]) == {"udp", "xdp", "dpdk", "rdma"}
+        assert len(corpus["baselines"]) == 7 + 4 + 3
+        assert set(corpus["breakdown"]) == {"fig6", "traced"}
+        assert set(corpus["fanout"]) == set(golden.FANOUT_RUNS)
 
     def test_digests_look_like_sha256(self):
         corpus = load_corpus()
-        for section in ("city", "engine", "faults", "validate"):
+        for section in set(SECTIONS) - {"schedule"}:
             for key, digest in corpus[section].items():
                 assert isinstance(digest, str) and len(digest) == 64, (
                     "%s/%s is not a sha256 hex digest: %r"
@@ -67,7 +100,7 @@ class TestCorpusFile:
 
 
 class TestCorpusHolds:
-    def test_every_pinned_digest_matches_current_code(self):
+    def test_every_pinned_digest_matches_current_code(self, computed):
         problems = check_corpus()
         assert problems == [], "\n".join(problems)
 
@@ -97,45 +130,50 @@ class TestRegeneration:
             regenerate_corpus(path=str(path))
         assert path.read_text() == "{}"  # untouched
 
-    def test_force_overwrites_and_result_checks_clean(self, tmp_path):
+    def test_force_overwrites_and_result_checks_clean(self, tmp_path,
+                                                      computed):
         path = tmp_path / "corpus.json"
         path.write_text("{}")
         regenerate_corpus(path=str(path), force=True)
         assert check_corpus(path=str(path)) == []
 
-    def test_tampered_digest_is_named_in_the_report(self, tmp_path):
-        corpus = load_corpus()
-        corpus["engine"]["fig5_pingpong"] = "0" * 64
-        path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus))
-        problems = check_corpus(path=str(path))
+    def test_tampered_digest_is_named_in_the_report(self, tmp_path,
+                                                    computed):
+        problems = _check_tampered(tmp_path, "engine", "fig5_pingpong",
+                                   "0" * 64)
         assert len(problems) == 1
         assert "engine/fig5_pingpong" in problems[0]
         assert "golden digest moved" in problems[0]
 
-    def test_unknown_pinned_entry_is_reported(self, tmp_path):
-        corpus = load_corpus()
-        corpus["validate"]["seed-99"] = "f" * 64
-        path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus))
-        problems = check_corpus(path=str(path))
+    def test_unknown_pinned_entry_is_reported(self, tmp_path, computed):
+        problems = _check_tampered(tmp_path, "validate", "seed-99", "f" * 64)
         assert any("unknown entry validate/seed-99" in p for p in problems)
 
-    def test_tampered_schedule_count_is_named_in_the_report(self,
-                                                             tmp_path):
-        corpus = load_corpus()
-        corpus["schedule"]["fig8a_streaming"] += 1
-        path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus))
-        problems = check_corpus(path=str(path))
+    def test_tampered_schedule_count_is_named_in_the_report(self, tmp_path,
+                                                             computed):
+        count = load_corpus()["schedule"]["fig8a_streaming"] + 1
+        problems = _check_tampered(tmp_path, "schedule", "fig8a_streaming",
+                                   count)
         assert len(problems) == 1
         assert "schedule count moved: schedule/fig8a_streaming" in problems[0]
 
-    def test_tampered_city_digest_is_named_in_the_report(self, tmp_path):
-        corpus = load_corpus()
-        corpus["city"]["smoke64"] = "0" * 64
-        path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus))
-        problems = check_corpus(path=str(path))
+    def test_tampered_city_digest_is_named_in_the_report(self, tmp_path,
+                                                         computed):
+        problems = _check_tampered(tmp_path, "city", "smoke64", "0" * 64)
         assert len(problems) == 1
         assert "golden digest moved: city/smoke64" in problems[0]
+
+    @pytest.mark.parametrize("section, key", [
+        ("scenario", "streaming-dpdk-clean"),
+        ("fanout", "hybrid-10k"),
+        ("capacity", "rdma"),
+        ("baselines", "fig9-zeromq"),
+        ("breakdown", "traced"),
+    ])
+    def test_tampered_entry_point_digest_is_named(self, tmp_path, computed,
+                                                  section, key):
+        problems = _check_tampered(tmp_path, section, key, "0" * 64)
+        assert problems == [
+            "golden digest moved: %s/%s pinned %s, current %s"
+            % (section, key, "0" * 64, computed[section][key])
+        ]

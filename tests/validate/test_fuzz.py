@@ -1,27 +1,30 @@
 """The seeded fuzzer and its greedy shrinker."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.validate.fuzz import FuzzFailure, check_spec, fuzz, shrink
+from repro.validate.fuzz import check_spec, shrink
+from repro.validate.parallel import format_fuzz_failure, parallel_fuzz
 from repro.validate.workloads import WorkloadSpec, random_spec
 
 
 class TestFuzz:
     def test_smoke_run_is_clean(self):
-        checked, failures = fuzz(seed=0, n=6)
+        checked, failures, _sweep = parallel_fuzz(seed=0, n=6)
         assert checked == 6
-        assert failures == [], failures[0].report()
+        assert failures == [], format_fuzz_failure(failures[0])
 
     def test_check_spec_matches_property_suite(self):
         assert check_spec(random_spec(3)) == []
 
     @pytest.mark.slow
     def test_soak_with_differential_cross_check(self):
-        checked, failures = fuzz(seed=1000, n=40, differential=True)
+        checked, failures, _sweep = parallel_fuzz(seed=1000, n=40,
+                                                  differential=True)
         assert checked == 40
-        assert failures == [], failures[0].report()
+        assert failures == [], format_fuzz_failure(failures[0])
 
 
 class TestShrink:
@@ -70,11 +73,12 @@ class TestShrink:
 
     def test_shrunk_spec_round_trips_as_repro_json(self):
         fat = replace(random_spec(7), messages=50)
-        failure = FuzzFailure(
-            spec=fat, violations=["x"], shrunk=fat, shrunk_violations=["x"],
-        )
-        report = failure.report()
-        assert "repro JSON" in report
-        start = report.index("{")
+        spec_json = json.loads(fat.to_json())
+        report = format_fuzz_failure({
+            "seed": fat.seed, "spec": spec_json, "violations": ["x"],
+            "shrunk": spec_json, "shrunk_violations": ["x"],
+        })
+        assert "PROPERTY VIOLATION seed=%d" % fat.seed in report
+        start = report.index("{", report.index("repro JSON"))
         end = report.index("}", start) + 1
         assert WorkloadSpec.from_json(report[start:end]) == fat
