@@ -73,7 +73,7 @@ class UserspaceStack:
 def make_frame(stack, src_host, dst_host, port, size):
     headers = stack.build_headers(src_host.ip, dst_host.ip, port, size)
     packet = Packet(src_host.ip, dst_host.ip, port, port, payload_len=size)
-    packet.meta["wire_headers"] = headers
+    packet.meta = {"wire_headers": headers}
     return packet
 
 

@@ -66,14 +66,14 @@ class CycloneDdsNode:
                 payload_len=size if data is None else None,
                 seq=next(self.sim.ids),
             )
-            packet.meta["dds_topic"] = topic
+            packet.meta = {"dds_topic": topic}
             yield from self.socket.send(packet)
         # local subscribers are delivered through the same reader queues
         if self in self.domain.subscriptions.get(topic, ()):
             local = Packet(self.host.ip, self.host.ip, DDS_PORT, DDS_PORT,
                            payload=data, payload_len=size if data is None else None,
                            seq=next(self.sim.ids))
-            local.meta["dds_topic"] = topic
+            local.meta = {"dds_topic": topic}
             self._reader_queues[topic].try_put(local)
 
     def publish_burst(self, topic, size, count):
@@ -88,7 +88,7 @@ class CycloneDdsNode:
             for _ in range(count):
                 packet = Packet(self.host.ip, node.host.ip, DDS_PORT, DDS_PORT,
                                 payload_len=size, seq=next(self.sim.ids))
-                packet.meta["dds_topic"] = topic
+                packet.meta = {"dds_topic": topic}
                 packets.append(packet)
             cost = sum(
                 self.host.stage_cost("dds_serialize", size, burst=count) for _ in packets

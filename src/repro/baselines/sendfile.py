@@ -62,7 +62,7 @@ class SendfileStreamer:
                         payload_len=_FRAME_HEADER.size + data_len,
                         seq=next(sim.ids),
                     )
-                    packet.meta["frame_start"] = sim.now if index == 0 else None
+                    packet.meta = {"frame_start": sim.now if index == 0 else None}
                     # sendfile: the kernel send path without the user copy
                     # (replaces the regular sendto/udp_tx path entirely)
                     yield Timeout(
@@ -81,8 +81,9 @@ class SendfileStreamer:
                     header = packet.payload[: _FRAME_HEADER.size]
                     frame_id, index, total, frame_len = _FRAME_HEADER.unpack(bytes(header))
                     state = pending.setdefault(frame_id, {"got": 0, "start": sim.now})
-                    if packet.meta.get("frame_start") is not None:
-                        state["start"] = packet.meta["frame_start"]
+                    frame_start = packet.meta["frame_start"]
+                    if frame_start is not None:
+                        state["start"] = frame_start
                     state["got"] += 1
                     if state["got"] == total:
                         latencies.append(sim.now - state["start"])

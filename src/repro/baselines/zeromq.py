@@ -54,7 +54,7 @@ class ZmqNode:
                 payload_len=size if data is None else None,
                 seq=next(self.sim.ids),
             )
-            packet.meta["zmq_group"] = group
+            packet.meta = {"zmq_group": group}
             yield from self.socket.send(packet)
 
     def dish_join(self, group, callback):

@@ -10,16 +10,11 @@ A4 — the QoS mapping matrix: policy x host capability -> chosen datapath,
      with the measured RTT of each mapping (paper §5.2).
 """
 
-from repro.bench.harness import (
-    InsaneBenchApp,
-    make_testbed,
-    run_multisink,
-    run_throughput,
-)
+from repro.bench.harness import run_multisink, run_throughput
 from repro.bench.tables import format_table
 from repro.core import QosPolicy, Session
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import InsaneDeployment
+from repro.core.runtime import InsaneDeployment, build_stack
 from repro.hw import Testbed
 from repro.hw.profiles import LOCAL_TESTBED
 from repro.simnet import Tally, Timeout
@@ -38,9 +33,8 @@ def run_ablation_tsn(messages=200, period_ns=20_000, seed=0, quiet=False):
 
     results = {}
     for mode in ("fifo", "tsn"):
-        testbed = make_testbed("local", seed=seed, hosts=3)
+        testbed, deployment = build_stack(seed=seed, hosts=3)
         sim = testbed.sim
-        deployment = InsaneDeployment(testbed)
         tx = Session(deployment.runtime(0), "ts-tx")
         bulk_tx = Session(deployment.runtime(0), "bulk-tx")  # separate app
         rx = Session(deployment.runtime(1), "ts-rx")
@@ -110,10 +104,10 @@ def run_ablation_threads(rounds=500, seed=0, quiet=False):
     vs one shared polling thread.  Returns {mapping: Tally}."""
     results = {}
     for mapping in ("per-datapath", "shared"):
-        config = RuntimeConfig(thread_mapping=mapping)
-        testbed = make_testbed("local", seed=seed)
+        testbed, deployment = build_stack(
+            seed=seed, config=RuntimeConfig(thread_mapping=mapping)
+        )
         sim = testbed.sim
-        deployment = InsaneDeployment(testbed, config=config)
         client = Session(deployment.runtime(0), "a2-client")
         server = Session(deployment.runtime(1), "a2-server")
         fast = QosPolicy.fast()

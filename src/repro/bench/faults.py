@@ -20,9 +20,8 @@ import hashlib
 
 from repro.bench.tables import format_table
 from repro.core import QosPolicy, Session
-from repro.core.runtime import InsaneDeployment
+from repro.core.runtime import build_stack
 from repro.faults import FaultSchedule
-from repro.hw import Testbed
 from repro.simnet import Timeout
 
 
@@ -30,9 +29,8 @@ from repro.simnet import Timeout
 
 def _run_failover_once(seed, messages, interval_ns, fail_at_ns):
     """One failover run; returns (results dict, reproducibility digest)."""
-    testbed = Testbed.local(seed=seed)
+    testbed, deployment = build_stack(seed=seed)
     sim = testbed.sim
-    deployment = InsaneDeployment(testbed)
     runtime = deployment.runtime(0)
 
     with Session(runtime, "pub") as pub, \
@@ -153,9 +151,8 @@ def run_loss_cell(rate, seed=0, messages=2000, size=1024,
     Builds an isolated testbed for the given loss rate and returns the
     plain-JSON delivery record the loss table is assembled from.
     """
-    testbed = Testbed.local(seed=seed)
+    testbed, deployment = build_stack(seed=seed)
     sim = testbed.sim
-    deployment = InsaneDeployment(testbed)
     with Session(deployment.runtime(0), "pub") as pub, \
             Session(deployment.runtime(1), "sub") as sub:
         pub_stream = pub.create_stream(QosPolicy.fast(), name="loss")
@@ -235,9 +232,8 @@ def run_flap_reliable(seed=0, messages=60, flap_at_ns=500_000.0,
     the ARQ layer retransmits through the outage and delivers everything."""
     from repro.apps.reliable import ReliableReceiver, ReliableSender
 
-    testbed = Testbed.local(seed=seed)
+    testbed, deployment = build_stack(seed=seed)
     sim = testbed.sim
-    deployment = InsaneDeployment(testbed)
     with Session(deployment.runtime(0), "tx") as tx, \
             Session(deployment.runtime(1), "rx") as rx:
         tx_stream = tx.create_stream(QosPolicy.fast(), name="arq")

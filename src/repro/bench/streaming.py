@@ -4,16 +4,15 @@ from repro.apps.lunar_streaming import LunarStreamClient, LunarStreamServer
 from repro.baselines.sendfile import SendfileStreamer
 from repro.bench.harness import make_testbed
 from repro.bench.images import image_size_bytes
-from repro.core.runtime import InsaneDeployment
+from repro.core.runtime import build_stack
 
 STREAMING_SYSTEMS = ("lunar_fast", "lunar_slow", "sendfile")
 
 
 def lunar_streaming_run(mode, resolution, frames, profile="local", seed=0):
     """Stream ``frames`` synthetic images; returns (fps, latencies_ns)."""
-    testbed = make_testbed(profile, seed=seed)
+    testbed, deployment = build_stack(profile=profile, seed=seed)
     sim = testbed.sim
-    deployment = InsaneDeployment(testbed)
     server = LunarStreamServer(deployment.runtime(0), mode=mode)
     client = LunarStreamClient(deployment.runtime(1), mode=mode, synthetic=True)
     frame_size = image_size_bytes(resolution)

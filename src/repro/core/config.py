@@ -1,6 +1,6 @@
 """Runtime configuration knobs."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 
@@ -13,6 +13,12 @@ class RuntimeConfig:
     (the evaluation setup, best performance); ``"shared"`` multiplexes all
     plugins onto a single thread (lowest resource usage, lower
     performance).
+
+    What is not a field is fixed for every run: pool and ring sizes and
+    the RX burst come from the hardware profile's scalars, jumbo frames
+    are on, the kernel path always listens, the TSN scheduler runs its
+    default gate list, and the health monitor detects a failed datapath
+    after :data:`~repro.core.control.FAILOVER_DETECT_NS`.
     """
 
     thread_mapping: str = "per-datapath"     # or "shared"
@@ -20,19 +26,11 @@ class RuntimeConfig:
     #: the CPU-bound receive pipeline); only meaningful with "per-datapath"
     threads_per_datapath: int = 1
     tx_burst: Optional[int] = None           # override profile insane_tx_burst
-    rx_burst: Optional[int] = None           # override profile dpdk_rx_burst
     opportunistic_batching: bool = True      # Fig. 8a ablation knob
-    jumbo_frames: bool = True
-    pool_slots: Optional[int] = None
-    ipc_ring_slots: Optional[int] = None
     mapping_strategy: Optional[Callable] = None  # custom QoS mapping
-    gate_control_list: object = None          # TSN GCL override
     #: scheduler for best-effort traffic: "fifo" (paper default), "drr"
     #: (per-application byte fairness), or "priority"
     best_effort_scheduler: str = "fifo"
-    #: keep the kernel datapath listening on every runtime: the universal
-    #: fallback for publishers on heterogeneous deployments
-    always_kernel_listener: bool = True
     #: optional AccessController enforcing per-stream publish/subscribe
     #: rights at endpoint creation (paper §8, Security)
     access_controller: object = None
@@ -41,11 +39,6 @@ class RuntimeConfig:
     #: traces; implies per-message records even where ``trace`` is off.
     #: Shared by every runtime of a deployment (the timeline is global).
     tracer: object = None
-    warn: Optional[Callable[[str], None]] = None  # QoS fallback warnings
-    #: health-monitor sampling interval: ns between a datapath binding
-    #: failing and the runtime detecting it and re-mapping affected
-    #: streams onto the best surviving datapath (repro.faults)
-    failover_detect_ns: float = 50_000.0
 
     def __post_init__(self):
         if self.thread_mapping not in ("per-datapath", "shared"):
@@ -60,5 +53,3 @@ class RuntimeConfig:
                 "best_effort_scheduler must be fifo, drr, or priority; got %r"
                 % (self.best_effort_scheduler,)
             )
-        if self.failover_detect_ns < 0:
-            raise ValueError("failover_detect_ns must be >= 0")

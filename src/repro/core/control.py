@@ -11,6 +11,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+#: ns between a datapath binding failing and the health monitor detecting
+#: it and re-mapping the affected streams: the monitor's sampling interval
+FAILOVER_DETECT_NS = 50_000.0
+
 
 @dataclass
 class FailoverEvent:
@@ -39,16 +43,16 @@ class HealthMonitor:
     Detection is event-driven rather than a periodic polling process (a
     forever-ticking process would keep the discrete-event simulation from
     ever draining): a binding failure schedules one health-check callback
-    ``detect_ns`` later — modelling the monitor's sampling interval — and
+    :data:`FAILOVER_DETECT_NS` later — the monitor's sampling interval — and
     that callback re-maps every affected stream *exactly once* per failure
     epoch.  A restore before the callback fires turns it into a no-op, and
     a later re-failure starts a fresh epoch with its own callback.
     """
 
-    def __init__(self, runtime, detect_ns=50_000.0):
+    def __init__(self, runtime):
         self.runtime = runtime
         self.sim = runtime.sim
-        self.detect_ns = detect_ns
+        self.detect_ns = FAILOVER_DETECT_NS
         self.events = []
 
     def binding_failed(self, binding, reason=""):

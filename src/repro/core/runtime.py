@@ -7,6 +7,8 @@ everything with a configurable pool of polling threads.  Applications attach
 over shared memory (sessions) and exchange slot-id tokens with it.
 """
 
+from functools import partial
+
 from repro.core.channel import ChannelKey
 from repro.core.config import RuntimeConfig
 from repro.core.control import ControlPlane, HealthMonitor
@@ -31,6 +33,7 @@ from repro.datapaths.registry import available_datapaths
 from repro.hw import Testbed
 from repro.hw.profiles import PROFILES
 from repro.netstack import FramePolicy, Packet
+from repro.netstack.packet import trace_drop
 from repro.simnet import Counter, Timeout
 
 #: Well-known UDP port space used for runtime-to-runtime traffic,
@@ -44,24 +47,6 @@ INSANE_HEADER_BYTES = 24
 #: Preference order when a publisher must pick a technology the subscriber
 #: listens on (heterogeneous deployments).
 TECH_PREFERENCE = ("rdma", "dpdk", "xdp", "udp")
-
-
-def _trace_drop(trace, now, reason):
-    """Mark a traced packet dropped.  Duck-typed so the runtime never
-    imports :mod:`repro.obs`: plain-dict traces (``config.trace``) and
-    ``None`` both fall through for free."""
-    if trace is not None:
-        mark = getattr(trace, "mark_dropped", None)
-        if mark is not None:
-            mark(now, reason)
-
-
-def _trace_annotate(trace, now, kind, detail=""):
-    """Annotate a traced packet's timeline (duck-typed, see above)."""
-    if trace is not None:
-        annotate = getattr(trace, "annotate", None)
-        if annotate is not None:
-            annotate(now, kind, detail)
 
 
 class SinkEndpoint:
@@ -96,7 +81,7 @@ class DatapathBinding:
         config = runtime.config
         scalars = self.profile.scalars
         self.tx_burst = config.tx_burst or int(scalars["insane_tx_burst"])
-        self.rx_burst = config.rx_burst or int(scalars["dpdk_rx_burst"])
+        self.rx_burst = int(scalars["dpdk_rx_burst"])
         self.batching = config.opportunistic_batching
         self.fanout_ns = scalars["insane_fanout_per_sink_ns"]
         self.l2_budget = scalars["insane_l2_ring_budget"]
@@ -120,6 +105,8 @@ class DatapathBinding:
         self.no_sink_drops = Counter("%s.%s.no_sink_drops" % (self.host.name, name))
         self.unknown_drops = Counter("%s.%s.unknown_drops" % (self.host.name, name))
         self.sched_drops = Counter("%s.%s.sched_drops" % (self.host.name, name))
+        #: packets rx_pass drained from the datapath's receive queue
+        self.rx_packets = Counter("%s.%s.rx_packets" % (self.host.name, name))
         # fault state (repro.faults): a failed binding accepts emits (the
         # client-side rings stay up — shared memory does not die with a
         # NIC driver) but its polling passes stop until restore(); a
@@ -150,29 +137,36 @@ class DatapathBinding:
         return Timeout(self.host.jitter(self._ipc_half_ns))
 
     def _wire_datapath(self):
+        """Build the plugin and claim the port.  The one place that knows
+        which technology this binding drives: it keeps the receive queue
+        and the send and close callables the rest of the binding uses."""
         host = self.host
+        port = self.port
         if self.name == "udp":
-            self.datapath = KernelUdpDatapath.get(host)
-            self.socket = self.datapath.socket(self.port, blocking=False)
-            self.rx_queue = self.socket.buffer
-            self.detect_ns = self.profile.scalar("udp_poll_detect_ns")
-        elif self.name == "dpdk":
-            # fast mode shares the runtime pool with the PMD: true
-            # zero-copy between application slots and the NIC.
-            self.datapath = DpdkDatapath(host, mempool=self.runtime.memory.pool)
-            self.rx_queue = self.datapath.open_port(self.port)
-            self.detect_ns = self.profile.scalar("dpdk_poll_detect_ns")
-        elif self.name == "xdp":
-            self.datapath = XdpDatapath(host)
-            self.rx_queue = self.datapath.open_port(self.port)
-            self.detect_ns = self.profile.scalar("xdp_poll_detect_ns")
+            # the kernel stack exists once per host
+            datapath = KernelUdpDatapath.get(host)
+            socket = datapath.socket(port, blocking=False)
+            self.rx_queue = socket.buffer
+            self._send_many = socket.send_many
+            self._close = socket.close
         elif self.name == "rdma":
-            self.datapath = RdmaDatapath(host)
-            self.qp = self.datapath.create_qp(self.port)
-            self.rx_queue = self.qp.recv_queue
-            self.detect_ns = self.profile.scalar("rdma_poll_detect_ns")
+            datapath = RdmaDatapath(host)
+            qp = datapath.create_qp(port)
+            self.rx_queue = qp.recv_queue
+            self._send_many = qp.post_send_many
+            self._close = partial(datapath.close_qp, port)
         else:
-            raise ValueError("unknown datapath %r" % (self.name,))
+            if self.name == "dpdk":
+                # fast mode shares the runtime pool with the PMD: true
+                # zero-copy between application slots and the NIC.
+                datapath = DpdkDatapath(host, mempool=self.runtime.memory.pool)
+            else:
+                datapath = XdpDatapath(host)
+            self.rx_queue = datapath.open_port(port)
+            self._send_many = datapath.send_many
+            self._close = partial(datapath.close_port, port)
+        self.datapath = datapath
+        self.detect_ns = datapath.detect_ns
 
     def _kick(self):
         for thread in self.threads:
@@ -250,19 +244,13 @@ class DatapathBinding:
         return cost
 
     def _rx_pkt_cost(self, packet, burst):
-        """Receive-side per-packet processing cost (datapath-specific)."""
+        """Receive-side per-packet processing cost: the plugin's RX chain
+        stages, then the hand-off to the runtime."""
         profile = self.profile
         size = packet.payload_len
-        if self.name == "udp":
-            cost = 0.0  # kernel already charged udp_rx
-        elif self.name == "dpdk":
-            cost = profile.stage("dpdk_rx").cost(size, burst=burst)
-            cost += profile.stage("ustack_rx").cost(size, burst=burst)
-        elif self.name == "xdp":
-            cost = profile.stage("xdp_rx").cost(size, burst=burst)
-            cost += profile.stage("ustack_rx").cost(size, burst=burst)
-        else:  # rdma
-            cost = profile.stage("rdma_poll_cq").cost(size, burst=burst)
+        cost = 0.0
+        for key in self.datapath.rx_stages:
+            cost += profile.stage(key).cost(size, burst=burst)
         cost += profile.stage("insane_ipc").cost(0, burst=burst) / 2.0
         cost += profile.stage(self.dispatch_stage).cost(0, burst=burst)
         if self.accelerated:
@@ -426,7 +414,7 @@ class DatapathBinding:
         now = self.sim.now
         if traffic_class == CLASS_TIME_SENSITIVE:
             if self.tsn is None:
-                self.tsn = TsnScheduler(self.runtime.config.gate_control_list)
+                self.tsn = TsnScheduler()
             self.tsn.push(packet, traffic_class, now=now)
         else:
             flow = packet.flow
@@ -461,12 +449,7 @@ class DatapathBinding:
         for packet in packets:
             if packet.trace is not None:
                 packet.trace["datapath_tx"] = now
-        if self.name == "udp":
-            yield from self.socket.send_many(packets)
-        elif self.name == "rdma":
-            yield from self.qp.post_send_many(packets)
-        else:
-            yield from self.datapath.send_many(packets)
+        yield from self._send_many(packets)
 
     # -- RX path ----------------------------------------------------------------------
 
@@ -482,6 +465,7 @@ class DatapathBinding:
         if not batch:
             return False
         burst = len(batch)
+        self.rx_packets.value += burst
         cost = self.detect_ns
         cache = self._rx_cost_cache
         sinks_get = self.runtime._sinks.get
@@ -526,21 +510,24 @@ class DatapathBinding:
         meta = packet.insane
         if meta is None:
             self.unknown_drops.value += 1
-            _trace_drop(trace, now, "unknown stream header")
+            if trace is not None:
+                trace_drop(trace, now, "unknown stream header")
             return
         stream, channel, length = meta
         if sinks is None:
             sinks = self.runtime._sinks.get((stream, channel))
         if not sinks:
             self.no_sink_drops.value += 1
-            _trace_drop(trace, now, "no local sink")
+            if trace is not None:
+                trace_drop(trace, now, "no local sink")
             return
         runtime = self.runtime
         memory = runtime.memory
         buffer = memory.pool.try_alloc()
         if buffer is None:
             self.pool_drops.value += 1
-            _trace_drop(trace, now, "rx pool exhausted")
+            if trace is not None:
+                trace_drop(trace, now, "rx pool exhausted")
             return
         payload = packet.payload
         if payload is not None:
@@ -566,16 +553,14 @@ class DatapathBinding:
             if not endpoint.ring.try_put(delivery):
                 endpoint.dropped.value += 1
                 memory.release_for(endpoint.app_id, buffer)
-                _trace_annotate(trace, now, "drop",
-                                "sink ring full: %s" % endpoint.app_id)
+                if trace is not None:
+                    annotate = getattr(trace, "annotate", None)
+                    if annotate is not None:
+                        annotate(now, "drop",
+                                 "sink ring full: %s" % endpoint.app_id)
 
     def shutdown(self):
-        if self.name == "udp":
-            self.socket.close()
-        elif self.name == "rdma":
-            self.datapath.close_qp(self.port)
-        else:
-            self.datapath.close_port(self.port)
+        self._close()
 
 
 class InsaneRuntime:
@@ -590,19 +575,10 @@ class InsaneRuntime:
         self.tracer = self.config.tracer
         self.control = control or ControlPlane()
         self.control.register_runtime(self)
-        self.ipc_ring_slots = self.config.ipc_ring_slots or int(
-            self.profile.scalar("ipc_ring_slots")
-        )
-        self.memory = MemoryManager(
-            self.sim,
-            self.profile,
-            name=host.name + ".mm",
-            slots=self.config.pool_slots,
-        )
+        self.ipc_ring_slots = int(self.profile.scalar("ipc_ring_slots"))
+        self.memory = MemoryManager(self.sim, self.profile, name=host.name + ".mm")
         self.frame_policy = FramePolicy(
-            mtu=self.profile.mtu,
-            jumbo_mtu=self.profile.jumbo_mtu,
-            jumbo_enabled=self.config.jumbo_frames,
+            mtu=self.profile.mtu, jumbo_mtu=self.profile.jumbo_mtu
         )
         self.bindings = {}
         self.threads = []
@@ -619,10 +595,11 @@ class InsaneRuntime:
         self._sessions = {}
         self.version = 1
         self._failed_datapaths = set()
-        self.health = HealthMonitor(self, detect_ns=self.config.failover_detect_ns)
+        self.health = HealthMonitor(self)
         self.failovers = Counter(host.name + ".failovers")
-        if self.config.always_kernel_listener:
-            self.ensure_binding("udp")
+        # the kernel path listens on every runtime: the universal fallback
+        # for publishers on heterogeneous deployments
+        self.ensure_binding("udp")
 
     # -- datapath management ------------------------------------------------
 
@@ -662,9 +639,10 @@ class InsaneRuntime:
     def fail_datapath(self, name, reason=""):
         """Fail a datapath binding (fault injection / operator action).
 
-        The health monitor detects the failure ``failover_detect_ns``
-        later and re-maps every affected stream onto the best surviving
-        datapath its policy allows (paper §5.2's fallback rule).
+        The health monitor detects the failure
+        :data:`~repro.core.control.FAILOVER_DETECT_NS` later and re-maps
+        every affected stream onto the best surviving datapath its policy
+        allows (paper §5.2's fallback rule).
         """
         binding = self.bindings.get(name)
         if binding is None:
@@ -935,8 +913,6 @@ class InsaneRuntime:
 
     def warn(self, message):
         self.warnings.append(message)
-        if self.config.warn is not None:
-            self.config.warn(message)
 
     def stats(self):
         """An operator-facing snapshot of the runtime's internal state."""
@@ -959,7 +935,7 @@ class InsaneRuntime:
                 "unknown_drops": binding.unknown_drops.value,
                 "sched_drops": binding.sched_drops.value,
                 "tx_packets": binding.datapath.tx_packets.value,
-                "rx_packets": binding.datapath.rx_packets.value,
+                "rx_packets": binding.rx_packets.value,
                 "polling_threads": len(binding.threads),
                 "failed": binding.failed,
             }

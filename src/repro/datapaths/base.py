@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 
+from repro.netstack.packet import trace_drop
 from repro.simnet import Counter
 
 
@@ -20,20 +21,20 @@ class DatapathInfo:
 class Datapath:
     """Base class for datapath plugins.
 
-    Subclasses define :attr:`info`, the cost stages they charge, and the
-    technology-specific send/receive mechanics.  ``send`` and receive
-    methods are generators meant to run inside the calling thread's process
+    Subclasses define :attr:`info`, the cost stages they charge, their
+    poll-detect latency ``detect_ns``, and the technology-specific
+    send/receive mechanics.  ``send`` and receive methods are generators
+    meant to run inside the calling thread's process
     (``yield from dp.send(...)``), so CPU time lands on the right simulated
     core.
     """
 
     info = None  # overridden by subclasses
 
-    #: lifecycle-trace stamp keys this technology records when a packet
-    #: finishes its TX (resp. RX) pipeline stage; used by repro.obs to
-    #: normalize per-datapath stage names in breakdown reports.
-    tx_done_key = None
-    rx_done_key = None
+    #: stage keys the INSANE runtime charges per packet it drains from this
+    #: plugin's receive queue: the plugin's RX chain (repro.simnet.burst).
+    #: Empty for kernel UDP, whose softirq chain already charged udp_rx.
+    rx_stages = ()
 
     def __init__(self, host):
         self.host = host
@@ -75,16 +76,14 @@ class Datapath:
     def _drop_failed(self, packet):
         """Swallow a frame handed to a failed datapath, reclaiming its TX
         buffer so the pool does not leak with the dead driver."""
-        buffer = packet.meta.pop("tx_buffer", None)
+        buffer = packet.tx_buffer
         if buffer is not None:
+            packet.tx_buffer = None
             buffer.pool.release(buffer)
         self.failed_drops.value += 1
         trace = packet.trace
         if trace is not None:
-            # duck-typed: lifecycle records close, plain dicts ignore
-            mark = getattr(trace, "mark_dropped", None)
-            if mark is not None:
-                mark(self.sim.now, "datapath %s failed" % self.info.name)
+            trace_drop(trace, self.sim.now, "datapath %s failed" % self.info.name)
         return self.sim.now
 
     # -- availability ------------------------------------------------------

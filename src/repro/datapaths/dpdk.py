@@ -5,7 +5,7 @@ userspace queue; a busy-polling thread (lcore) drains it in bursts.  Every
 received packet occupies an mbuf from the *mempool*; if the mempool is
 exhausted the packet is dropped at the driver, exactly like running out of
 rx descriptors on real hardware.  Packets carry their mempool buffer in
-``meta["rx_buffer"]``; consumers must release it.
+``rx_buffer``; consumers must release it.
 
 The fixed component of the burst-call costs amortizes across the burst,
 which is what makes DPDK (and INSANE's opportunistic batching on top of it)
@@ -32,8 +32,7 @@ class DpdkDatapath(Datapath):
         dedicated_hardware=False,
     )
 
-    tx_done_key = "dpdk_tx_done"
-    rx_done_key = "dpdk_rx_done"
+    rx_stages = DpdkRxChain.stages
 
     def __init__(self, host, mempool=None):
         super().__init__(host)
@@ -157,7 +156,6 @@ class DpdkDatapath(Datapath):
         request = ArpPacket.request(self._arp_mac, self.host.ip, target_ip)
         packet = Packet(self.host.ip, target_ip, ARP_PORT, ARP_PORT,
                         payload=request.to_bytes(), seq=next(self.sim.ids))
-        packet.meta["arp"] = True
         self.nic.transmit(packet)
 
     def _arp_responder(self):
@@ -176,5 +174,4 @@ class DpdkDatapath(Datapath):
             if reply is not None:
                 packet = Packet(self.host.ip, arp.sender_ip, ARP_PORT, ARP_PORT,
                                 payload=reply.to_bytes(), seq=next(self.sim.ids))
-                packet.meta["arp"] = True
                 self.nic.transmit(packet)

@@ -25,11 +25,9 @@ class KernelUdpDatapath(Datapath):
         dedicated_hardware=False,
     )
 
-    tx_done_key = "udp_tx_done"
-    rx_done_key = "kernel_rx_done"
-
     def __init__(self, host):
         super().__init__(host)
+        self.detect_ns = self.profile.scalar("udp_poll_detect_ns")
         self._sockets = {}
         self.rx_burst = int(self.profile.scalar("udp_rx_burst"))
         self.no_socket_drops = Counter(host.name + ".udp.no_socket_drops")

@@ -22,8 +22,7 @@ class RdmaDatapath(Datapath):
         dedicated_hardware=True,
     )
 
-    tx_done_key = "rdma_post_done"
-    rx_done_key = "rdma_rx_done"
+    rx_stages = RdmaRxChain.stages
 
     def __init__(self, host):
         super().__init__(host)

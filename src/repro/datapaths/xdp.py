@@ -23,8 +23,7 @@ class XdpDatapath(Datapath):
         dedicated_hardware=False,
     )
 
-    tx_done_key = "xdp_tx_done"
-    rx_done_key = "xdp_rx_done"
+    rx_stages = XdpRxChain.stages
 
     def __init__(self, host):
         super().__init__(host)

@@ -255,7 +255,7 @@ class DatapathFailure(Injector):
     """Fail a datapath binding on one host's runtime.
 
     This is the headline fault: the runtime's health monitor detects the
-    failure ``failover_detect_ns`` later and re-maps affected streams onto
+    failure ``FAILOVER_DETECT_NS`` later and re-maps affected streams onto
     the best surviving datapath per their QoS policy (fast → XDP → kernel
     degradation order), emitting the paper's fallback warning.
     """

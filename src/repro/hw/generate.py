@@ -431,8 +431,8 @@ class CityNetwork:
         dst = self.plan["hosts"][flow["src" if is_reply else "dst"]]
         packet = Packet(src["ip"], dst["ip"], 4000, 5000,
                         payload_len=self.spec["size"], seq=next(self.sim.ids))
-        packet.meta["qos_class"] = flow["cls"]
-        packet.meta["city"] = (flow["id"], k, is_reply)
+        packet.meta = {"qos_class": flow["cls"],
+                       "city": (flow["id"], k, is_reply)}
         return packet
 
     def _launch(self, flow_id, k):

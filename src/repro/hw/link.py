@@ -1,5 +1,6 @@
 """Point-to-point cable between two NICs (or a NIC and a switch port)."""
 
+from repro.netstack.packet import trace_drop
 from repro.simnet import Counter
 
 
@@ -60,10 +61,8 @@ class Link:
             # break the stage ordering derived from insertion order
             trace.setdefault("link_carry", self.sim.now)
             if dropped:
-                # duck-typed: lifecycle records close, plain dicts ignore
-                mark = getattr(trace, "mark_dropped", None)
-                if mark is not None:
-                    mark(self.sim.now, "link down" if not self.up else "link loss")
+                trace_drop(trace, self.sim.now,
+                           "link down" if not self.up else "link loss")
         if dropped:
             self.lost_frames.value += 1
             return

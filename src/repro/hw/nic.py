@@ -6,6 +6,7 @@ counted — the mechanism behind the paper's observation that "a single sender
 easily overflows a single-core sink" (§8).
 """
 
+from repro.netstack.packet import trace_drop
 from repro.simnet import Counter, Store
 
 
@@ -112,10 +113,8 @@ class Nic:
         else:
             self.rx_dropped.value += 1
             if trace is not None:
-                # duck-typed: lifecycle records close, plain dicts ignore
-                mark = getattr(trace, "mark_dropped", None)
-                if mark is not None:
-                    mark(self.sim.now, "nic rx ring overflow: %s" % self.name)
+                trace_drop(trace, self.sim.now,
+                           "nic rx ring overflow: %s" % self.name)
 
     # -- fault injection ----------------------------------------------------
 

@@ -24,6 +24,7 @@ failure modes stay tellable apart in digests and reports.
 
 from collections import deque
 
+from repro.netstack.packet import trace_drop
 from repro.simnet import Counter
 
 
@@ -54,9 +55,8 @@ class SwitchPort:
         if queued > self.switch.max_port_queue_ns:
             self.switch.dropped.value += 1
             if trace is not None:
-                mark = getattr(trace, "mark_dropped", None)
-                if mark is not None:
-                    mark(sim.now, "switch port %d queue overflow" % self.index)
+                trace_drop(trace, sim.now,
+                           "switch port %d queue overflow" % self.index)
             return
         self._tx_free_at = departure
         if trace is not None:
@@ -68,8 +68,9 @@ class SwitchPort:
 class QosSwitchPort(SwitchPort):
     """A trunk port with DiffServ-style per-class output queues.
 
-    Frames carry their class in ``packet.meta["qos_class"]`` (lower index
-    = higher priority); a frame without a class rides the lowest class.
+    Frames carry their class under ``"qos_class"`` in the packet's cold
+    ``meta`` dict (lower index = higher priority); a frame without a
+    ``meta`` dict or a class rides the lowest class.
     The port keeps one FIFO per class and serves the highest-priority
     head at every departure (strict priority).  Admission is bounded per
     class: a frame whose wait-before-service would exceed its class's
@@ -90,9 +91,8 @@ class QosSwitchPort(SwitchPort):
         self.class_dropped = {cls: 0 for cls in self._classes}
 
     def _class_of(self, frame):
-        packet = getattr(frame, "packet", frame)
-        extra = getattr(packet, "_extra", None)
-        cls = extra.get("qos_class") if extra else None
+        meta = getattr(frame, "packet", frame).meta
+        cls = meta.get("qos_class") if meta else None
         return cls if cls in self._queues else self._classes[-1]
 
     def emit(self, frame):
@@ -108,10 +108,8 @@ class QosSwitchPort(SwitchPort):
             self.class_dropped[cls] += 1
             trace = getattr(getattr(frame, "packet", frame), "trace", None)
             if trace is not None:
-                mark = getattr(trace, "mark_dropped", None)
-                if mark is not None:
-                    mark(now, "switch port %d class %d queue overflow"
-                         % (self.index, cls))
+                trace_drop(trace, now, "switch port %d class %d queue overflow"
+                           % (self.index, cls))
             return
         self._tx_free_at = start + serialization
         self._queues[cls].append((frame, serialization))
@@ -196,17 +194,15 @@ class Switch:
         if port is None:
             self.dropped.value += 1
             if trace is not None:
-                mark = getattr(trace, "mark_dropped", None)
-                if mark is not None:
-                    mark(self.sim.now, "switch: no route to %s" % frame.dst_ip)
+                trace_drop(trace, self.sim.now,
+                           "switch: no route to %s" % frame.dst_ip)
             return
         if port is in_port:
             self.hairpin_dropped.value += 1
             if trace is not None:
-                mark = getattr(trace, "mark_dropped", None)
-                if mark is not None:
-                    mark(self.sim.now, "switch: hairpin on port %d to %s"
-                         % (port.index, frame.dst_ip))
+                trace_drop(trace, self.sim.now,
+                           "switch: hairpin on port %d to %s"
+                           % (port.index, frame.dst_ip))
             return
         self.forwarded.value += 1
         if trace is not None:

@@ -8,11 +8,10 @@ computations so throughput runs may carry size-only packets.
 Packets are *slotted records*: the metadata keys the per-packet hot path
 reads and writes — the INSANE stream header (``insane``), the scheduler
 flow label (``flow``), and the TX/RX pool buffers — are ``__slots__``
-attributes, so lookups are attribute loads instead of dict operations and
-no per-packet ``meta`` dict is allocated.  Cold paths (baselines, ARP,
-obs/validate tooling) keep dict-style access through the :class:`PacketMeta`
-shim returned by the ``meta`` property, which maps the hot keys onto the
-slots and spills anything else into a lazily-created ``_extra`` dict.
+attributes, so lookups are attribute loads instead of dict operations.
+Cold keys (a baseline's topic or group, a generated fabric's QoS class
+and flow id) live in one plain dict in the ``meta`` slot, which stays
+``None`` unless the code that builds the packet assigns one.
 
 ``seq`` is an id the caller passes in: code running inside a simulation
 draws it from that simulation's ``sim.ids``, so two simulators in one
@@ -39,10 +38,6 @@ IP_UDP_HEADER = Ipv4Header.LENGTH + UdpHeader.LENGTH
 #: Total per-datagram wire overhead for a non-fragmented UDP packet.
 WIRE_OVERHEAD = ETHERNET_OVERHEAD + IP_UDP_HEADER
 
-#: metadata keys promoted to slots — everything the per-packet hot path
-#: touches; anything else goes through the ``_extra`` spill dict
-_HOT_KEYS = frozenset(("insane", "flow", "tx_buffer", "rx_buffer"))
-
 
 class Packet:
     """One UDP datagram, possibly carrying a zero-copy payload view."""
@@ -56,12 +51,12 @@ class Packet:
         "payload_len",
         "seq",
         "trace",
-        # -- hot metadata, promoted from the former meta dict ------------
+        # -- hot metadata ------------------------------------------------
         "insane",      # (stream, channel, length) INSANE header tuple
         "flow",        # scheduler flow label
         "tx_buffer",   # TX pool slot, released when the frame departs
         "rx_buffer",   # RX mbuf (DPDK mempool staging)
-        "_extra",      # lazy spill dict for cold keys (arp, dds_topic, ...)
+        "meta",        # cold keys (dds_topic, qos_class, ...) or None
     )
 
     def __init__(self, src_ip, dst_ip, src_port, dst_port, payload=None,
@@ -82,12 +77,7 @@ class Packet:
         self.flow = None
         self.tx_buffer = None
         self.rx_buffer = None
-        self._extra = None
-
-    @property
-    def meta(self):
-        """Dict-compatible view over the slotted metadata (cold paths)."""
-        return PacketMeta(self)
+        self.meta = None
 
     @property
     def wire_size(self):
@@ -116,109 +106,16 @@ class Packet:
         )
 
 
-class PacketMeta:
-    """A dict-compatible shim over a packet's slotted metadata.
+def trace_drop(trace, now, reason):
+    """Close a traced packet's lifecycle record as dropped.
 
-    Hot keys (``insane``, ``flow``, ``tx_buffer``, ``rx_buffer``) read and
-    write the packet's slots; other keys spill into the lazily-created
-    ``_extra`` dict.  ``None`` marks an absent hot key — no caller stores a
-    literal ``None`` value.  Only cold paths (baselines, ARP, obs/validate
-    tooling) go through this shim; hot paths use the attributes directly.
+    Callers guard with ``if trace is not None``.  Duck-typed so that the
+    packet path never imports :mod:`repro.obs`: a plain-dict trace
+    (``RuntimeConfig.trace``) has no ``mark_dropped`` and is left as is.
     """
-
-    __slots__ = ("_packet",)
-
-    def __init__(self, packet):
-        self._packet = packet
-
-    def get(self, key, default=None):
-        if key in _HOT_KEYS:
-            value = getattr(self._packet, key)
-            return default if value is None else value
-        extra = self._packet._extra
-        if extra is None:
-            return default
-        return extra.get(key, default)
-
-    def pop(self, key, default=None):
-        if key in _HOT_KEYS:
-            value = getattr(self._packet, key)
-            if value is None:
-                return default
-            setattr(self._packet, key, None)
-            return value
-        extra = self._packet._extra
-        if extra is None:
-            return default
-        return extra.pop(key, default)
-
-    def __getitem__(self, key):
-        if key in _HOT_KEYS:
-            value = getattr(self._packet, key)
-            if value is None:
-                raise KeyError(key)
-            return value
-        extra = self._packet._extra
-        if extra is None:
-            raise KeyError(key)
-        return extra[key]
-
-    def __setitem__(self, key, value):
-        if key in _HOT_KEYS:
-            setattr(self._packet, key, value)
-            return
-        extra = self._packet._extra
-        if extra is None:
-            extra = self._packet._extra = {}
-        extra[key] = value
-
-    def __delitem__(self, key):
-        if key in _HOT_KEYS:
-            if getattr(self._packet, key) is None:
-                raise KeyError(key)
-            setattr(self._packet, key, None)
-            return
-        extra = self._packet._extra
-        if extra is None:
-            raise KeyError(key)
-        del extra[key]
-
-    def __contains__(self, key):
-        if key in _HOT_KEYS:
-            return getattr(self._packet, key) is not None
-        extra = self._packet._extra
-        return extra is not None and key in extra
-
-    def setdefault(self, key, default=None):
-        if key in self:
-            return self[key]
-        self[key] = default
-        return default
-
-    def keys(self):
-        packet = self._packet
-        out = [key for key in _HOT_KEYS if getattr(packet, key) is not None]
-        if packet._extra is not None:
-            out.extend(packet._extra.keys())
-        return out
-
-    def items(self):
-        return [(key, self[key]) for key in self.keys()]
-
-    def values(self):
-        return [self[key] for key in self.keys()]
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def __len__(self):
-        return len(self.keys())
-
-    def __bool__(self):
-        return len(self.keys()) > 0
-
-    def __repr__(self):
-        return "PacketMeta(%r)" % (dict(self.items()),)
+    mark = getattr(trace, "mark_dropped", None)
+    if mark is not None:
+        mark(now, reason)
 
 
 def wire_bytes(packet, src_mac=None, dst_mac=None):

@@ -19,7 +19,7 @@ The fault-plan grammar (one plan per spec, a tuple of primitives):
     fault-free run;
 ``("failover", at_ns, restore_after_ns_or_None)``
     fail the publisher stream's datapath at ``at_ns`` (restored after the
-    given delay, or never) — drawing ``restore_after < failover_detect_ns``
+    given delay, or never) — drawing ``restore_after < FAILOVER_DETECT_NS``
     exercises the restore-before-detect epoch guard;
 ``("strand", at_ns)``
     fail *every* instantiated binding on the publisher host: zero
@@ -34,6 +34,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 
+from repro.core.control import FAILOVER_DETECT_NS
 from repro.core.errors import DatapathFailedError
 from repro.core.qos import Acceleration, QosPolicy
 from repro.core.runtime import InsaneDeployment
@@ -49,10 +50,6 @@ ENGINES = {"fast": Simulator, "legacy": LegacySimulator}
 
 #: bytes of big-endian sequence number each producer writes into its buffer
 SEQ_BYTES = 8
-
-#: health-monitor detection latency assumed by random_spec's
-#: restore-before-detect bias (the RuntimeConfig default).
-DETECT_NS = 50_000.0
 
 
 @dataclass(frozen=True)
@@ -138,11 +135,11 @@ def random_spec(seed):
         at = rng.uniform(0.1, 0.6) * horizon
         which = rng.random()
         if which < 1.0 / 3.0:
-            restore = None                                   # permanent
+            restore = None                                        # permanent
         elif which < 2.0 / 3.0:
-            restore = rng.uniform(0.1, 0.9) * DETECT_NS      # before detect
+            restore = rng.uniform(0.1, 0.9) * FAILOVER_DETECT_NS  # before detect
         else:
-            restore = rng.uniform(2.0, 6.0) * DETECT_NS      # after detect
+            restore = rng.uniform(2.0, 6.0) * FAILOVER_DETECT_NS  # after detect
         plan = ("failover", at, restore)
     elif draw < 0.9:
         plan = ("random", rng.randrange(1 << 16), rng.randrange(2, 6))
@@ -370,7 +367,7 @@ def _ledger(spec, sim, testbed, deployment, streams, sinks, emit_log,
     detect_ns = None
     for runtime in deployment.runtimes.values():
         if detect_ns is None:
-            detect_ns = runtime.config.failover_detect_ns
+            detect_ns = runtime.health.detect_ns
         for binding in runtime.bindings.values():
             counters["tx_datapath"] += binding.datapath.tx_packets.value
             counters["failed_drops"] += binding.datapath.failed_drops.value

@@ -4,15 +4,17 @@ import pytest
 
 from repro.core import QosPolicy, Session
 from repro.core.channel import ChannelKey
-from repro.core.config import RuntimeConfig
-from repro.core.runtime import INSANE_PORTS, InsaneDeployment
-from repro.hw import Testbed
+from repro.core.runtime import INSANE_PORTS, InsaneDeployment, InsaneRuntime
+from repro.hw import LOCAL_TESTBED, Testbed
 from repro.netstack import Packet
 
 
-def make(config=None, seed=0, hosts=2):
-    testbed = Testbed.local(seed=seed, hosts=hosts)
-    return testbed, InsaneDeployment(testbed, config=config)
+def make(seed=0, hosts=2, **scalars):
+    """A local testbed and deployment; ``scalars`` override the profile's
+    (e.g. ``pool_slots``, ``ipc_ring_slots``)."""
+    profile = LOCAL_TESTBED.replace(scalars={**LOCAL_TESTBED.scalars, **scalars})
+    testbed = Testbed(profile, seed=seed, hosts=hosts)
+    return testbed, InsaneDeployment(testbed)
 
 
 class TestDropPaths:
@@ -56,7 +58,7 @@ class TestDropPaths:
         assert deployment.runtime(1).bindings["dpdk"].no_sink_drops.value == 1
 
     def test_receiver_pool_exhaustion_drops(self):
-        testbed, deployment = make(config=RuntimeConfig(pool_slots=8), seed=3)
+        testbed, deployment = make(seed=3, pool_slots=8)
         sim = testbed.sim
         tx = Session(deployment.runtime(0), "tx")
         rx = Session(deployment.runtime(1), "rx")
@@ -78,7 +80,7 @@ class TestDropPaths:
         assert delivered + binding.pool_drops.value == 20
 
     def test_sink_ring_overflow_drops_and_releases(self):
-        testbed, deployment = make(config=RuntimeConfig(ipc_ring_slots=4, pool_slots=256), seed=4)
+        testbed, deployment = make(seed=4, ipc_ring_slots=4, pool_slots=256)
         sim = testbed.sim
         tx = Session(deployment.runtime(0), "tx")
         rx = Session(deployment.runtime(1), "rx")
@@ -158,6 +160,23 @@ class TestControlPlane:
         deployment.runtime(1).shutdown()
         testbed.sim.run()
         assert deployment.control.runtime_at("10.0.0.2") is None
+
+    def test_shutdown_releases_every_datapath_port(self):
+        """Each binding closes what it claimed: the kernel socket, the
+        steered DPDK and XDP ports and the RDMA queue pair."""
+        profile = LOCAL_TESTBED.replace(rdma_nic=True)
+        testbed = Testbed(profile, seed=0)
+        deployment = InsaneDeployment(testbed)
+        names = ("udp", "xdp", "dpdk", "rdma")
+        runtime = deployment.runtime(0)
+        for name in names:
+            runtime.ensure_binding(name)
+        runtime.shutdown()
+        testbed.sim.run()
+        again = InsaneRuntime(testbed.hosts[0], deployment.control)
+        for name in names:
+            again.ensure_binding(name)
+        assert sorted(again.bindings) == sorted(names)
 
 
 class TestEmitOutcomeIds:

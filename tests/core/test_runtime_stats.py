@@ -1,7 +1,10 @@
 """Runtime introspection (stats snapshot) tests."""
 
+import pytest
+
 from repro.core import QosPolicy, Session
-from repro.core.runtime import InsaneDeployment
+from repro.core.metrics import runtime_samples
+from repro.core.runtime import InsaneDeployment, build_stack
 from repro.hw import Testbed
 
 
@@ -36,7 +39,7 @@ def test_stats_snapshot_structure_and_values():
     assert dpdk["polling_threads"] == 1
 
     rx_stats = deployment.runtime(1).stats()
-    assert rx_stats["bindings"]["dpdk"]["rx_packets"] == 0  # counted by datapath only on raw path
+    assert rx_stats["bindings"]["dpdk"]["rx_packets"] == 10
     assert rx_stats["sink_rings"] == 1
     assert rx_stats["warnings"] == []
 
@@ -59,3 +62,35 @@ def test_stats_scheduler_backlog_counts_tsn():
     stream = session.create_stream(QosPolicy.fast(time_sensitive=True), name="ts")
     stats = deployment.runtime(0).stats()
     assert stats["bindings"]["dpdk"]["scheduler_backlog"] == 0
+
+
+@pytest.mark.parametrize("datapath", ["udp", "xdp", "dpdk", "rdma"])
+def test_receiving_binding_counts_every_drained_packet(datapath):
+    """The runtime drains XDP, DPDK and RDMA queues itself, so the count
+    is the binding's own, not the plugin's RX chain's."""
+    bed, deployment = build_stack(datapath, seed=5)
+    tx = Session(deployment.runtime(0), "tx-app")
+    rx = Session(deployment.runtime(1), "rx-app")
+    tx_stream = tx.create_stream(QosPolicy.fast(), name="count")
+    rx_stream = rx.create_stream(QosPolicy.fast(), name="count")
+    source = tx.create_source(tx_stream, channel=1)
+    delivered = []
+    rx.create_sink(rx_stream, channel=1, callback=delivered.append)
+
+    def producer():
+        for _ in range(50):
+            buffer = yield from tx.get_buffer_wait(source, 64)
+            yield from tx.emit_data(source, buffer, length=64)
+
+    bed.sim.process(producer())
+    bed.sim.run()
+    assert tx_stream.datapath == datapath
+    assert len(delivered) == 50
+    receiver = deployment.runtime(1)
+    assert receiver.stats()["bindings"][datapath]["rx_packets"] == 50
+    exported = {
+        labels["datapath"]: value
+        for family, labels, value in runtime_samples(receiver)
+        if family == "binding_rx_packets_total"
+    }
+    assert exported[datapath] == 50

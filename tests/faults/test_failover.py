@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import EmitOutcome, QosPolicy, Session
+from repro.core.control import FAILOVER_DETECT_NS
 from repro.core.errors import DatapathFailedError
 from repro.core.runtime import InsaneDeployment
 from repro.faults import FaultSchedule
@@ -87,7 +88,7 @@ class TestFailover:
         runtime = r["runtime"]
         event = runtime.health.events[0]
         assert event.failed_at == FAIL_AT
-        assert event.detection_latency_ns == runtime.config.failover_detect_ns
+        assert event.detection_latency_ns == FAILOVER_DETECT_NS
 
     def test_traffic_survives_the_failure(self):
         r = run_pubsub_with_failure()
@@ -186,7 +187,7 @@ class TestSinkRemap:
         # tech.  In-flight frames during the detection window are lost —
         # a receiver-side driver crash drops its queues (best-effort).
         assert sink.endpoint.datapath == "xdp"
-        detect_at = 200_000.0 + sub_runtime.config.failover_detect_ns
+        detect_at = 200_000.0 + FAILOVER_DETECT_NS
         after_remap = [t for t in deliveries if t > detect_at]
         assert len(after_remap) >= 10  # traffic flows again post-remap
         assert len(deliveries) >= 18   # at most the detection window is lost

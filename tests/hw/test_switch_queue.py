@@ -152,7 +152,7 @@ def make_qos_port(ceilings):
 def classed_frame(cls, size=8192):
     frame, recorder = traced_frame(size)
     if cls is not None:
-        frame.packet.meta["qos_class"] = cls
+        frame.packet.meta = {"qos_class": cls}
     return frame, recorder
 
 

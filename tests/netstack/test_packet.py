@@ -1,10 +1,11 @@
-"""Tests for the hot-path packet model, its slotted-metadata shim and
-full wire serialization."""
+"""Tests for the hot-path packet model, its cold-metadata dict, the trace
+drop helper and full wire serialization."""
 
 import pytest
 
+from repro.hw import Testbed
 from repro.netstack import Packet, WIRE_OVERHEAD, wire_bytes
-from repro.netstack.packet import parse_wire_bytes
+from repro.netstack.packet import parse_wire_bytes, trace_drop
 from repro.simnet import Simulator
 
 
@@ -75,62 +76,35 @@ def test_trace_stamping_only_when_enabled():
     assert traced.trace == {"t0": 123}
 
 
-class TestPacketMetaShim:
-    def make(self):
-        return Packet("10.0.0.1", "10.0.0.2", 1, 2, payload=b"x")
+class TestColdMeta:
+    def test_new_packet_has_no_meta(self):
+        packet = make_packet()
+        assert packet.meta is None
+        assert packet.insane is None and packet.flow is None
+        assert packet.tx_buffer is None and packet.rx_buffer is None
 
-    def test_hot_keys_map_to_slots(self):
-        packet = self.make()
-        packet.meta["flow"] = "camera"
-        assert packet.flow == "camera"
-        packet.insane = (1, 2, 3)
-        assert packet.meta["insane"] == (1, 2, 3)
-        assert packet.meta.get("insane") == (1, 2, 3)
+    def test_cold_dict_set_by_sender_is_read_at_receiver(self):
+        bed = Testbed.local(seed=0)
+        src, dst = bed.hosts
+        packet = Packet(src.ip, dst.ip, 4000, 5000, payload_len=64,
+                        seq=next(bed.sim.ids))
+        packet.meta = {"qos_class": 1, "city": (7, 0, False)}
+        src.nic.transmit(packet)
+        bed.sim.run()
+        ok, received = dst.nic.rx_ring.try_get()
+        assert ok
+        assert received.meta == {"qos_class": 1, "city": (7, 0, False)}
 
-    def test_absent_hot_key_behaves_like_missing_dict_key(self):
-        packet = self.make()
-        assert "tx_buffer" not in packet.meta
-        assert packet.meta.get("tx_buffer") is None
-        assert packet.meta.get("tx_buffer", "d") == "d"
-        assert packet.meta.pop("tx_buffer", "d") == "d"
-        with pytest.raises(KeyError):
-            packet.meta["tx_buffer"]
-        with pytest.raises(KeyError):
-            del packet.meta["tx_buffer"]
 
-    def test_pop_hot_key_clears_the_slot(self):
-        packet = self.make()
-        buffer = object()
-        packet.tx_buffer = buffer
-        assert packet.meta.pop("tx_buffer", None) is buffer
-        assert packet.tx_buffer is None
+class _LifecycleRecord(dict):
+    def mark_dropped(self, ns, reason):
+        self.dropped = (ns, reason)
 
-    def test_cold_keys_spill_lazily(self):
-        packet = self.make()
-        assert packet._extra is None  # no dict until a cold key is written
-        packet.meta["arp"] = True
-        assert packet._extra == {"arp": True}
-        assert packet.meta["arp"] is True
-        assert "arp" in packet.meta
-        del packet.meta["arp"]
-        assert "arp" not in packet.meta
 
-    def test_dict_protocol_views(self):
-        packet = self.make()
-        meta = packet.meta
-        assert len(meta) == 0
-        assert not meta
-        meta["flow"] = "f"
-        meta["dds_topic"] = "t"
-        assert sorted(meta.keys()) == ["dds_topic", "flow"]
-        assert sorted(meta.items()) == [("dds_topic", "t"), ("flow", "f")]
-        assert sorted(meta.values()) == ["f", "t"]
-        assert sorted(iter(meta)) == ["dds_topic", "flow"]
-        assert len(meta) == 2
-        assert meta
-
-    def test_setdefault(self):
-        packet = self.make()
-        assert packet.meta.setdefault("flow", "default") == "default"
-        assert packet.flow == "default"
-        assert packet.meta.setdefault("flow", "other") == "default"
+def test_trace_drop_closes_lifecycle_records_only():
+    record = _LifecycleRecord()
+    trace_drop(record, 123, "link loss")
+    assert record.dropped == (123, "link loss")
+    plain = {"emit_ns": 1}
+    trace_drop(plain, 123, "link loss")  # per-packet stamps: nothing to close
+    assert plain == {"emit_ns": 1}
