@@ -27,7 +27,7 @@ def test_batching_does_not_harm_latency(once):
             "insane_fast",
             rounds=300,
             size=64,
-            config=RuntimeConfig(opportunistic_batching=False, tx_burst=1),
+            config=RuntimeConfig(tx_burst=1),
         )
         return batched.mean, unbatched.mean
 

@@ -26,8 +26,8 @@ def main():
             Session(deployment.runtime(1), "consumer") as consumer:
 
         # a stream carries the QoS; INSANE picks the datapath (here: DPDK).
-        # QosPolicy.fast() is shorthand for the validating builder:
-        #   QosPolicy.build().accelerated().done()
+        # QosPolicy.fast() is the preset for the validated options
+        #   QosPolicy.from_kwargs(acceleration="fast")
         policy = QosPolicy.fast()
         out_stream = producer.create_stream(policy, name="quickstart")
         in_stream = consumer.create_stream(policy, name="quickstart")

@@ -168,12 +168,13 @@ def run_ablation_threads(rounds=500, seed=0, quiet=False):
 
 
 def run_ablation_batching(messages=20000, size=1024, seed=0, quiet=False):
-    """A3: INSANE fast throughput with and without opportunistic batching.
-    Returns {mode: gbps}."""
+    """A3: INSANE fast throughput with and without opportunistic batching
+    (disabled means ``tx_burst=1``: every scheduler pass sends one
+    packet).  Returns {mode: gbps}."""
     results = {}
     for mode, config in (
         ("batching", None),
-        ("no-batching", RuntimeConfig(opportunistic_batching=False, tx_burst=1)),
+        ("no-batching", RuntimeConfig(tx_burst=1)),
     ):
         results[mode] = run_throughput(
             "insane_fast", messages=messages, size=size, seed=seed, config=config

@@ -112,16 +112,16 @@ def run_fanout_cmd(args):
     return report.to_dict()
 
 
-def _parse_clients(text):
-    """``--clients`` CSV -> sorted tuple of positive ints, loudly."""
+def _parse_counts(text, command, noun):
+    """A ``--<noun>s`` CSV -> tuple of positive ints, loudly."""
     try:
         counts = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise SystemExit("capacity: --clients must be a comma-separated "
-                         "list of integers, got %r" % (text,))
+        raise SystemExit("%s: --%ss must be a comma-separated list of "
+                         "integers, got %r" % (command, noun, text))
     if not counts or any(count < 1 for count in counts):
-        raise SystemExit("capacity: --clients needs at least one positive "
-                         "client count, got %r" % (text,))
+        raise SystemExit("%s: --%ss needs at least one positive %s count, "
+                         "got %r" % (command, noun, noun, text))
     return counts
 
 
@@ -135,8 +135,8 @@ def run_capacity_cmd(args):
     """
     from repro.loadgen.capacity import format_capacity, run_capacity
 
-    clients = (_parse_clients(args.clients) if args.clients
-               else None)
+    clients = (_parse_counts(args.clients, "capacity", "client")
+               if args.clients else None)
     try:
         report, _ = run_capacity(
             args.datapath or "udp",
@@ -158,19 +158,6 @@ def run_capacity_cmd(args):
     return report.to_dict()
 
 
-def _parse_partitions(text):
-    """``--partitions`` CSV -> sorted tuple of positive ints, loudly."""
-    try:
-        counts = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit("city: --partitions must be a comma-separated "
-                         "list of integers, got %r" % (text,))
-    if not counts or any(count < 1 for count in counts):
-        raise SystemExit("city: --partitions needs at least one positive "
-                         "partition count, got %r" % (text,))
-    return counts
-
-
 def run_city_cmd(args):
     """City-scale generated-topology sweep; see :mod:`repro.bench.city`.
 
@@ -183,7 +170,7 @@ def run_city_cmd(args):
     from repro.bench.city import format_city, run_city_bench
     from repro.core.errors import TopologyError
 
-    partitions = (_parse_partitions(args.partitions)
+    partitions = (_parse_counts(args.partitions, "city", "partition")
                   if args.partitions else (1, 2, 4))
     try:
         report, _sweep, rows = run_city_bench(

@@ -42,7 +42,6 @@ from repro.core.qos import (
     DEFAULT_STRATEGY,
     MappingDecision,
     QosPolicy,
-    QosPolicyBuilder,
     ResourceBudget,
     TimeSensitivity,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "OutstandingWindow",
     "PoolExhaustedError",
     "QosPolicy",
-    "QosPolicyBuilder",
     "QosValidationError",
     "Session",
     "SessionError",

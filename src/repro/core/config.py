@@ -25,8 +25,9 @@ class RuntimeConfig:
     #: polling threads per datapath plugin (paper §8 proposes >1 to relieve
     #: the CPU-bound receive pipeline); only meaningful with "per-datapath"
     threads_per_datapath: int = 1
-    tx_burst: Optional[int] = None           # override profile insane_tx_burst
-    opportunistic_batching: bool = True      # Fig. 8a ablation knob
+    #: override profile insane_tx_burst; 1 disables opportunistic
+    #: batching (the Fig. 8a ablation)
+    tx_burst: Optional[int] = None
     mapping_strategy: Optional[Callable] = None  # custom QoS mapping
     #: scheduler for best-effort traffic: "fifo" (paper default), "drr"
     #: (per-application byte fairness), or "priority"

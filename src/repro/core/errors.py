@@ -1,10 +1,12 @@
 """Exceptions raised by the INSANE middleware.
 
 Every failure surfaced by the public API is a subclass of
-:class:`InsaneError` and carries a paper-style integer code (the values a C
-binding of Fig. 2 would return from ``init_session`` / ``emit_data`` /
-etc.).  Python callers catch the typed exception; bindings and logs use
-``exc.code``.  The full code space lives in :data:`ERROR_CODES`.
+:class:`InsaneError` and carries a paper-style integer code: the value a C
+binding of Fig. 2 would return from the call that
+:class:`~repro.core.session.Session` raises in (``Session(...)`` for
+``init_session``, then ``emit_data`` and the rest by name).  Python
+callers catch the typed exception; bindings and logs use ``exc.code``.
+The full code space lives in :data:`ERROR_CODES`.
 """
 
 #: success code of the paper's C-style API (never raised, by definition).
@@ -55,8 +57,8 @@ class NoDatapathError(InsaneError):
 
 
 class QosValidationError(InsaneError, ValueError):
-    """Raised by the :class:`~repro.core.qos.QosPolicy` builder on
-    contradictory or unknown option combinations.
+    """Raised by :meth:`~repro.core.qos.QosPolicy.from_kwargs` (and
+    ``from_dict``) on contradictory or unknown option combinations.
 
     Also a ``ValueError`` so call sites validating options generically
     keep working.

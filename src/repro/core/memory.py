@@ -210,13 +210,13 @@ class MemoryManager:
     runtime healthy across misbehaving clients.
     """
 
-    def __init__(self, sim, profile, name="memmgr", slots=None, slot_bytes=None):
+    def __init__(self, sim, profile, name="memmgr"):
         self.sim = sim
         self.name = name
         self.pool = SlotPool(
             sim,
-            slots=slots or profile.scalar("pool_slots"),
-            slot_bytes=slot_bytes or profile.scalar("pool_slot_bytes"),
+            slots=profile.scalar("pool_slots"),
+            slot_bytes=profile.scalar("pool_slot_bytes"),
             name=name + ".pool",
         )
         self._attached = {}

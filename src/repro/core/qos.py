@@ -157,12 +157,6 @@ class QosPolicy:
             time_sensitivity=time_sensitivity or TimeSensitivity.BEST_EFFORT,
         )
 
-    @classmethod
-    def build(cls):
-        """A fluent, validating builder: ``QosPolicy.build().accelerated()
-        .constrained().time_sensitive().done()``."""
-        return QosPolicyBuilder(cls)
-
     def to_dict(self):
         """The policy as a JSON-native dict of enum *values*.
 
@@ -232,63 +226,6 @@ def _coerce(enum_cls, value, aliases):
                 sorted({str(k) for k in aliases} | {m.value for m in enum_cls}),
             )
         ) from None
-
-
-class QosPolicyBuilder:
-    """Fluent builder for :class:`QosPolicy`.
-
-    Each setter fixes one option; setting the *same* option to two
-    different values, or assembling a contradictory combination, raises
-    :class:`~repro.core.errors.QosValidationError` at the call that
-    introduces the contradiction (not at :meth:`done`), so the offending
-    line is in the traceback.
-    """
-
-    def __init__(self, policy_cls):
-        self._policy_cls = policy_cls
-        self._options = {}
-
-    def _set(self, key, value):
-        from repro.core.errors import QosValidationError
-
-        current = self._options.get(key)
-        if current is not None and current is not value:
-            raise QosValidationError(
-                "contradictory builder calls: %s already set to %s, "
-                "refusing to override with %s" % (key, current.value, value.value)
-            )
-        self._options[key] = value
-        return self
-
-    def accelerated(self):
-        """Request a kernel-bypassing datapath (the paper's "fast")."""
-        return self._set("acceleration", Acceleration.ACCELERATED)
-
-    def kernel(self):
-        """Request the kernel stack (the paper's "slow")."""
-        return self._set("acceleration", Acceleration.NONE)
-
-    def constrained(self):
-        """Avoid spinning cores (prefer XDP among accelerated paths)."""
-        return self._set("resources", ResourceBudget.CONSTRAINED)
-
-    def unconstrained(self):
-        """Busy-polling cores are acceptable (prefer DPDK/RDMA)."""
-        return self._set("resources", ResourceBudget.UNCONSTRAINED)
-
-    def time_sensitive(self):
-        """Schedule packets through the 802.1Qbv time-aware scheduler."""
-        return self._set("time_sensitivity", TimeSensitivity.TIME_SENSITIVE)
-
-    def best_effort(self):
-        """FIFO packet scheduling (the default)."""
-        return self._set("time_sensitivity", TimeSensitivity.BEST_EFFORT)
-
-    def done(self):
-        """Validate the combination and return the frozen policy."""
-        return self._policy_cls.from_kwargs(**{
-            key: value for key, value in self._options.items()
-        })
 
 
 @dataclass(frozen=True)

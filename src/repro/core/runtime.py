@@ -9,7 +9,6 @@ over shared memory (sessions) and exchange slot-id tokens with it.
 
 from functools import partial
 
-from repro.core.channel import ChannelKey
 from repro.core.config import RuntimeConfig
 from repro.core.control import ControlPlane, HealthMonitor
 from repro.core.errors import NoDatapathError
@@ -34,7 +33,7 @@ from repro.hw import Testbed
 from repro.hw.profiles import PROFILES
 from repro.netstack import FramePolicy, Packet
 from repro.netstack.packet import trace_drop
-from repro.simnet import Counter, Timeout
+from repro.simnet import Counter, Store, Timeout
 
 #: Well-known UDP port space used for runtime-to-runtime traffic,
 #: one port per datapath technology.
@@ -50,16 +49,33 @@ TECH_PREFERENCE = ("rdma", "dpdk", "xdp", "udp")
 
 
 class SinkEndpoint:
-    """Runtime-side state for one registered sink."""
+    """Runtime-side state for one registered sink.
 
-    def __init__(self, runtime, key, app_id, ring, datapath="udp"):
+    ``weight`` is the number of subscribers the endpoint stands for: the
+    rx fan-out charge and the L2 ring-pressure model count it as that
+    many rings, while dispatch still hands it one delivery token.
+    """
+
+    def __init__(self, runtime, key, app_id, ring, datapath="udp", weight=1):
         self.endpoint_id = next(runtime.sim.ids)
         self.runtime = runtime
         self.key = key
         self.app_id = app_id
         self.ring = ring
         self.datapath = datapath
+        self.weight = weight
         self.dropped = Counter("sink%d.dropped" % self.endpoint_id)
+
+
+class SinkGroup(list):
+    """The endpoints registered on one channel key, with their summed
+    weight: the sink count ``rx_pass`` charges fan-out for."""
+
+    __slots__ = ("weight",)
+
+    def __init__(self):
+        super().__init__()
+        self.weight = 0
 
 
 class DatapathBinding:
@@ -82,7 +98,6 @@ class DatapathBinding:
         scalars = self.profile.scalars
         self.tx_burst = config.tx_burst or int(scalars["insane_tx_burst"])
         self.rx_burst = int(scalars["dpdk_rx_burst"])
-        self.batching = config.opportunistic_batching
         self.fanout_ns = scalars["insane_fanout_per_sink_ns"]
         self.l2_budget = scalars["insane_l2_ring_budget"]
         self.l2_penalty_ns = scalars["insane_l2_penalty_ns"]
@@ -311,9 +326,8 @@ class DatapathBinding:
             yield Timeout(jitter(base * burst))
             for token in tokens:
                 route(token)
-        max_batch = self.tx_burst if self.batching else 1
         while True:
-            ready = self._pop_ready(self.sim.now, max_batch)
+            ready = self._pop_ready(self.sim.now, self.tx_burst)
             if not ready:
                 break
             progressed = True
@@ -470,11 +484,6 @@ class DatapathBinding:
         cache = self._rx_cost_cache
         sinks_get = self.runtime._sinks.get
         l2_excess = self.runtime.sink_ring_count > self.l2_budget
-        # fluid-tier weighting: an aggregate endpoint stands for many cold
-        # subscribers, so the fan-out charge uses the *effective* sink
-        # count (len + modelled extras).  The dict is empty unless a fluid
-        # aggregate is registered — the packet-accurate path is untouched.
-        fluid_weights = self.runtime._fluid_weights
         per_packet_sinks = []
         for packet in batch:
             # pure function of (payload_len, burst): memoized, same value
@@ -490,11 +499,9 @@ class DatapathBinding:
             if meta is not None:
                 sinks = sinks_get((meta[0], meta[1]))
                 if sinks is not None:
-                    effective = len(sinks)
-                    if fluid_weights:
-                        effective += fluid_weights.get((meta[0], meta[1]), 0)
-                    if effective > 1 or l2_excess:
-                        cost += self._fanout_cost(effective)
+                    weight = sinks.weight
+                    if weight > 1 or l2_excess:
+                        cost += self._fanout_cost(weight)
             per_packet_sinks.append(sinks)
         yield Timeout(self.host.jitter(cost))
         dispatch = self._dispatch
@@ -583,13 +590,9 @@ class InsaneRuntime:
         self.bindings = {}
         self.threads = []
         self._shared_thread = None
-        self._sinks = {}           # ChannelKey -> [SinkEndpoint]
+        self._sinks = {}           # ChannelKey -> SinkGroup
+        #: summed weight of every registered sink endpoint
         self.sink_ring_count = 0
-        #: ChannelKey -> extra effective sink count contributed by fluid
-        #: aggregates (weight - 1 each); empty unless the fluid tier is in
-        #: use, and rx_pass charges fan-out as if the modelled subscribers
-        #: were individually registered (L2 pressure model included)
-        self._fluid_weights = {}
         self.warnings = []
         self._outcomes = {}
         self._sessions = {}
@@ -802,86 +805,52 @@ class InsaneRuntime:
 
     # -- sink registry ------------------------------------------------------------
 
-    def register_sink(self, key, app_id, datapath="udp"):
-        from repro.simnet import Store  # local import to avoid cycle noise
+    def register_sink(self, key, app_id, datapath="udp", ring=None,
+                      weight=1):
+        """Register a sink endpoint for ``app_id`` on channel ``key``.
 
-        ring = Store(
-            self.sim,
-            capacity=self.ipc_ring_slots,
-            name="%s.sinkring%d" % (self.host.name, self.sink_ring_count),
-        )
-        endpoint = SinkEndpoint(self, key, app_id, ring, datapath=datapath)
-        self._sinks.setdefault(key, []).append(endpoint)
-        self.sink_ring_count += 1
-        self.control.subscribe(key, self, datapath=datapath)
-        return endpoint
-
-    def register_sink_key(self, stream, channel, app_id, datapath="udp"):
-        return self.register_sink(ChannelKey(stream, channel), app_id, datapath=datapath)
-
-    # -- fluid aggregate endpoints (repro.fluid) --------------------------------
-
-    def register_fluid_sink(self, key, absorber, weight, app_id,
-                            datapath="udp"):
-        """Register a fluid aggregate as one weighted sink endpoint.
-
-        ``absorber`` is a ring-duck (``try_put(delivery)`` absorbs the
-        token and returns True) standing for ``weight`` cold subscribers.
-        The runtime subscribes it on the control plane like any sink, and
-        accounts the modelled population in :attr:`sink_ring_count` (so
-        the L2 ring-pressure model sees the same state as a full-DES run
-        with ``weight`` registered rings) and in the per-channel fan-out
-        weight used by ``rx_pass``.
+        Deliveries land in ``ring``: a fresh shared-memory ring by
+        default, or any object whose ``try_put(delivery)`` takes the
+        token.  ``weight`` is the number of subscribers the endpoint
+        stands for (see :class:`SinkEndpoint`).  The control plane
+        subscribes it on ``datapath``.
         """
         if weight < 1:
-            raise ValueError("fluid sink weight must be >= 1, got %r"
-                             % (weight,))
-        self.memory.attach(app_id)
-        endpoint = SinkEndpoint(self, key, app_id, absorber,
-                                datapath=datapath)
-        self._sinks.setdefault(key, []).append(endpoint)
+            raise ValueError("sink weight must be >= 1, got %r" % (weight,))
+        if ring is None:
+            ring = Store(
+                self.sim,
+                capacity=self.ipc_ring_slots,
+                name="%s.sinkring%d" % (self.host.name, self.sink_ring_count),
+            )
+        endpoint = SinkEndpoint(self, key, app_id, ring, datapath=datapath,
+                                weight=weight)
+        group = self._sinks.setdefault(key, SinkGroup())
+        group.append(endpoint)
+        group.weight += weight
         self.sink_ring_count += weight
-        self._fluid_weights[key] = (
-            self._fluid_weights.get(key, 0) + (weight - 1)
-        )
         self.control.subscribe(key, self, datapath=datapath)
         return endpoint
 
-    def set_fluid_weight(self, endpoint, old_weight, new_weight):
-        """Re-weight a fluid endpoint (promotion/demotion moves
-        subscribers between the fluid aggregate and real DES sinks)."""
-        if new_weight < 1:
-            raise ValueError("fluid sink weight must be >= 1, got %r"
-                             % (new_weight,))
-        delta = new_weight - old_weight
+    def set_sink_weight(self, endpoint, weight):
+        """Re-weight a registered endpoint, at once: a caller that moves
+        subscribers between it and plain sinks in the same callback keeps
+        the fan-out charge exact."""
+        if weight < 1:
+            raise ValueError("sink weight must be >= 1, got %r" % (weight,))
+        delta = weight - endpoint.weight
+        endpoint.weight = weight
+        self._sinks[endpoint.key].weight += delta
         self.sink_ring_count += delta
-        self._fluid_weights[endpoint.key] = (
-            self._fluid_weights.get(endpoint.key, 0) + delta
-        )
-
-    def unregister_fluid_sink(self, endpoint, weight):
-        """Remove a fluid endpoint registered with ``weight``."""
-        endpoints = self._sinks.get(endpoint.key)
-        if endpoints and endpoint in endpoints:
-            endpoints.remove(endpoint)
-            self.sink_ring_count -= weight
-            extra = self._fluid_weights.get(endpoint.key, 0) - (weight - 1)
-            if extra:
-                self._fluid_weights[endpoint.key] = extra
-            else:
-                self._fluid_weights.pop(endpoint.key, None)
-            self.control.unsubscribe(endpoint.key, self,
-                                     datapath=endpoint.datapath)
-            if not endpoints:
-                self._sinks.pop(endpoint.key, None)
 
     def unregister_sink(self, endpoint):
-        endpoints = self._sinks.get(endpoint.key)
-        if endpoints and endpoint in endpoints:
-            endpoints.remove(endpoint)
-            self.sink_ring_count -= 1
+        group = self._sinks.get(endpoint.key)
+        if group and endpoint in group:
+            group.remove(endpoint)
+            group.weight -= endpoint.weight
+            self.sink_ring_count -= endpoint.weight
             self.control.unsubscribe(endpoint.key, self, datapath=endpoint.datapath)
-            if not endpoints:
+            if not group:
                 self._sinks.pop(endpoint.key, None)
 
     def deliver_to_sink(self, endpoint, token, buffer):
@@ -1008,13 +977,11 @@ class InsaneDeployment:
     like all close/shutdown calls in this API).
     """
 
-    def __init__(self, testbed, config=None, host_indices=None):
+    def __init__(self, testbed, config=None):
         self.testbed = testbed
         self.control = ControlPlane()
         self.runtimes = {}
-        indices = host_indices if host_indices is not None else range(len(testbed.hosts))
-        for index in indices:
-            host = testbed.hosts[index]
+        for host in testbed.hosts:
             self.runtimes[host.name] = InsaneRuntime(host, self.control, config)
 
     def runtime(self, index):

@@ -33,7 +33,7 @@ calls remain valid)::
             ...
 """
 
-from repro.core.channel import Delivery, Sink, Source, Stream
+from repro.core.channel import ChannelKey, Delivery, Sink, Source, Stream
 from repro.core.errors import (
     DatapathFailedError,
     PoolExhaustedError,
@@ -117,8 +117,9 @@ class Session:
         from repro.core.security import RIGHT_SUBSCRIBE
 
         self._authorize(stream.name, RIGHT_SUBSCRIBE)
-        endpoint = self.runtime.register_sink_key(
-            stream.name, channel, self.app_id, datapath=stream.binding.name
+        endpoint = self.runtime.register_sink(
+            ChannelKey(stream.name, channel), self.app_id,
+            datapath=stream.binding.name,
         )
         sink = Sink(self, stream, channel, endpoint, callback=callback)
         stream.sinks.append(sink)
@@ -345,14 +346,8 @@ class Session:
 
     def _callback_loop(self, sink):
         while not sink.closed and not self.closed:
-            token = yield Get(sink.ring)
-            yield sink.stream.binding.ipc_half_cost()
-            sink.received.value += 1
-            if self.runtime.tracer is not None:
-                self._finish_trace(token, sink)
-            delivery = self._delivery_from(token)
-            keep = sink.callback(delivery)
-            if keep is not True:
+            delivery = yield from self.consume_data(sink)
+            if sink.callback(delivery) is not True:
                 self.release_buffer(sink, delivery)
 
     def _check_open(self):

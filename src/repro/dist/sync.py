@@ -243,24 +243,36 @@ class PartitionRunner:
         }
 
 
+def _step(runner, recv_nowait, send):
+    """One CMB step for both transports: drain every in-channel, flush,
+    then finish or advance.  Returns whether anything happened; with no
+    progress the partition can only wait on a peer's announcement."""
+    progressed = False
+    for peer in runner.peers:
+        while True:
+            message = recv_nowait(peer)
+            if message is None:
+                break
+            runner.receive(peer, message)
+            progressed = True
+    if runner.flush(send):
+        progressed = True
+    if runner.finished():
+        runner.done = True
+        return True
+    if runner.can_advance():
+        runner.advance()
+        return True
+    return progressed
+
+
 def _drive(runner, recv_nowait, recv_block, send):
-    """The shared CMB loop: drain, flush, then advance or block."""
-    while True:
-        for peer in runner.peers:
-            while True:
-                message = recv_nowait(peer)
-                if message is None:
-                    break
-                runner.receive(peer, message)
-        runner.flush(send)
-        if runner.finished():
-            runner.done = True
-            return
-        if runner.can_advance():
-            runner.advance()
-            continue
-        peer = runner.blocking_peer()
-        runner.receive(peer, recv_block(peer))
+    """The process worker's loop: step, and block on the gating peer's
+    channel whenever a step makes no progress."""
+    while not runner.done:
+        if not _step(runner, recv_nowait, send):
+            peer = runner.blocking_peer()
+            runner.receive(peer, recv_block(peer))
 
 
 # -- process transport -----------------------------------------------------
@@ -396,26 +408,22 @@ def _run_inline(spec, assignment):
         for dst in runners
         if src is not dst
     }
+
+    def ends(index):
+        def recv_nowait(peer):
+            channel = channels[(peer, index)]
+            return channel.popleft() if channel else None
+
+        def send(peer, message):
+            channels[(index, peer)].append(message)
+
+        return recv_nowait, send
+
+    transports = [ends(runner.index) for runner in runners]
     while not all(runner.done for runner in runners):
         progressed = False
-        for runner in runners:
-            if runner.done:
-                continue
-            for peer in runner.peers:
-                channel = channels[(peer, runner.index)]
-                while channel:
-                    runner.receive(peer, channel.popleft())
-                    progressed = True
-            if runner.flush(
-                lambda peer, message, index=runner.index:
-                    channels[(index, peer)].append(message)
-            ):
-                progressed = True
-            if runner.finished():
-                runner.done = True
-                progressed = True
-            elif runner.can_advance():
-                runner.advance()
+        for runner, (recv_nowait, send) in zip(runners, transports):
+            if not runner.done and _step(runner, recv_nowait, send):
                 progressed = True
         if not progressed:
             state = "; ".join(

@@ -12,11 +12,13 @@ Two operating modes:
 
 ``piggyback``
     Some sinks on the host are packet-accurate (hot), so every message
-    already crosses the wire once.  The aggregate registers a *weighted*
-    sink endpoint (``InsaneRuntime.register_fluid_sink``): the dispatch
-    loop hands it each delivery token exactly once, the rx-pass charges
-    the fan-out cost of the full modelled population, and the L2
-    ring-pressure model sees ``weight`` rings.  The absorber records the
+    already crosses the wire once.  The aggregate attaches its own app
+    id and registers one sink endpoint of weight ``subscribers`` with
+    the absorber as its ring (``InsaneRuntime.register_sink``): the
+    dispatch loop hands it each delivery token exactly once, the rx-pass
+    charges the fan-out cost of the full modelled population, and the L2
+    ring-pressure model sees ``weight`` rings; :meth:`close` unregisters
+    the endpoint and detaches the app id.  The absorber records the
     dispatch instant and the analytic (jitter-free) IPC pickup, so the
     cold latency estimate differs from a hot sink's sample only by the
     per-sink jitter draw.  Delivered counts are *exact*: the endpoint
@@ -113,9 +115,11 @@ class FluidAggregate:
         self.handle = self.sim.schedule_periodic(drain_interval_ns,
                                                  self._drain)
         if mode == MODE_PIGGYBACK:
+            runtime.memory.attach(name)
             self.absorber = FluidAbsorber(self, name, runtime.memory)
-            self.endpoint = runtime.register_fluid_sink(
-                key, self.absorber, subscribers, name, datapath=datapath)
+            self.endpoint = runtime.register_sink(
+                key, name, datapath=datapath, ring=self.absorber,
+                weight=subscribers)
 
     # -- arrivals ----------------------------------------------------------
 
@@ -219,8 +223,7 @@ class FluidAggregate:
             raise ValueError("a fluid aggregate models >= 1 subscriber, "
                              "got %r" % (count,))
         if self.endpoint is not None:
-            self.runtime.set_fluid_weight(self.endpoint, self.subscribers,
-                                          count)
+            self.runtime.set_sink_weight(self.endpoint, count)
         self.subscribers = count
 
     # -- lifecycle ---------------------------------------------------------
@@ -249,8 +252,8 @@ class FluidAggregate:
         self.closed = True
         self.handle.cancel()
         if self.endpoint is not None:
-            self.runtime.unregister_fluid_sink(self.endpoint,
-                                               self.subscribers)
+            self.runtime.unregister_sink(self.endpoint)
+            self.runtime.memory.detach(self.endpoint.app_id)
             self.endpoint = None
 
     def stats(self):

@@ -28,10 +28,7 @@ import sys
 
 
 def _cmd_differential(args):
-    from repro.validate.parallel import (
-        differential_report,
-        parallel_differential,
-    )
+    from repro.validate.parallel import parallel_differential, sweep_report
 
     checked, diverged, sweep = parallel_differential(
         seed=args.seed, n=args.n, workers=args.workers,
@@ -47,7 +44,8 @@ def _cmd_differential(args):
     if args.json:
         from repro.report import write_reports
 
-        write_reports(args.json, [differential_report(sweep)])
+        write_reports(args.json,
+                      [sweep_report("validate.differential", sweep)])
     return 1 if diverged else 0
 
 
@@ -74,8 +72,8 @@ def _cmd_properties(args):
 def _cmd_fuzz(args):
     from repro.validate.parallel import (
         format_fuzz_failure,
-        fuzz_report,
         parallel_fuzz,
+        sweep_report,
     )
 
     checked, failures, sweep = parallel_fuzz(
@@ -92,7 +90,7 @@ def _cmd_fuzz(args):
     if args.json:
         from repro.report import write_reports
 
-        write_reports(args.json, [fuzz_report(sweep)])
+        write_reports(args.json, [sweep_report("validate.fuzz", sweep)])
     return 1 if failures else 0
 
 

@@ -146,8 +146,16 @@ def parallel_differential(seed=0, n=50, workers=1, perturb=None, cache=None,
 
 # -- sweep -> RunReport folds -------------------------------------------------
 
-def fuzz_report(sweep):
-    """Fold a fuzz sweep into a ``validate.fuzz`` RunReport.
+#: report kind -> (the payload flag marking a bad cell, the data key
+#: listing the bad cells' seeds)
+_SWEEP_VERDICTS = {
+    "validate.fuzz": ("violations", "failed_seeds"),
+    "validate.differential": ("diverged", "diverged_seeds"),
+}
+
+
+def sweep_report(kind, sweep):
+    """Fold a fuzz or differential sweep into a ``kind`` RunReport.
 
     ``data`` (digest-compared) carries the verdict and the executor's
     merged digest; worker count and cache hits are provenance and live in
@@ -155,35 +163,16 @@ def fuzz_report(sweep):
     """
     from repro.report import RunReport
 
+    flag, seeds_key = _SWEEP_VERDICTS[kind]
     payloads = [result.payload for result in sweep.results]
-    failed = sorted(p["seed"] for p in payloads if p["violations"])
+    bad = sorted(p["seed"] for p in payloads if p[flag])
     return RunReport(
-        kind="validate.fuzz",
+        kind=kind,
         data={
             "checked": len(payloads),
-            "failed_seeds": failed,
+            seeds_key: bad,
             "merged_digest": sweep.merged_digest(),
-            "ok": not failed,
-        },
-        meta={"workers": sweep.workers, "executed": sweep.executed,
-              "cache_hits": sweep.cache_hits},
-    )
-
-
-def differential_report(sweep):
-    """Fold a differential-oracle sweep into a ``validate.differential``
-    RunReport (same data/meta split as :func:`fuzz_report`)."""
-    from repro.report import RunReport
-
-    payloads = [result.payload for result in sweep.results]
-    diverged = sorted(p["seed"] for p in payloads if p["diverged"])
-    return RunReport(
-        kind="validate.differential",
-        data={
-            "checked": len(payloads),
-            "diverged_seeds": diverged,
-            "merged_digest": sweep.merged_digest(),
-            "ok": not diverged,
+            "ok": not bad,
         },
         meta={"workers": sweep.workers, "executed": sweep.executed,
               "cache_hits": sweep.cache_hits},

@@ -1,8 +1,8 @@
-"""Tests for the Fig. 2 functional API wrappers."""
+"""The Fig. 2 primitives, each called on :class:`Session` by its paper name."""
 
-from repro.core import api
 from repro.core.qos import QosPolicy
 from repro.core.runtime import InsaneDeployment
+from repro.core.session import Session
 from repro.hw import Testbed
 
 
@@ -12,29 +12,29 @@ def test_full_fig2_vocabulary_round_trip():
     sim = testbed.sim
     deployment = InsaneDeployment(testbed)
 
-    tx_session = api.init_session(deployment.runtime(0), "fig2-tx")
-    rx_session = api.init_session(deployment.runtime(1), "fig2-rx")
-    tx_stream = api.create_stream(tx_session, QosPolicy.fast(), name="fig2")
-    rx_stream = api.create_stream(rx_session, QosPolicy.fast(), name="fig2")
-    source = api.create_source(tx_session, tx_stream, channel=4)
-    sink = api.create_sink(rx_session, rx_stream, channel=4)
+    tx_session = Session(deployment.runtime(0), "fig2-tx")
+    rx_session = Session(deployment.runtime(1), "fig2-rx")
+    tx_stream = tx_session.create_stream(QosPolicy.fast(), name="fig2")
+    rx_stream = rx_session.create_stream(QosPolicy.fast(), name="fig2")
+    source = tx_session.create_source(tx_stream, channel=4)
+    sink = rx_session.create_sink(rx_stream, channel=4)
     outcome = {}
     received = []
 
     def producer():
-        buffer = api.get_buffer(tx_session, source, 16)
+        buffer = tx_session.get_buffer(source, 16)
         buffer.write(b"fig2 round trip!")
-        emit_id = yield from api.emit_data(tx_session, source, buffer)
+        emit_id = yield from tx_session.emit_data(source, buffer)
         from repro.simnet import Timeout
 
         yield Timeout(20_000)
-        outcome["status"] = api.check_emit_outcome(tx_session, source, emit_id)
+        outcome["status"] = tx_session.check_emit_outcome(source, emit_id)
 
     def consumer():
-        delivery = yield from api.consume_data(rx_session, sink)
+        delivery = yield from rx_session.consume_data(sink)
         received.append(bytes(delivery.payload()))
-        assert not api.data_available(rx_session, sink)
-        api.release_buffer(rx_session, sink, delivery)
+        assert not rx_session.data_available(sink)
+        rx_session.release_buffer(sink, delivery)
 
     sim.process(producer())
     sim.process(consumer())
@@ -43,29 +43,30 @@ def test_full_fig2_vocabulary_round_trip():
     assert received == [b"fig2 round trip!"]
     assert outcome["status"] == "sent"
 
-    api.close_source(tx_session, source)
-    api.close_sink(rx_session, sink)
-    api.close_stream(tx_session, tx_stream)
-    api.close_stream(rx_session, rx_stream)
-    assert api.close_session(tx_session) == 0
-    assert api.close_session(rx_session) == 0
+    tx_session.close_source(source)
+    rx_session.close_sink(sink)
+    tx_session.close_stream(tx_stream)
+    rx_session.close_stream(rx_stream)
+    assert tx_session.close() == 0
+    assert rx_session.close() == 0
 
 
 def test_callback_sink_via_api():
     testbed = Testbed.local(seed=22)
     sim = testbed.sim
     deployment = InsaneDeployment(testbed)
-    tx_session = api.init_session(deployment.runtime(0))
-    rx_session = api.init_session(deployment.runtime(1))
-    tx_stream = api.create_stream(tx_session, QosPolicy.slow(), name="cbapi")
-    rx_stream = api.create_stream(rx_session, QosPolicy.slow(), name="cbapi")
-    source = api.create_source(tx_session, tx_stream, channel=1)
+    tx_session = Session(deployment.runtime(0))
+    rx_session = Session(deployment.runtime(1))
+    tx_stream = tx_session.create_stream(QosPolicy.slow(), name="cbapi")
+    rx_stream = rx_session.create_stream(QosPolicy.slow(), name="cbapi")
+    source = tx_session.create_source(tx_stream, channel=1)
     got = []
-    api.create_sink(rx_session, rx_stream, channel=1, data_cb=lambda d: got.append(d.length))
+    rx_session.create_sink(rx_stream, channel=1,
+                           callback=lambda d: got.append(d.length))
 
     def producer():
-        buffer = api.get_buffer(tx_session, source, 32)
-        yield from api.emit_data(tx_session, source, buffer, length=32)
+        buffer = tx_session.get_buffer(source, 32)
+        yield from tx_session.emit_data(source, buffer, length=32)
 
     sim.process(producer())
     sim.run()
@@ -76,13 +77,13 @@ def test_nonblocking_consume_returns_none():
     testbed = Testbed.local(seed=23)
     sim = testbed.sim
     deployment = InsaneDeployment(testbed)
-    session = api.init_session(deployment.runtime(0))
-    stream = api.create_stream(session, QosPolicy.slow(), name="nb")
-    sink = api.create_sink(session, stream, channel=1)
+    session = Session(deployment.runtime(0))
+    stream = session.create_stream(QosPolicy.slow(), name="nb")
+    sink = session.create_sink(stream, channel=1)
     results = []
 
     def poller():
-        value = yield from api.consume_data(session, sink, blocking=False)
+        value = yield from session.consume_data(sink, blocking=False)
         results.append(value)
 
     sim.process(poller())

@@ -18,7 +18,6 @@ from repro.core import (
     SessionError,
     TransferError,
     UtcpError,
-    api,
 )
 from repro.core.qos import Acceleration, ResourceBudget, TimeSensitivity
 from repro.core.runtime import InsaneDeployment, InsaneRuntime
@@ -109,22 +108,6 @@ class TestQosConstruction:
     def test_invalid_value_raises_typed(self):
         with pytest.raises(QosValidationError):
             QosPolicy.from_kwargs(acceleration="warp")
-
-    def test_builder_fluent_chain(self):
-        policy = QosPolicy.build().accelerated().constrained().time_sensitive().done()
-        assert policy.acceleration is Acceleration.ACCELERATED
-        assert policy.resources is ResourceBudget.CONSTRAINED
-        assert policy.time_sensitivity is TimeSensitivity.TIME_SENSITIVE
-
-    def test_builder_contradiction_raises_at_the_call(self):
-        builder = QosPolicy.build().accelerated()
-        with pytest.raises(QosValidationError):
-            builder.kernel()
-
-    def test_api_make_options(self):
-        assert api.make_options(acceleration="fast") == QosPolicy.fast()
-        with pytest.raises(QosValidationError):
-            api.make_options(nope=1)
 
 
 class TestErrorSurface:

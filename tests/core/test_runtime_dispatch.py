@@ -129,6 +129,69 @@ class TestFanoutAccounting:
         assert binding._fanout_cost(3) > binding._fanout_cost(1)
 
 
+class TestWeightedSinks:
+    """A weight-N endpoint costs what N plain sinks cost, at every step."""
+
+    KEY = ChannelKey("wt", 1)
+
+    @staticmethod
+    def twin():
+        testbed, deployment = make()
+        tx = Session(deployment.runtime(0), "tx")
+        stream = tx.create_stream(QosPolicy.fast(), name="wt")
+        source = tx.create_source(stream, channel=1)
+        runtime = deployment.runtime(1)
+        Session(runtime, "rx").create_stream(QosPolicy.fast(), name="wt")
+        return testbed.sim, tx, source, runtime
+
+    @staticmethod
+    def recv_ns(sim, tx, source, ring):
+        """Send one message; the instant dispatch handed it to ``ring``,
+        which is after the rx pass's fan-out charge."""
+
+        def producer():
+            buffer = tx.get_buffer(source, 64)
+            yield from tx.emit_data(source, buffer, length=64)
+
+        sim.process(producer())
+        sim.run()
+        ok, token = ring.try_get()
+        assert ok
+        return token.meta["recv_ns"]
+
+    def test_weighted_endpoint_charges_like_plain_sinks(self):
+        weighted, plain = self.twin(), self.twin()
+        wrt, prt = weighted[3], plain[3]
+        budget = wrt.bindings["dpdk"].l2_budget
+        assert 4 <= budget < 10  # re-weighting crosses the L2 ring budget
+        endpoint = wrt.register_sink(self.KEY, "rx", datapath="dpdk", weight=4)
+        sinks = [prt.register_sink(self.KEY, "rx", datapath="dpdk")
+                 for _ in range(4)]
+        for weight in (4, 10):
+            wrt.set_sink_weight(endpoint, weight)
+            sinks += [prt.register_sink(self.KEY, "rx", datapath="dpdk")
+                      for _ in range(weight - len(sinks))]
+            assert wrt.sink_ring_count == prt.sink_ring_count == weight
+            assert (self.recv_ns(*weighted[:3], endpoint.ring)
+                    == self.recv_ns(*plain[:3], sinks[0].ring))
+        wrt.unregister_sink(endpoint)
+        for sink in sinks:
+            prt.unregister_sink(sink)
+        for runtime in (wrt, prt):
+            assert runtime.sink_ring_count == 0
+            assert self.KEY not in runtime._sinks
+            assert not runtime.control.has_subscribers(self.KEY)
+
+    def test_weight_below_one_rejected(self):
+        _sim, _tx, _source, runtime = self.twin()
+        with pytest.raises(ValueError):
+            runtime.register_sink(self.KEY, "rx", datapath="dpdk", weight=0)
+        endpoint = runtime.register_sink(self.KEY, "rx", datapath="dpdk")
+        with pytest.raises(ValueError):
+            runtime.set_sink_weight(endpoint, 0)
+        assert runtime.sink_ring_count == 1
+
+
 class TestControlPlane:
     def test_runtime_registration_conflicts(self):
         testbed, deployment = make()
