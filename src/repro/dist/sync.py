@@ -494,6 +494,7 @@ def run_city_serial(topology):
         "partitions": 1,
         "transport": "serial",
         "events": sim._executed,
+        "scheduled": sim.stats()["scheduled"],
         "now": sim.now,
         "per_partition": [],
     }

@@ -29,11 +29,12 @@ distinct (no ties to arbitrate) across the whole city.
 
 import hashlib
 import json
+import math
 import random
 
 from repro.hw.host import Host
 from repro.hw.link import Link
-from repro.hw.nic import Nic
+from repro.hw.nic import Frame, Nic
 from repro.hw.switch import Switch, SwitchPort
 from repro.netstack import Packet
 
@@ -117,8 +118,9 @@ def normalize_city_spec(spec):
                 "access_propagation_ns", "tor_forward_ns", "core_forward_ns",
                 "trunk_queue_ns", "service_ns"):
         value = out[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _topology_error("%s must be a number, got %r"
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise _topology_error("%s must be a finite number, got %r"
                                   % (key, value))
         out[key] = float(value)
     if out["hosts"] < 4:
@@ -147,6 +149,9 @@ def normalize_city_spec(spec):
         )
     if out["trunk_queue_ns"] <= 0:
         raise _topology_error("trunk_queue_ns must be > 0")
+    for key in ("tor_forward_ns", "core_forward_ns", "service_ns"):
+        if out[key] < 0:
+            raise _topology_error("%s must be >= 0, got %r" % (key, out[key]))
     if out["datapath"] not in DATAPATH_STAGES:
         raise _topology_error(
             "unknown datapath %r (choose from %s)"
@@ -283,29 +288,30 @@ class TrunkCable:
     """The uplink side of a trunk: deliver locally or export the frame.
 
     Replaces the uplink port's view of the trunk link.  A frame bound for
-    an owned region is scheduled onto the local core exactly as a
-    :class:`~repro.hw.link.Link` would (event at ``now +
-    propagation_ns``); a frame bound for a remote region becomes a
-    boundary record at that same instant for :mod:`repro.dist.sync` to
-    ship.  The serial build uses this class too, with every region owned,
-    so the serial and partitioned event graphs share one code path.
+    an owned region reaches the local core exactly as over a
+    :class:`~repro.hw.link.Link` (arrival at ``now + propagation_ns``,
+    the core's forwarding fused into this carry); a frame bound for a
+    remote region becomes a boundary record at that same instant for
+    :mod:`repro.dist.sync` to ship.  The serial build uses this class
+    too, with every region owned, so the serial and partitioned event
+    graphs share one code path.
     """
 
-    def __init__(self, net, src_region):
+    def __init__(self, net, core_port):
         self.net = net
-        self.src_region = src_region
+        self.core_port = core_port
         self.propagation_ns = float(net.spec["trunk_propagation_ns"])
 
     def carry(self, frame, sender):
         net = self.net
+        sim = net.sim
         dst_region = net.region_of_ip(frame.dst_ip)
-        if dst_region in net.owned_regions:
-            net.sim.schedule(self.propagation_ns, net._trunk_arrive,
-                             frame, self.src_region)
-            return
         # same float expression schedule() computes for the heap instant
-        arrival = net.sim.now + self.propagation_ns
-        net.export_boundary(dst_region, arrival, frame)
+        arrival = sim.now + self.propagation_ns
+        if dst_region not in net.owned_regions:
+            net.export_boundary(dst_region, arrival, frame)
+        elif not self.core_port.arrive(frame, arrival):
+            sim.schedule(self.propagation_ns, self.core_port.receive, frame)
 
 
 class CityNetwork:
@@ -386,7 +392,7 @@ class CityNetwork:
             # regions can be cut away (set *after* Link wires egress)
             self.links.append(Link(sim, core_port, uplink,
                                    self.spec["trunk_propagation_ns"]))
-            uplink.egress = TrunkCable(self, r)
+            uplink.egress = TrunkCable(self, core_port)
             for ip in all_ips:
                 if self._region_by_ip[ip] != r:
                     tor.bind(ip, uplink)
@@ -483,16 +489,13 @@ class CityNetwork:
 
     def inject_boundary(self, arrival, flow_id, k, is_reply):
         """Re-materialize a boundary frame arriving at the core at
-        ``arrival`` (the bit-identical serial instant)."""
-        from repro.hw.nic import Frame
-
+        ``arrival`` (the bit-identical serial instant); the core's
+        forwarding is fused into the injection like a trunk carry."""
         flow = self.plan["flows"][flow_id]
-        packet = self._make_packet(flow, k, is_reply)
-        self.sim.schedule_abs(arrival, self.core.forward, Frame(packet),
-                              self._inject_port)
-
-    def _trunk_arrive(self, frame, src_region):
-        self.core.forward(frame, self.core_ports[src_region])
+        frame = Frame(self._make_packet(flow, k, is_reply))
+        port = self._inject_port
+        if not port.arrive(frame, arrival):
+            self.sim.schedule_abs(arrival, port.receive, frame)
 
     # -- records -----------------------------------------------------------
 

@@ -32,11 +32,13 @@ class Link:
         self.taps = []
         end_a.egress = self
         end_b.egress = self
-        # Fast-engine hop fusion (DESIGN.md §11): propagation and the
-        # receiving NIC's rx-DMA hop execute as one scheduled event with
-        # counter parity — the ring mutation lands on the bit-identical
-        # instant via schedule_abs.  The legacy engine, which has no
-        # schedule_abs, keeps the two-event wire path.
+        # Fast-engine hop fusion (DESIGN.md §11): the receiving end's
+        # arrival hop runs at carry time with counter parity — a NIC's
+        # rx DMA lands the frame in its ring, a switch routes it to its
+        # output port, each on the bit-identical instant via
+        # schedule_abs — unless the receiver's ``arrive`` declines.  The
+        # legacy engine, which has no schedule_abs, keeps the two-event
+        # wire path.
         self._fuse = getattr(sim, "_lane", None) is not None
 
     def carry(self, frame, sender):
@@ -52,9 +54,7 @@ class Link:
         )
         for tap in self.taps:
             tap.record(frame, self.sim.now, dropped=dropped)
-        # frames wrap packets on NIC links; switch tests may carry bare
-        # packets, so fall back to the frame itself
-        trace = getattr(getattr(frame, "packet", frame), "trace", None)
+        trace = frame.packet.trace
         if trace is not None:
             # first hop only: re-stamping on the switch-to-NIC hop would
             # rewrite the value in its original insertion position and
@@ -67,14 +67,10 @@ class Link:
             self.lost_frames.value += 1
             return
         sim = self.sim
-        if self._fuse and sim.observer is None:
-            rx_dma = getattr(receiver, "_rx_dma_ns", None)
-            if rx_dma is not None:
-                # exact two-step instant: fl(fl(now + prop) + dma)
-                arrival = sim.now + self.propagation_ns
-                sim.schedule_abs(arrival + rx_dma, receiver._place_in_ring, frame)
-                sim._executed += 1  # parity with the elided receive hop
-                return
+        # the arrival instant is the float schedule() would compute
+        if self._fuse and receiver.arrive(frame,
+                                          sim.now + self.propagation_ns):
+            return
         sim.schedule(self.propagation_ns, receiver.receive, frame)
 
     def account_fluid(self, frames):

@@ -13,16 +13,13 @@ from repro.simnet import Counter, Store
 class Frame:
     """A packet in flight between NICs, with link-layer bookkeeping."""
 
-    __slots__ = ("packet", "src_ip", "dst_ip")
+    __slots__ = ("packet", "src_ip", "dst_ip", "wire_size")
 
     def __init__(self, packet):
         self.packet = packet
         self.src_ip = packet.src_ip
         self.dst_ip = packet.dst_ip
-
-    @property
-    def wire_size(self):
-        return self.packet.wire_size
+        self.wire_size = packet.wire_size
 
     def __repr__(self):
         return "Frame(%r)" % (self.packet,)
@@ -101,6 +98,17 @@ class Nic:
     def receive(self, frame):
         """Called by the wire when a frame fully arrives at this NIC."""
         self.sim.schedule(self._rx_dma_ns, self._place_in_ring, frame)
+
+    def arrive(self, frame, arrival):
+        """Fused receive: land ``frame``, still on the wire, in the ring
+        at ``fl(arrival + dma)``; False (nothing done) while an engine
+        observer must see the receive event."""
+        sim = self.sim
+        if sim.observer is not None:
+            return False
+        sim.schedule_abs(arrival + self._rx_dma_ns, self._place_in_ring, frame)
+        sim._executed += 1  # parity with the elided receive hop
+        return True
 
     def _place_in_ring(self, frame):
         packet = frame.packet

@@ -45,13 +45,22 @@ class SwitchPort:
         """Frame fully arrived from the attached NIC; hand to the fabric."""
         self.switch.forward(frame, self)
 
+    def arrive(self, frame, arrival):
+        """Fused receive: switch ``frame``, still on the wire, as of its
+        ``arrival`` instant.  False (nothing done) for a frame to drop or
+        while an engine observer must see the arrival event."""
+        switch = self.switch
+        return switch.sim.observer is None \
+            and switch.forward(frame, self, arrival)
+
     def emit(self, frame):
         """Serialize ``frame`` out of this port after any queued frames."""
         sim = self.switch.sim
+        serialization = frame.wire_size * 8.0 / self.switch.bandwidth_gbps
         start = max(sim.now, self._tx_free_at)
-        departure = start + frame.wire_size * 8.0 / self.switch.bandwidth_gbps
-        queued = departure - sim.now - frame.wire_size * 8.0 / self.switch.bandwidth_gbps
-        trace = getattr(getattr(frame, "packet", frame), "trace", None)
+        departure = start + serialization
+        queued = departure - sim.now - serialization
+        trace = frame.packet.trace
         if queued > self.switch.max_port_queue_ns:
             self.switch.dropped.value += 1
             if trace is not None:
@@ -91,7 +100,7 @@ class QosSwitchPort(SwitchPort):
         self.class_dropped = {cls: 0 for cls in self._classes}
 
     def _class_of(self, frame):
-        meta = getattr(frame, "packet", frame).meta
+        meta = frame.packet.meta
         cls = meta.get("qos_class") if meta else None
         return cls if cls in self._queues else self._classes[-1]
 
@@ -106,7 +115,7 @@ class QosSwitchPort(SwitchPort):
         if start - now > self.class_queue_ns[cls]:
             self.switch.dropped.value += 1
             self.class_dropped[cls] += 1
-            trace = getattr(getattr(frame, "packet", frame), "trace", None)
+            trace = frame.packet.trace
             if trace is not None:
                 trace_drop(trace, now, "switch port %d class %d queue overflow"
                            % (self.index, cls))
@@ -127,7 +136,7 @@ class QosSwitchPort(SwitchPort):
         self._busy = False
 
     def _depart(self, frame):
-        trace = getattr(getattr(frame, "packet", frame), "trace", None)
+        trace = frame.packet.trace
         if trace is not None:
             trace["switch_out"] = self.switch.sim.now
         self.egress.carry(frame, self)
@@ -188,23 +197,39 @@ class Switch:
                 "mis-wired" % (self.name, len(missing), ", ".join(missing))
             )
 
-    def forward(self, frame, in_port):
+    def forward(self, frame, in_port, arrival=None):
+        """Route ``frame`` in from ``in_port`` to its output port's
+        ``emit``, ``forward_ns`` later; returns whether it was routed.
+
+        ``arrival`` None: this is the frame's arrival event.  Otherwise a
+        fused carry (DESIGN.md §11) calls at send time with the arrival
+        instant and ``_executed`` counts the elided event; a frame to drop
+        (no route, or a hairpin back out ``in_port``) is then left alone,
+        so its arrival event counts the drop when it happens.
+        """
         port = self.table.get(frame.dst_ip)
-        trace = getattr(getattr(frame, "packet", frame), "trace", None)
-        if port is None:
-            self.dropped.value += 1
+        trace = frame.packet.trace
+        if port is None or port is in_port:
+            if arrival is not None:
+                return False
+            if port is None:
+                self.dropped.value += 1
+                reason = "switch: no route to %s" % frame.dst_ip
+            else:
+                self.hairpin_dropped.value += 1
+                reason = "switch: hairpin on port %d to %s" % (
+                    port.index, frame.dst_ip)
             if trace is not None:
-                trace_drop(trace, self.sim.now,
-                           "switch: no route to %s" % frame.dst_ip)
-            return
-        if port is in_port:
-            self.hairpin_dropped.value += 1
-            if trace is not None:
-                trace_drop(trace, self.sim.now,
-                           "switch: hairpin on port %d to %s"
-                           % (port.index, frame.dst_ip))
-            return
+                trace_drop(trace, self.sim.now, reason)
+            return False
         self.forwarded.value += 1
+        sim = self.sim
+        if arrival is None:
+            arrival = sim.now
+            sim.schedule(self.forward_ns, port.emit, frame)
+        else:
+            sim.schedule_abs(arrival + self.forward_ns, port.emit, frame)
+            sim._executed += 1  # parity with the elided arrival event
         if trace is not None:
-            trace["switch_in"] = self.sim.now
-        self.sim.schedule(self.forward_ns, port.emit, frame)
+            trace["switch_in"] = arrival
+        return True

@@ -22,11 +22,12 @@ move inside of without anyone seeing:
 * ``breakdown`` — the Fig. 6 split and the traced per-datapath report
   with its Chrome trace.
 
-The ``schedule`` section pins each paper workload's count of scheduler
-round trips (``Simulator.stats()["scheduled"]``).  The engine's fused
-paths skip round trips but count each step as executed, so the digests
-cannot see whether they ran; a fused path that stops engaging raises
-its workload's count.
+The ``schedule`` section pins each paper workload's and each pinned
+city's count of scheduler round trips (``Simulator.stats()["scheduled"]``,
+keyed ``city-<preset>`` for a city).  The engine's fused paths skip
+round trips but count each step as executed, so the digests cannot see
+whether they ran; a fused path that stops engaging raises its
+workload's count.
 
 Regeneration is deliberate: :func:`regenerate_corpus` (exposed as
 ``insane validate golden --regen``) refuses to overwrite an existing
@@ -58,7 +59,8 @@ FAULTS_FAIL_AT_NS = 1_000_000.0
 #: seeds of the differential-validation workloads pinned in the corpus.
 VALIDATE_SEEDS = (0, 1, 2, 3)
 
-#: city presets whose serial run is pinned, all at one seed.
+#: city presets whose serial run is pinned (digest and round trips),
+#: all at one seed.
 CITY_TOPOLOGIES = ("smoke64", "city256")
 CITY_SEED = 0
 
@@ -279,7 +281,9 @@ def compute_corpus():
         corpus["validate"]["seed-%d" % seed] = result.trace.digest()
     for name in CITY_TOPOLOGIES:
         spec = dict(resolve_topology(name), seed=CITY_SEED)
-        corpus["city"][name] = run_city_serial(spec)["digest"]
+        run = run_city_serial(spec)
+        corpus["city"][name] = run["digest"]
+        corpus["schedule"]["city-" + name] = run["scheduled"]
     return corpus
 
 

@@ -1,17 +1,20 @@
 """Fast-engine hop fusion must be bit-identical to the unfused paths.
 
-Three hops were fused for the batched hot-path kernel (DESIGN.md §11):
+The fast engine fuses these hops (DESIGN.md §11):
 
 * ``Session.consume_data(extra_ns=...)`` — IPC charge + app-touch sleep
   collapse into one :class:`TimeoutAt` wake-up;
-* ``Link.carry`` — propagation + rx-DMA collapse into one ``schedule_abs``
-  that places the frame straight into the NIC ring;
+* ``Link.carry`` into a NIC — propagation + rx-DMA collapse into one
+  ``schedule_abs`` that places the frame straight into the NIC ring;
+* ``Link.carry`` into a switch — propagation + switch arrival collapse
+  into one ``schedule_abs`` of the output port's ``emit``;
 * ready-``Get`` hand-offs — elided entirely when nothing else is runnable
   at the instant.
 
 The legacy *engine* takes none of these shortcuts (no lane, no
 ``schedule_abs`` attr on the fused paths' guards), so running the same
-paper workloads on both engines and comparing final time, event counts,
+paper workloads on both engines — on the back-to-back local testbed and
+on the switched cloud testbed — and comparing final time, event counts,
 and results proves the fusions preserve the observable execution exactly.
 """
 
@@ -24,13 +27,17 @@ from repro.simnet import Simulator
 from repro.simnet.legacy import LegacySimulator
 
 
+PROFILE_NAMES = ["local", "cloud"]
+
+
 class TestFusedHopsMatchLegacyEngine:
+    @pytest.mark.parametrize("profile", PROFILE_NAMES)
     @pytest.mark.parametrize("sinks", [1, 3])
-    def test_stream_workload_is_engine_invariant(self, sinks):
+    def test_stream_workload_is_engine_invariant(self, sinks, profile):
         results = {}
         for name, engine_cls in (("fast", Simulator), ("legacy", LegacySimulator)):
             sim = engine_cls(seed=0)
-            testbed = Testbed(PROFILES["local"], hosts=2, seed=0, sim=sim)
+            testbed = Testbed(PROFILES[profile], hosts=2, seed=0, sim=sim)
             app = InsaneBenchApp(testbed, "fast")
             meters = app.stream(60, 1024, sinks=sinks)
             results[name] = (
@@ -41,11 +48,12 @@ class TestFusedHopsMatchLegacyEngine:
             )
         assert results["fast"] == results["legacy"]
 
-    def test_pingpong_workload_is_engine_invariant(self):
+    @pytest.mark.parametrize("profile", PROFILE_NAMES)
+    def test_pingpong_workload_is_engine_invariant(self, profile):
         results = {}
         for name, engine_cls in (("fast", Simulator), ("legacy", LegacySimulator)):
             sim = engine_cls(seed=0)
-            testbed = Testbed(PROFILES["local"], hosts=2, seed=0, sim=sim)
+            testbed = Testbed(PROFILES[profile], hosts=2, seed=0, sim=sim)
             app = InsaneBenchApp(testbed, "fast")
             rtts = app.pingpong(40, 64)
             results[name] = (

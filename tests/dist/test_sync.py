@@ -12,6 +12,8 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dist import (
     check_partition_equivalence,
@@ -22,7 +24,7 @@ from repro.dist import (
 )
 from repro.dist.partition import partition_regions
 from repro.dist.sync import PartitionRunner, _city_worker, city_end_of_time
-from repro.hw.generate import resolve_topology
+from repro.hw.generate import DATAPATH_STAGES, resolve_topology
 
 TINY = {"hosts": 16, "regions": 4, "messages": 2, "seed": 11}
 
@@ -63,6 +65,45 @@ class TestInlineEquivalence:
     def test_different_seeds_give_different_digests(self):
         assert serial(TINY)["digest"] \
             != serial(dict(TINY, seed=12))["digest"]
+
+
+#: a fabric delay: zero (legal) or up to a few microseconds
+DELAYS = st.one_of(st.just(0.0), st.floats(1.0, 5_000.0))
+
+
+@st.composite
+def small_cities(draw):
+    regions = draw(st.integers(3, 5))
+    return resolve_topology({
+        "hosts": draw(st.integers(2 * regions, 4 * regions)),
+        "regions": regions,
+        "classes": draw(st.integers(1, 3)),
+        "flows_per_host": draw(st.integers(1, 2)),
+        "messages": draw(st.integers(1, 3)),
+        "rpc_every": draw(st.integers(0, 3)),
+        "datapath": draw(st.sampled_from(sorted(DATAPATH_STAGES))),
+        "interval_ns": draw(st.floats(1_000.0, 40_000.0)),
+        "trunk_propagation_ns": draw(st.floats(5_000.0, 30_000.0)),
+        "access_propagation_ns": draw(st.floats(1.0, 2_000.0)),
+        "tor_forward_ns": draw(DELAYS),
+        "core_forward_ns": draw(DELAYS),
+        "service_ns": draw(DELAYS),
+        "seed": draw(st.integers(0, 2 ** 16)),
+    })
+
+
+class TestRandomCities:
+    @settings(max_examples=15, deadline=None)
+    @given(spec=small_cities())
+    def test_inline_partitions_match_serial(self, spec):
+        """Boundary frames are injected straight into the core's
+        forwarding, so every cut must still merge to the serial digest."""
+        reference = run_city_serial(spec)
+        for partitions in (2, 3):
+            run = run_city_partitioned(spec, partitions, transport="inline")
+            assert run["digest"] == reference["digest"], \
+                "diverged at %d partitions" % partitions
+            assert run["events"] == reference["events"]
 
 
 class TestProcessTransportAcceptance:

@@ -3,9 +3,9 @@
 ``corpus.json`` pins sha256 digests of the paper workloads (fig5/fig8a/
 fig8b), the failover bench, four differential-validation workloads and
 the serial runs of the smoke64 and city256 cities, plus each paper
-workload's count of scheduler round trips.  It also pins every other
-entry point: the scenario corpus, the hybrid fan-out tier, the capacity
-grid, the baseline systems and the breakdowns.
+workload's and each city's count of scheduler round trips.  It also
+pins every other entry point: the scenario corpus, the hybrid fan-out
+tier, the capacity grid, the baseline systems and the breakdowns.
 If a commit moves any pin, this test names the exact entry — re-pin
 deliberately with ``insane validate golden --regen --force``.
 
@@ -19,10 +19,14 @@ import os
 
 import pytest
 
+from repro.dist.sync import run_city_serial
+from repro.hw.generate import resolve_topology
 from repro.obs import EngineObserver
 from repro.simnet import Simulator
 from repro.validate import golden
 from repro.validate.golden import (
+    CITY_SEED,
+    CITY_TOPOLOGIES,
     ENGINE_WORKLOADS,
     SECTIONS,
     _digest,
@@ -72,7 +76,9 @@ class TestCorpusFile:
         assert set(corpus["engine"]) == {
             "fig5_pingpong", "fig8a_streaming", "fig8b_8sink",
         }
-        assert set(corpus["schedule"]) == set(corpus["engine"])
+        assert set(corpus["schedule"]) == set(corpus["engine"]) | {
+            "city-" + name for name in corpus["city"]
+        }
         assert "failover" in corpus["faults"]
         assert len(corpus["validate"]) == len(
             corpus["params"]["validate_seeds"]
@@ -104,22 +110,42 @@ class TestCorpusHolds:
         problems = check_corpus()
         assert problems == [], "\n".join(problems)
 
-    @pytest.mark.parametrize("name", sorted(ENGINE_WORKLOADS))
+    @pytest.mark.parametrize("name", sorted(ENGINE_WORKLOADS) + [
+        "city-" + name for name in CITY_TOPOLOGIES])
     def test_schedule_pin_sees_what_the_digest_cannot(self, name,
                                                       monkeypatch):
         """An engine observer switches every fused path off: the digest
         holds, each executed event was scheduled, and the count of
-        scheduler round trips rises above the pin."""
-        monkeypatch.setattr(Simulator, "observer", EngineObserver())
+        scheduler round trips rises above the pin.  A city's count rises
+        by exactly the hops it fuses: one NIC arrival per frame received
+        and one switch arrival per frame forwarded."""
         corpus = load_corpus()
-        record = run_workload(name)
-        stats = record["stats"]
-        assert _digest(record["outcome"]) == corpus["engine"][name]
-        assert stats["scheduled"] == (
-            stats["events_executed"] + stats["cancelled_purged"]
-            + stats["heap_size"] + stats["lane_size"]
+        if name in ENGINE_WORKLOADS:
+            monkeypatch.setattr(Simulator, "observer", EngineObserver())
+            record = run_workload(name)
+            stats = record["stats"]
+            assert _digest(record["outcome"]) == corpus["engine"][name]
+            assert stats["scheduled"] == (
+                stats["events_executed"] + stats["cancelled_purged"]
+                + stats["heap_size"] + stats["lane_size"]
+            )
+            assert stats["scheduled"] > corpus["schedule"][name]
+            return
+        topology = name[len("city-"):]
+        spec = dict(resolve_topology(topology), seed=CITY_SEED)
+        plain = run_city_serial(spec)
+        monkeypatch.setattr(Simulator, "observer", EngineObserver())
+        observed = run_city_serial(spec)
+        assert observed["digest"] == plain["digest"] \
+            == corpus["city"][topology]
+        assert observed["events"] == plain["events"] == observed["scheduled"]
+        assert plain["scheduled"] == corpus["schedule"][name]
+        records = observed["records"]
+        fused = records["core_forwarded"] + sum(
+            value for key, value in records["counters"].items()
+            if key.endswith((".rx_frames", ".rx_dropped", ".forwarded"))
         )
-        assert stats["scheduled"] > corpus["schedule"][name]
+        assert observed["scheduled"] - corpus["schedule"][name] == fused
 
 
 class TestRegeneration:

@@ -58,10 +58,19 @@ class TestValidation:
         {"interval_ns": 0.0},
         {"trunk_propagation_ns": -1.0},
         {"moat": True},                   # unknown key
+        {"tor_forward_ns": float("nan")},  # a NaN instant orders nothing
+        {"trunk_queue_ns": float("inf")},  # no end-of-time bound
     ])
     def test_bad_specs_raise(self, bad):
         with pytest.raises(TopologyError):
             normalize_city_spec(tiny(**bad))
+
+    @pytest.mark.parametrize("key", ["tor_forward_ns", "core_forward_ns",
+                                     "service_ns"])
+    def test_negative_fabric_delay_raises_naming_the_key(self, key):
+        with pytest.raises(TopologyError, match=key):
+            normalize_city_spec(tiny(**{key: -100.0}))
+        assert normalize_city_spec(tiny(**{key: 0}))[key] == 0.0
 
     def test_ceilings_monotone_in_class(self):
         ceilings = class_queue_ceilings(resolve_topology(tiny(classes=3)))

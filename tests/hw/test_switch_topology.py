@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.errors import TopologyError
 from repro.hw import CLOUD_TESTBED, Testbed
-from repro.hw.nic import Frame
+from repro.hw.link import Link
+from repro.hw.nic import Frame, Nic
 from repro.hw.switch import Switch
 from repro.netstack import Packet
 from repro.simnet import Simulator
@@ -65,6 +66,28 @@ class TestHairpin:
         switch.forward(frame("10.0.0.9"), port)
         sim.run()
         assert sim.now == 0.0
+
+    def test_hairpin_over_a_link_is_counted_at_its_arrival(self):
+        """The fast engine folds a switch's arrival into the link carry,
+        but not for a frame the switch drops: that frame keeps its
+        arrival event and the hairpin counts when it arrives."""
+        sim, switch = make_switch()
+        port = switch.new_port()
+        nic = Nic(sim, CLOUD_TESTBED, "10.0.0.1")
+        link = Link(sim, nic, port, CLOUD_TESTBED.link_propagation_ns)
+        switch.bind("10.0.0.9", port)  # routes back out the ingress port
+        departure = nic.transmit(
+            Packet("10.0.0.1", "10.0.0.9", 1, 2, payload_len=64))
+        arrival = departure + link.propagation_ns
+        sim.run(until=departure)  # the carry has run, the arrival not
+        assert switch.hairpin_dropped.value == 0
+        assert sim.peek() == arrival
+        executed = sim.stats()["events_executed"]
+        sim.run()
+        assert switch.hairpin_dropped.value == 1
+        assert switch.forwarded.value == 0
+        assert sim.now == arrival
+        assert sim.stats()["events_executed"] == executed + 1
 
 
 class TestProfileQueueCeiling:
