@@ -91,7 +91,13 @@ class Stream:
 
 
 class Source:
-    """A client-side source handle (``source_t``)."""
+    """A client-side source handle (``source_t``).
+
+    ``number`` counts the session's sources from 1, and an emit id is
+    ``(app_id, number, index)``.  ``_outcomes`` keeps one outcome byte
+    per emit, at its index, which the runtime writes when it routes the
+    emit; every past emit's outcome stays readable, also after ``close``.
+    """
 
     def __init__(self, session, stream, channel):
         self.session = session
@@ -100,7 +106,8 @@ class Source:
         self.key = ChannelKey(stream.name, channel)
         self.closed = False
         self.emitted = Counter("source.emitted")
-        self._next_emit_id = 0
+        self.number = next(session._source_numbers)
+        self._outcomes = bytearray()
         # the client-to-runtime ring, resolved lazily on first emit and
         # reused for every subsequent one (the binding never changes)
         self._ring = None

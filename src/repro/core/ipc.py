@@ -16,7 +16,10 @@ class Token:
 
     ``slot_id`` identifies the payload slot in the runtime's shared pool
     (the processes never exchange pointers); ``buffer`` is the simulation's
-    resolved handle so tests can verify zero-copy behaviour.
+    resolved handle so tests can verify zero-copy behaviour.  An emit
+    token also carries its source's outcome table and the emit's index
+    in it, where routing writes the outcome code; delivery tokens carry
+    neither.
 
     Three tokens are built per delivered message (emit, dispatch,
     per-sink delivery), so this is a plain ``__slots__`` class rather
@@ -25,19 +28,20 @@ class Token:
 
     __slots__ = (
         "slot_id", "length", "stream", "channel",
-        "emit_id", "source_ip", "buffer", "meta",
+        "source_ip", "buffer", "meta", "outcomes", "emit_index",
     )
 
-    def __init__(self, slot_id, length, stream, channel,
-                 emit_id=None, source_ip=None, buffer=None, meta=None):
+    def __init__(self, slot_id, length, stream, channel, source_ip=None,
+                 buffer=None, meta=None, outcomes=None, emit_index=None):
         self.slot_id = slot_id
         self.length = length
         self.stream = stream
         self.channel = channel
-        self.emit_id = emit_id
         self.source_ip = source_ip
         self.buffer = buffer
         self.meta = {} if meta is None else meta
+        self.outcomes = outcomes
+        self.emit_index = emit_index
 
     def __repr__(self):
         return "Token(slot=%r, len=%r, %s:%s)" % (

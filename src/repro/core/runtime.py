@@ -15,6 +15,7 @@ from repro.core.errors import NoDatapathError
 from repro.core.ipc import Token, TokenRing
 from repro.core.qos import resolve_mapping
 from repro.core.memory import MemoryManager
+from repro.core.outcomes import EmitOutcome
 from repro.core.polling import PollingThread
 from repro.core.scheduler import (
     CLASS_BEST_EFFORT,
@@ -46,6 +47,12 @@ INSANE_HEADER_BYTES = 24
 #: Preference order when a publisher must pick a technology the subscriber
 #: listens on (heterogeneous deployments).
 TECH_PREFERENCE = ("rdma", "dpdk", "xdp", "udp")
+
+#: outcome codes routing writes into an emit's byte of its source's table
+_SENT = EmitOutcome.SENT.as_int()
+_DEGRADED = EmitOutcome.DEGRADED.as_int()
+_NO_SUBSCRIBERS = EmitOutcome.NO_SUBSCRIBERS.as_int()
+_FAILED = EmitOutcome.FAILED.as_int()
 
 
 class SinkEndpoint:
@@ -344,17 +351,13 @@ class DatapathBinding:
             local = ()
         remote = runtime.control.remote_subscribers(key, self.host.ip)
         refs_needed = len(local) + len(remote)
-        if token.emit_id is not None:
-            if refs_needed == 0:
-                outcome = "no_subscribers"
-            elif token.meta.get("degraded"):
-                outcome = "degraded"
-            else:
-                outcome = "sent"
-            runtime._outcomes[token.emit_id] = outcome
         if refs_needed == 0:
+            token.outcomes[token.emit_index] = _NO_SUBSCRIBERS
             buffer.pool.release(buffer)
             return
+        token.outcomes[token.emit_index] = (
+            _DEGRADED if token.meta.get("degraded") else _SENT
+        )
         pool = buffer.pool
         for _ in range(refs_needed - 1):
             pool.addref(buffer)
@@ -555,7 +558,7 @@ class DatapathBinding:
                 else {"trace": trace, "recv_ns": now}
             )
             delivery = Token(slot_id, length, stream, channel,
-                            None, src_ip, buffer, tmeta)
+                             src_ip, buffer, tmeta)
             memory.lend_to(endpoint.app_id, buffer)
             if not endpoint.ring.try_put(delivery):
                 endpoint.dropped.value += 1
@@ -594,7 +597,6 @@ class InsaneRuntime:
         #: summed weight of every registered sink endpoint
         self.sink_ring_count = 0
         self.warnings = []
-        self._outcomes = {}
         self._sessions = {}
         self.version = 1
         self._failed_datapaths = set()
@@ -767,7 +769,7 @@ class InsaneRuntime:
                     target = stream.binding
                 obs = token.meta.get("obs")
                 if target is None:
-                    self.mark_outcome(token, "failed")
+                    token.outcomes[token.emit_index] = _FAILED
                     token.buffer.pool.release(token.buffer)
                     if obs is not None:
                         obs.mark_dropped(self.sim.now, "failover: no surviving datapath")
@@ -778,7 +780,7 @@ class InsaneRuntime:
                 if target.ring_for(app_id).try_enqueue(token):
                     migrated += 1
                 else:
-                    self.mark_outcome(token, "failed")
+                    token.outcomes[token.emit_index] = _FAILED
                     token.buffer.pool.release(token.buffer)
                     if obs is not None:
                         obs.mark_dropped(self.sim.now, "failover: fallback ring full")
@@ -868,15 +870,6 @@ class InsaneRuntime:
         if not endpoint.ring.try_put(delivery):
             endpoint.dropped.value += 1
             self.memory.release_for(endpoint.app_id, buffer)
-
-    # -- emit outcome bookkeeping ------------------------------------------------
-
-    def mark_outcome(self, token, outcome):
-        if token.emit_id is not None:
-            self._outcomes[token.emit_id] = outcome
-
-    def emit_outcome(self, emit_id):
-        return self._outcomes.get(emit_id, "pending")
 
     # -- misc -----------------------------------------------------------------------
 

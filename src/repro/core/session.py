@@ -33,6 +33,8 @@ calls remain valid)::
             ...
 """
 
+import itertools
+
 from repro.core.channel import ChannelKey, Delivery, Sink, Source, Stream
 from repro.core.errors import (
     DatapathFailedError,
@@ -44,6 +46,11 @@ from repro.core.outcomes import EmitOutcome
 from repro.core.qos import QosPolicy, resolve_mapping
 from repro.core.runtime import INSANE_HEADER_BYTES
 from repro.simnet import Get, Signal, Timeout, TimeoutAt, Wait
+
+#: a source's outcome table keeps each emit's ``as_int`` code modulo 256
+#: (one byte; PENDING's -1 is kept as 255)
+_OUTCOME_OF_BYTE = {outcome.as_int() & 0xFF: outcome for outcome in EmitOutcome}
+_PENDING = EmitOutcome.PENDING.as_int() & 0xFF
 
 
 class Session:
@@ -57,6 +64,7 @@ class Session:
         self.streams = []
         self.closed = False
         self._credentials = {}
+        self._source_numbers = itertools.count(1)
         # fast-engine marker: consume_data folds its post-receive sleep
         # into one exact-instant wake-up only when a zero-delay lane
         # exists (i.e. the overhauled engine is driving)
@@ -202,8 +210,10 @@ class Session:
         buffer.frozen = True  # inline Buffer.freeze(): no-after-write
         runtime = self.runtime
         runtime.memory.transfer_ownership(self.app_id, buffer)
-        source._next_emit_id = next_id = source._next_emit_id + 1
-        emit_id = (self.app_id, id(source), next_id)
+        outcomes = source._outcomes
+        index = len(outcomes)
+        outcomes.append(_PENDING)
+        emit_id = (self.app_id, source.number, index)
         meta = {"app": self.app_id}
         if stream.time_sensitive:
             meta["time_sensitive"] = True
@@ -229,10 +239,11 @@ class Session:
             length,
             stream.name,
             source.channel,
-            emit_id,
             runtime.host.ip,
             buffer,
             meta,
+            outcomes,
+            index,
         )
         ring = source._ring
         if ring is None:
@@ -248,9 +259,21 @@ class Session:
         The enum's values compare equal to the historical plain strings
         (``"sent"``, ``"pending"``, ...); failover re-maps report
         :attr:`EmitOutcome.DEGRADED` for emits routed over a fallback
-        datapath.
+        datapath.  An id that ``source`` did not issue raises
+        :class:`SessionError`.
         """
-        return EmitOutcome(self.runtime.emit_outcome(emit_id))
+        app_id, number, index = emit_id
+        outcomes = source._outcomes
+        if (
+            app_id != source.session.app_id
+            or number != source.number
+            or not 0 <= index < len(outcomes)
+        ):
+            raise SessionError(
+                "emit id %r was not issued by source %d of %s"
+                % (emit_id, source.number, source.session.app_id)
+            )
+        return _OUTCOME_OF_BYTE[outcomes[index]]
 
     # -- sink data plane -----------------------------------------------------------------
 
