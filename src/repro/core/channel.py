@@ -126,38 +126,6 @@ class Source:
         return False
 
 
-class Delivery:
-    """What a sink hands the application: a borrowed zero-copy buffer.
-
-    One is built per consumed message, so this is a plain ``__slots__``
-    class rather than a dataclass.
-    """
-
-    __slots__ = (
-        "buffer", "length", "channel", "stream", "source_ip", "recv_ns",
-        "meta",
-    )
-
-    def __init__(self, buffer, length, channel, stream, source_ip=None,
-                 recv_ns=0.0, meta=None):
-        self.buffer = buffer
-        self.length = length
-        self.channel = channel
-        self.stream = stream
-        self.source_ip = source_ip
-        self.recv_ns = recv_ns
-        self.meta = {} if meta is None else meta
-
-    def __repr__(self):
-        return "Delivery(stream=%r, channel=%r, length=%r)" % (
-            self.stream, self.channel, self.length
-        )
-
-    def payload(self):
-        """Read-only view of the received bytes."""
-        return self.buffer.view[: self.length].toreadonly()
-
-
 class Sink:
     """A client-side sink handle (``sink_t``)."""
 
@@ -170,14 +138,11 @@ class Sink:
         self.callback = callback
         self.closed = False
         self.received = Counter("sink.received")
-        # hot-path caches: the endpoint ring and the binding's IPC cost
-        # helper are fixed for the sink's lifetime
-        self._endpoint_ring = endpoint.ring
+        #: the endpoint's shared-memory ring: consume_data takes the
+        #: delivery tokens off it
+        self.ring = endpoint.ring
+        # hot-path cache, re-pointed by a failover re-map
         self._ipc_half = stream.binding.ipc_half_cost
-
-    @property
-    def ring(self):
-        return self.endpoint.ring
 
     def close(self):
         if not self.closed:

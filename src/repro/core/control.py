@@ -61,11 +61,9 @@ class HealthMonitor:
             self.detect_ns, self._detect, binding, reason, binding.failed_at
         )
 
-    def binding_restored(self, binding):
-        """Nothing to cancel: the epoch guard in :meth:`_detect` makes any
-        pending detection for the restored epoch a no-op."""
-
     def _detect(self, binding, reason, failed_at):
+        # a restore needs no cancellation: this epoch guard turns the
+        # restored epoch's pending detection into a no-op
         if not binding.failed or binding.failed_at != failed_at:
             return  # restored meanwhile (a re-failure has its own callback)
         if binding._failover_handled:
@@ -118,9 +116,6 @@ class ControlPlane:
         for subscribers in self._subscriptions.values():
             subscribers.pop(runtime.host.ip, None)
         self._remote_cache.clear()
-
-    def runtime_at(self, ip):
-        return self._runtimes.get(ip)
 
     @property
     def runtimes(self):

@@ -21,9 +21,14 @@ class Token:
     in it, where routing writes the outcome code; delivery tokens carry
     neither.
 
-    Three tokens are built per delivered message (emit, dispatch,
-    per-sink delivery), so this is a plain ``__slots__`` class rather
-    than a dataclass.
+    A delivery token is what the application gets: ``consume_data``
+    returns the token it took off the sink ring.  Its ``meta`` is
+    shared, so consumers only read it: a co-located copy carries the
+    emit's own metadata, a traced network copy ``{"trace": record}``
+    built once per message, and an untraced one a shared empty
+    read-only mapping.  One token is built per emit and one per
+    delivered copy, so this is a plain ``__slots__`` class rather than
+    a dataclass.
     """
 
     __slots__ = (
@@ -48,27 +53,23 @@ class Token:
             self.slot_id, self.length, self.stream, self.channel
         )
 
+    def payload(self):
+        """Read-only view of the delivered bytes."""
+        return self.buffer.view[: self.length].toreadonly()
 
-class TokenRing:
-    """A bounded SPSC ring of :class:`Token`."""
+
+class TokenRing(Store):
+    """A bounded SPSC ring of :class:`Token` that counts the tokens it
+    accepts and refuses."""
 
     def __init__(self, sim, capacity, name):
-        self.sim = sim
-        self.store = Store(sim, capacity=capacity, name=name)
-        self.name = name
+        super().__init__(sim, capacity=capacity, name=name)
         self.enqueued = Counter(name + ".enqueued")
         self.rejected = Counter(name + ".rejected")
 
-    def __len__(self):
-        return len(self.store)
-
-    @property
-    def is_empty(self):
-        return self.store.is_empty
-
     def try_enqueue(self, token):
         """Non-blocking enqueue; returns False when the ring is full."""
-        if self.store.try_put(token):
+        if self.try_put(token):
             self.enqueued.value += 1
             return True
         self.rejected.value += 1
@@ -78,18 +79,4 @@ class TokenRing:
         """A ``Put`` effect that blocks the producer while the ring is full
         (backpressure rather than silent loss on the client side)."""
         self.enqueued.value += 1
-        return Put(self.store, token)
-
-    def try_dequeue(self):
-        ok, token = self.store.try_get()
-        return token if ok else None
-
-    def drain(self, max_items):
-        """Dequeue up to ``max_items`` tokens without blocking."""
-        tokens = []
-        while len(tokens) < max_items:
-            ok, token = self.store.try_get()
-            if not ok:
-                break
-            tokens.append(token)
-        return tokens
+        return Put(self, token)

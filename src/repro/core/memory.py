@@ -221,6 +221,8 @@ class MemoryManager:
         )
         self._attached = {}
         self._quotas = {}
+        #: app id -> callbacks parked by alloc_waiter_for at the quota
+        self._quota_waiters = {}
 
     def attach(self, app_id, quota=None):
         """Attach an application; ``quota`` optionally caps how many slots
@@ -236,6 +238,7 @@ class MemoryManager:
     def detach(self, app_id):
         leaked = self._attached.pop(app_id, set())
         self._quotas.pop(app_id, None)
+        self._quota_waiters.pop(app_id, None)
         for buffer in list(leaked):
             self.pool.release(buffer)
         return len(leaked)
@@ -258,18 +261,40 @@ class MemoryManager:
         return buffer
 
     def alloc_waiter_for(self, app_id, callback):
-        """Allocate on behalf of ``app_id`` as soon as a slot frees up."""
+        """Allocate on behalf of ``app_id`` once it is under its quota and
+        a slot is free, then call ``callback(buffer, None)``.
+
+        An application at its quota parks until it holds fewer slots.  A
+        slot handed over while it was lent back up to its quota returns
+        to the pool, and the application parks again.
+        """
         if app_id not in self._attached:
             raise ValueError("application %r is not attached" % (app_id,))
+        quota = self._quotas.get(app_id)
 
         def on_alloc(buffer, exception):
-            if buffer is not None:
-                owned = self._attached.get(app_id)
-                if owned is not None:
-                    owned.add(buffer)
+            owned = self._attached.get(app_id)
+            if owned is not None:
+                if quota is not None and len(owned) >= quota:
+                    self.pool.release(buffer)
+                    self._quota_waiters.setdefault(app_id, []).append(on_alloc)
+                    return
+                owned.add(buffer)
             callback(buffer, exception)
 
-        self.pool.add_alloc_waiter(on_alloc)
+        if quota is not None and len(self._attached[app_id]) >= quota:
+            self._quota_waiters.setdefault(app_id, []).append(on_alloc)
+        else:
+            self.pool.add_alloc_waiter(on_alloc)
+
+    def _below_quota(self, app_id, owned):
+        """Send the oldest allocation parked at ``app_id``'s quota to the
+        pool once the application holds fewer slots."""
+        waiters = self._quota_waiters.get(app_id)
+        if waiters and len(owned) < self._quotas[app_id]:
+            self.pool.add_alloc_waiter(waiters.pop(0))
+            if not waiters:
+                del self._quota_waiters[app_id]
 
     def release_for(self, app_id, buffer):
         owned = self._attached.get(app_id)
@@ -277,6 +302,8 @@ class MemoryManager:
             raise ValueError("application %r is not attached" % (app_id,))
         owned.discard(buffer)
         self.pool.release(buffer)
+        if self._quota_waiters:
+            self._below_quota(app_id, owned)
 
     def transfer_ownership(self, app_id, buffer):
         """The application emitted the buffer: the runtime now owns it."""
@@ -286,6 +313,8 @@ class MemoryManager:
                 "application %r does not own %r" % (app_id, buffer)
             )
         owned.discard(buffer)
+        if self._quota_waiters:
+            self._below_quota(app_id, owned)
 
     def lend_to(self, app_id, buffer):
         """The runtime hands a received buffer to a sink application."""

@@ -8,6 +8,7 @@ over shared memory (sessions) and exchange slot-id tokens with it.
 """
 
 from functools import partial
+from types import MappingProxyType
 
 from repro.core.config import RuntimeConfig
 from repro.core.control import ControlPlane, HealthMonitor
@@ -53,6 +54,9 @@ _SENT = EmitOutcome.SENT.as_int()
 _DEGRADED = EmitOutcome.DEGRADED.as_int()
 _NO_SUBSCRIBERS = EmitOutcome.NO_SUBSCRIBERS.as_int()
 _FAILED = EmitOutcome.FAILED.as_int()
+
+#: the metadata of every untraced network delivery: read-only and shared
+_NO_META = MappingProxyType({})
 
 
 class SinkEndpoint:
@@ -149,7 +153,7 @@ class DatapathBinding:
                 self.runtime.ipc_ring_slots,
                 "%s.%s.txring.%s" % (self.host.name, self.name, app_id),
             )
-            ring.store.on_item = self._kick
+            ring.on_item = self._kick
             self.tx_rings[app_id] = ring
             self._ring_list.append(ring)
         return ring
@@ -302,7 +306,7 @@ class DatapathBinding:
         if self.failed or self.stalled_until > self.sim.now:
             return False
         for ring in self._ring_list:
-            if ring.store._items:
+            if ring._items:
                 return True
         if len(self.fifo):
             return True
@@ -361,8 +365,11 @@ class DatapathBinding:
         pool = buffer.pool
         for _ in range(refs_needed - 1):
             pool.addref(buffer)
-        for endpoint in local:
-            runtime.deliver_to_sink(endpoint, token, buffer)
+        if local:
+            meta = token.meta
+            self._deliver(local, buffer, token.length, token.stream,
+                          token.channel, token.source_ip, meta,
+                          meta.get("obs"))
         traffic_class = (
             CLASS_TIME_SENSITIVE if token.meta.get("time_sensitive") else CLASS_BEST_EFFORT
         )
@@ -472,13 +479,7 @@ class DatapathBinding:
 
     def rx_pass(self):
         """Drain received packets and dispatch them to local sinks."""
-        try_get = self.rx_queue.try_get
-        batch = []
-        while len(batch) < self.rx_burst:
-            ok, packet = try_get()
-            if not ok:
-                break
-            batch.append(packet)
+        batch = self.rx_queue.drain(self.rx_burst)
         if not batch:
             return False
         burst = len(batch)
@@ -531,9 +532,7 @@ class DatapathBinding:
             if trace is not None:
                 trace_drop(trace, now, "no local sink")
             return
-        runtime = self.runtime
-        memory = runtime.memory
-        buffer = memory.pool.try_alloc()
+        buffer = self.runtime.memory.pool.try_alloc()
         if buffer is None:
             self.pool_drops.value += 1
             if trace is not None:
@@ -548,26 +547,33 @@ class DatapathBinding:
             addref = buffer.pool.addref
             for _ in range(len(sinks) - 1):
                 addref(buffer)
-        src_ip = packet.src_ip
+        self._deliver(sinks, buffer, length, stream, channel, packet.src_ip,
+                      _NO_META if trace is None else {"trace": trace}, trace)
+
+    def _deliver(self, sinks, buffer, length, stream, channel, source_ip,
+                 meta, record):
+        """Put one delivery token per endpoint of ``sinks`` on its ring.
+
+        Co-located and network copies both come through here.  Each
+        endpoint is lent ``buffer`` (the caller took its references),
+        then handed a token sharing ``meta``.  A full ring drops that
+        copy: the endpoint counts it, the lend is released and the
+        traced ``record`` (the emit's root or the packet's child) is
+        annotated.
+        """
+        memory = self.runtime.memory
         slot_id = buffer.slot_id
-        # one delivery token per sink, built directly (no intermediate
-        # token + meta-dict copy as in deliver_to_sink)
         for endpoint in sinks:
-            tmeta = (
-                {"recv_ns": now} if trace is None
-                else {"trace": trace, "recv_ns": now}
-            )
-            delivery = Token(slot_id, length, stream, channel,
-                             src_ip, buffer, tmeta)
             memory.lend_to(endpoint.app_id, buffer)
-            if not endpoint.ring.try_put(delivery):
+            if not endpoint.ring.try_put(Token(slot_id, length, stream,
+                                               channel, source_ip, buffer,
+                                               meta)):
                 endpoint.dropped.value += 1
                 memory.release_for(endpoint.app_id, buffer)
-                if trace is not None:
-                    annotate = getattr(trace, "annotate", None)
-                    if annotate is not None:
-                        annotate(now, "drop",
-                                 "sink ring full: %s" % endpoint.app_id)
+                annotate = getattr(record, "annotate", None)
+                if annotate is not None:
+                    annotate(self.sim.now, "drop",
+                             "sink ring full: %s" % endpoint.app_id)
 
     def shutdown(self):
         self._close()
@@ -684,7 +690,6 @@ class InsaneRuntime:
         self._failed_datapaths.discard(binding.name)
         if self.tracer is not None:
             self.tracer.datapath_restored(self.sim.now, self.host.name, binding.name)
-        self.health.binding_restored(binding)
 
     def failover_remap(self, binding):
         """Re-map every stream bound to ``binding`` onto the best surviving
@@ -854,22 +859,6 @@ class InsaneRuntime:
             self.control.unsubscribe(endpoint.key, self, datapath=endpoint.datapath)
             if not group:
                 self._sinks.pop(endpoint.key, None)
-
-    def deliver_to_sink(self, endpoint, token, buffer):
-        """Enqueue a delivery token; on ring overflow, drop and release."""
-        delivery = Token(
-            slot_id=buffer.slot_id,
-            length=token.length,
-            stream=token.stream,
-            channel=token.channel,
-            source_ip=token.source_ip or self.host.ip,
-            buffer=buffer,
-            meta=dict(token.meta),
-        )
-        self.memory.lend_to(endpoint.app_id, buffer)
-        if not endpoint.ring.try_put(delivery):
-            endpoint.dropped.value += 1
-            self.memory.release_for(endpoint.app_id, buffer)
 
     # -- misc -----------------------------------------------------------------------
 

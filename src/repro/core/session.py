@@ -35,7 +35,7 @@ calls remain valid)::
 
 import itertools
 
-from repro.core.channel import ChannelKey, Delivery, Sink, Source, Stream
+from repro.core.channel import ChannelKey, Sink, Source, Stream
 from repro.core.errors import (
     DatapathFailedError,
     PoolExhaustedError,
@@ -159,8 +159,9 @@ class Session:
     def get_buffer(self, source, size):
         """Borrow a zero-copy buffer from the runtime's pool.
 
-        Raises :class:`PoolExhaustedError` when no slot is free — callers
-        that prefer to wait should retry after consuming/releasing.
+        Raises :class:`PoolExhaustedError` when no slot is free or the
+        application is at its slot quota; :meth:`get_buffer_wait` waits
+        instead.
         """
         self._check_open()
         if source.closed:
@@ -169,16 +170,13 @@ class Session:
         return self.runtime.memory.alloc_for(self.app_id, size)
 
     def get_buffer_wait(self, source, size):
-        """Like :meth:`get_buffer`, but blocks until a slot frees up.
+        """Like :meth:`get_buffer`, but blocks until the application is
+        under its slot quota and a slot is free.
 
         Generator — use ``buffer = yield from session.get_buffer_wait(...)``.
         """
-        self._check_open()
-        if source.closed:
-            raise SessionError("source is closed")
-        self.runtime.frame_policy.validate(size + INSANE_HEADER_BYTES)
         try:
-            return self.runtime.memory.alloc_for(self.app_id, size)
+            return self.get_buffer(source, size)
         except PoolExhaustedError:
             signal = Signal(self.sim)
             self.runtime.memory.alloc_waiter_for(
@@ -281,7 +279,8 @@ class Session:
         return len(sink.ring) > 0
 
     def consume_data(self, sink, blocking=True, extra_ns=0.0):
-        """Consume the next delivery; returns None immediately when
+        """Consume the next delivery: the :class:`~repro.core.ipc.Token`
+        taken off the sink's ring.  Returns None immediately when
         non-blocking and no data is present.
 
         ``extra_ns`` models post-receive application processing time: the
@@ -296,9 +295,9 @@ class Session:
         if sink.closed:
             raise SessionError("sink is closed")
         if blocking:
-            token = yield Get(sink._endpoint_ring)
+            token = yield Get(sink.ring)
         else:
-            ok, token = sink._endpoint_ring.try_get()
+            ok, token = sink.ring.try_get()
             if not ok:
                 return None
         if extra_ns:
@@ -316,7 +315,7 @@ class Session:
         sink.received.value += 1
         if self.runtime.tracer is not None:
             self._finish_trace(token, sink)
-        return self._delivery_from(token)
+        return token
 
     def _finish_trace(self, token, sink):
         """Close the lifecycle record delivered with ``token`` (network
@@ -331,8 +330,9 @@ class Session:
             finish(self.sim.now, sink)
 
     def release_buffer(self, sink, delivery):
-        """Return a consumed buffer to the middleware."""
-        buffer = delivery.buffer if isinstance(delivery, Delivery) else delivery
+        """Return a consumed buffer to the middleware: a delivery token,
+        or a bare buffer (such as one whose emit was refused)."""
+        buffer = delivery.buffer if isinstance(delivery, Token) else delivery
         self.runtime.memory.release_for(self.app_id, buffer)
 
     # -- lifecycle ------------------------------------------------------------------------
@@ -355,17 +355,6 @@ class Session:
         return False
 
     # -- internals -------------------------------------------------------------------------
-
-    def _delivery_from(self, token):
-        return Delivery(
-            buffer=token.buffer,
-            length=token.length,
-            channel=token.channel,
-            stream=token.stream,
-            source_ip=token.source_ip,
-            recv_ns=token.meta.get("recv_ns", self.sim.now),
-            meta=token.meta,
-        )
 
     def _callback_loop(self, sink):
         while not sink.closed and not self.closed:

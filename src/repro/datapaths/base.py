@@ -115,13 +115,3 @@ class Datapath:
             sim.schedule(departure - sim.now, buffer.pool.release, buffer)
         self.tx_packets.value += 1
         return departure
-
-    def drain_queue(self, queue, first, max_burst):
-        """Collect up to ``max_burst`` packets starting from ``first``."""
-        batch = [first]
-        while len(batch) < max_burst:
-            ok, packet = queue.try_get()
-            if not ok:
-                break
-            batch.append(packet)
-        return batch

@@ -67,7 +67,7 @@ class KernelUdpDatapath(Datapath):
         ring = self.nic.rx_ring
         while True:
             first = yield Get(ring)
-            batch = self.drain_queue(ring, first, self.rx_burst)
+            batch = [first] + ring.drain(self.rx_burst - 1)
             yield KernelRxChain(self, batch)
 
 
@@ -126,7 +126,7 @@ class UdpSocket:
             yield Timeout(self.host.jitter(scalars["wakeup_ns"]))
         else:
             yield Timeout(self.host.jitter(scalars["udp_poll_detect_ns"]))
-        batch = self.datapath.drain_queue(self.buffer, first, max_burst)
+        batch = [first] + self.buffer.drain(max_burst - 1)
         for packet in batch:
             packet.stamp("app_rx", self.datapath.sim.now)
         return batch

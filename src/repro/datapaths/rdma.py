@@ -77,6 +77,6 @@ class QueuePair:
         max_burst = max_burst or self.datapath.rx_burst
         first = yield Get(self.recv_queue)
         yield Timeout(self.datapath.host.jitter(self.datapath.detect_ns))
-        batch = self.datapath.drain_queue(self.recv_queue, first, max_burst)
+        batch = [first] + self.recv_queue.drain(max_burst - 1)
         yield RdmaRxChain(self.datapath, batch, self.completions)
         return batch

@@ -65,6 +65,6 @@ class XdpDatapath(Datapath):
         max_burst = max_burst or self.rx_burst
         first = yield Get(queue)
         yield Timeout(self.host.jitter(self.detect_ns))
-        batch = self.drain_queue(queue, first, max_burst)
+        batch = [first] + queue.drain(max_burst - 1)
         yield XdpRxChain(self, batch)
         return batch

@@ -47,10 +47,6 @@ class Store:
     def __len__(self):
         return len(self._items)
 
-    @property
-    def is_empty(self):
-        return not self._items
-
     # -- non-blocking interface ------------------------------------------
 
     def put_nowait(self, item):
@@ -86,6 +82,20 @@ class Store:
                 self._admit_putter()
             return True, item
         return False, None
+
+    def drain(self, max_items):
+        """Take up to ``max_items`` items, oldest first, without blocking.
+
+        The same as that many :meth:`try_get` calls: each take admits one
+        blocked putter, whose item the next take may return.
+        """
+        items = self._items
+        taken = []
+        while items and len(taken) < max_items:
+            taken.append(items.popleft())
+            if self._putters:
+                self._admit_putter()
+        return taken
 
     # -- blocking (process) interface ------------------------------------
 
@@ -133,7 +143,7 @@ class Store:
 
 
 class Resource:
-    """A counted resource (e.g. CPU cores) with FIFO acquisition."""
+    """A counted resource (e.g. CPU cores), taken without blocking."""
 
     def __init__(self, sim, capacity=1, name=None):
         if capacity < 1:
@@ -142,7 +152,6 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiters = deque()
 
     @property
     def available(self):
@@ -155,34 +164,8 @@ class Resource:
             return True
         return False
 
-    def add_acquirer(self, callback):
-        """Acquire a unit, calling ``callback(None, None)`` once granted."""
-        if self.try_acquire():
-            self.sim.schedule(0, callback, None, None)
-        else:
-            self._waiters.append(callback)
-
     def release(self):
-        """Return one unit, waking the oldest waiter if any."""
+        """Return one unit."""
         if self.in_use <= 0:
             raise RuntimeError("release without acquire on %r" % (self.name,))
-        if self._waiters:
-            callback = self._waiters.popleft()
-            self.sim.schedule(0, callback, None, None)
-        else:
-            self.in_use -= 1
-
-    def acquire_effect(self):
-        """An effect suitable for ``yield`` from a process body."""
-        return _Acquire(self)
-
-
-class _Acquire:
-    __slots__ = ("resource",)
-    _tag = 0  # trampoline fallback tag: dispatched via apply()
-
-    def __init__(self, resource):
-        self.resource = resource
-
-    def apply(self, sim, process):
-        self.resource.add_acquirer(process.resume)
+        self.in_use -= 1

@@ -18,8 +18,8 @@ def test_enqueue_dequeue_fifo():
     _, ring = make_ring()
     for slot in range(3):
         assert ring.try_enqueue(make_token(slot))
-    assert [ring.try_dequeue().slot_id for _ in range(3)] == [0, 1, 2]
-    assert ring.try_dequeue() is None
+    assert [ring.try_get()[1].slot_id for _ in range(3)] == [0, 1, 2]
+    assert ring.try_get() == (False, None)
 
 
 def test_full_ring_rejects_and_counts():
@@ -32,12 +32,35 @@ def test_full_ring_rejects_and_counts():
 
 
 def test_drain_respects_limit():
-    _, ring = make_ring(capacity=8)
-    for slot in range(6):
-        ring.try_enqueue(make_token(slot))
-    batch = ring.drain(4)
-    assert [token.slot_id for token in batch] == [0, 1, 2, 3]
-    assert len(ring) == 2
+    """``drain(n)`` is ``n`` ``try_get`` calls: at most ``n`` tokens,
+    oldest first, and each take admits one blocked producer, whose token
+    a later take of the same drain may return."""
+
+    def run(take):
+        bed, ring = make_ring(capacity=3)
+        sim = bed.sim
+        admitted = []
+
+        def producer(slot):
+            yield ring.enqueue_effect(make_token(slot))
+            admitted.append((slot, sim.now))
+
+        for slot in range(6):
+            sim.process(producer(slot))
+        sim.run()
+        assert [slot for slot, _ in admitted] == [0, 1, 2]
+        taken = [token.slot_id for token in take(ring)]
+        sim.run()
+        left = [token.slot_id for token in ring.drain(len(ring))]
+        return taken, left, admitted, sim.stats()
+
+    drained = run(lambda ring: ring.drain(4))
+    one_by_one = run(lambda ring: [ring.try_get()[1] for _ in range(4)])
+    assert drained == one_by_one
+    taken, left, admitted, _stats = drained
+    assert taken == [0, 1, 2, 3]
+    assert left == [4, 5]
+    assert [slot for slot, _ in admitted] == [0, 1, 2, 3, 4, 5]
 
 
 def test_blocking_enqueue_applies_backpressure():
@@ -55,7 +78,7 @@ def test_blocking_enqueue_applies_backpressure():
         from repro.simnet import Timeout
 
         yield Timeout(500)
-        ring.try_dequeue()
+        assert [token.slot_id for token in ring.drain(1)] == [1]
         order.append(("got", sim.now))
 
     sim.process(producer())

@@ -8,17 +8,18 @@ import pytest
 from repro.bench.harness import InsaneBenchApp, make_testbed
 from repro.core import EmitOutcome, QosPolicy, Session, SessionError
 from repro.core.channel import ChannelKey
+from repro.core.config import RuntimeConfig
 from repro.core.runtime import INSANE_PORTS, InsaneDeployment, InsaneRuntime
 from repro.hw import LOCAL_TESTBED, Testbed
 from repro.netstack import Packet
 
 
-def make(seed=0, hosts=2, **scalars):
+def make(seed=0, hosts=2, config=None, **scalars):
     """A local testbed and deployment; ``scalars`` override the profile's
     (e.g. ``pool_slots``, ``ipc_ring_slots``)."""
     profile = LOCAL_TESTBED.replace(scalars={**LOCAL_TESTBED.scalars, **scalars})
     testbed = Testbed(profile, seed=seed, hosts=hosts)
-    return testbed, InsaneDeployment(testbed)
+    return testbed, InsaneDeployment(testbed, config=config)
 
 
 class TestDropPaths:
@@ -140,7 +141,7 @@ class TestWeightedSinks:
 
     @staticmethod
     def twin():
-        testbed, deployment = make()
+        testbed, deployment = make(config=RuntimeConfig(trace=True))
         tx = Session(deployment.runtime(0), "tx")
         stream = tx.create_stream(QosPolicy.fast(), name="wt")
         source = tx.create_source(stream, channel=1)
@@ -149,9 +150,10 @@ class TestWeightedSinks:
         return testbed.sim, tx, source, runtime
 
     @staticmethod
-    def recv_ns(sim, tx, source, ring):
-        """Send one message; the instant dispatch handed it to ``ring``,
-        which is after the rx pass's fan-out charge."""
+    def dispatch_ns(sim, tx, source, ring):
+        """Send one message; the instant dispatch handed it to ``ring``
+        (its ``runtime_rx`` stamp), which is after the rx pass's fan-out
+        charge."""
 
         def producer():
             buffer = tx.get_buffer(source, 64)
@@ -161,7 +163,7 @@ class TestWeightedSinks:
         sim.run()
         ok, token = ring.try_get()
         assert ok
-        return token.meta["recv_ns"]
+        return token.meta["trace"]["runtime_rx"]
 
     def test_weighted_endpoint_charges_like_plain_sinks(self):
         weighted, plain = self.twin(), self.twin()
@@ -176,8 +178,8 @@ class TestWeightedSinks:
             sinks += [prt.register_sink(self.KEY, "rx", datapath="dpdk")
                       for _ in range(weight - len(sinks))]
             assert wrt.sink_ring_count == prt.sink_ring_count == weight
-            assert (self.recv_ns(*weighted[:3], endpoint.ring)
-                    == self.recv_ns(*plain[:3], sinks[0].ring))
+            assert (self.dispatch_ns(*weighted[:3], endpoint.ring)
+                    == self.dispatch_ns(*plain[:3], sinks[0].ring))
         wrt.unregister_sink(endpoint)
         for sink in sinks:
             prt.unregister_sink(sink)
@@ -226,7 +228,7 @@ class TestControlPlane:
         rx.create_sink(stream, channel=1)
         deployment.runtime(1).shutdown()
         testbed.sim.run()
-        assert deployment.control.runtime_at("10.0.0.2") is None
+        assert deployment.control.runtimes == [deployment.runtime(0)]
 
     def test_shutdown_releases_every_datapath_port(self):
         """Each binding closes what it claimed: the kernel socket, the
