@@ -49,7 +49,7 @@ class Stream:
         self.failed = False
         #: number of failover re-maps this stream has survived.
         self.failovers = 0
-        # resolved once: emit_data reads this per message
+        # resolved once: routing reads this per emit
         self.time_sensitive = (
             policy.time_sensitivity is TimeSensitivity.TIME_SENSITIVE
         )
@@ -78,16 +78,12 @@ class Stream:
         return False
 
     def _rebind(self, decision, binding):
-        """Runtime-side failover re-map: move the stream (and the cached
-        fast paths of its endpoints) onto a surviving binding."""
+        """Runtime-side failover re-map: move the stream onto a surviving
+        binding."""
         self.decision = decision
         self.binding = binding
         self.degraded = True
         self.failovers += 1
-        for source in self.sources:
-            source._ring = None       # next emit resolves the new binding
-        for sink in self.sinks:
-            sink._ipc_half = binding.ipc_half_cost
 
 
 class Source:
@@ -97,6 +93,7 @@ class Source:
     ``(app_id, number, index)``.  ``_outcomes`` keeps one outcome byte
     per emit, at its index, which the runtime writes when it routes the
     emit; every past emit's outcome stays readable, also after ``close``.
+    ``key`` is built once: routing reads it off every emit token.
     """
 
     def __init__(self, session, stream, channel):
@@ -108,9 +105,6 @@ class Source:
         self.emitted = Counter("source.emitted")
         self.number = next(session._source_numbers)
         self._outcomes = bytearray()
-        # the client-to-runtime ring, resolved lazily on first emit and
-        # reused for every subsequent one (the binding never changes)
-        self._ring = None
 
     def close(self):
         if not self.closed:
@@ -141,8 +135,6 @@ class Sink:
         #: the endpoint's shared-memory ring: consume_data takes the
         #: delivery tokens off it
         self.ring = endpoint.ring
-        # hot-path cache, re-pointed by a failover re-map
-        self._ipc_half = stream.binding.ipc_half_cost
 
     def close(self):
         if not self.closed:

@@ -16,9 +16,10 @@ class RuntimeConfig:
 
     What is not a field is fixed for every run: pool and ring sizes and
     the RX burst come from the hardware profile's scalars, jumbo frames
-    are on, the kernel path always listens, the TSN scheduler runs its
-    default gate list, and the health monitor detects a failed datapath
-    after :data:`~repro.core.control.FAILOVER_DETECT_NS`.
+    are on, the kernel path always listens, best-effort traffic is sent
+    FIFO while time-sensitive streams go through the TSN scheduler with
+    its default gate list (paper §5.2), and the health monitor detects a
+    failed datapath after :data:`~repro.core.control.FAILOVER_DETECT_NS`.
     """
 
     thread_mapping: str = "per-datapath"     # or "shared"
@@ -29,9 +30,6 @@ class RuntimeConfig:
     #: batching (the Fig. 8a ablation)
     tx_burst: Optional[int] = None
     mapping_strategy: Optional[Callable] = None  # custom QoS mapping
-    #: scheduler for best-effort traffic: "fifo" (paper default), "drr"
-    #: (per-application byte fairness), or "priority"
-    best_effort_scheduler: str = "fifo"
     #: optional AccessController enforcing per-stream publish/subscribe
     #: rights at endpoint creation (paper §8, Security)
     access_controller: object = None
@@ -49,8 +47,3 @@ class RuntimeConfig:
             )
         if self.threads_per_datapath < 1:
             raise ValueError("threads_per_datapath must be >= 1")
-        if self.best_effort_scheduler not in ("fifo", "drr", "priority"):
-            raise ValueError(
-                "best_effort_scheduler must be fifo, drr, or priority; got %r"
-                % (self.best_effort_scheduler,)
-            )

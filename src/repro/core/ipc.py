@@ -8,7 +8,13 @@ shared memory (paper §5.3, Fig. 4).  The simulated ring is a bounded
 dequeuing side so that the cost lands on the correct simulated core.
 """
 
+from types import MappingProxyType
+
 from repro.simnet import Counter, Put, Store
+
+#: the ``meta`` of every untraced emit and network delivery token:
+#: read-only and shared
+NO_META = MappingProxyType({})
 
 
 class Token:
@@ -17,9 +23,13 @@ class Token:
     ``slot_id`` identifies the payload slot in the runtime's shared pool
     (the processes never exchange pointers); ``buffer`` is the simulation's
     resolved handle so tests can verify zero-copy behaviour.  An emit
-    token also carries its source's outcome table and the emit's index
-    in it, where routing writes the outcome code; delivery tokens carry
-    neither.
+    token also names its :class:`~repro.core.channel.Source` and the
+    emit's index in the source's outcome table: routing reads the
+    channel key and time sensitivity off the source and writes the
+    outcome at that index.  Its ``meta`` carries tracing only: the
+    emit's lifecycle root as ``{"obs": root}``, or ``{"emit_ns": now}``
+    under ``RuntimeConfig(trace=True)``, and otherwise a shared empty
+    read-only mapping.  Delivery tokens carry no source.
 
     A delivery token is what the application gets: ``consume_data``
     returns the token it took off the sink ring.  Its ``meta`` is
@@ -33,11 +43,11 @@ class Token:
 
     __slots__ = (
         "slot_id", "length", "stream", "channel",
-        "source_ip", "buffer", "meta", "outcomes", "emit_index",
+        "source_ip", "buffer", "meta", "source", "emit_index",
     )
 
     def __init__(self, slot_id, length, stream, channel, source_ip=None,
-                 buffer=None, meta=None, outcomes=None, emit_index=None):
+                 buffer=None, meta=None, source=None, emit_index=None):
         self.slot_id = slot_id
         self.length = length
         self.stream = stream
@@ -45,7 +55,7 @@ class Token:
         self.source_ip = source_ip
         self.buffer = buffer
         self.meta = {} if meta is None else meta
-        self.outcomes = outcomes
+        self.source = source
         self.emit_index = emit_index
 
     def __repr__(self):

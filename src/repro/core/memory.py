@@ -20,7 +20,11 @@ touches, not its capacity.
 
 import mmap
 
-from repro.core.errors import BufferLifecycleError, PoolExhaustedError
+from repro.core.errors import (
+    BufferLifecycleError,
+    PoolExhaustedError,
+    SessionError,
+)
 from repro.simnet import Counter
 
 
@@ -157,6 +161,11 @@ class SlotPool:
         else:
             self._waiters.append(callback)
 
+    def drop_alloc_waiter(self, callback):
+        """Forget ``callback`` if it still waits for a slot."""
+        if callback in self._waiters:
+            self._waiters.remove(callback)
+
     def addref(self, buffer):
         """Take an extra reference for multi-sink delivery."""
         if buffer.pool is not self or self._live.get(buffer.slot_id) is not buffer:
@@ -223,6 +232,9 @@ class MemoryManager:
         self._quotas = {}
         #: app id -> callbacks parked by alloc_waiter_for at the quota
         self._quota_waiters = {}
+        #: app id -> {pool callback: caller's callback} of every
+        #: alloc_waiter_for call not yet handed a buffer
+        self._waiting = {}
 
     def attach(self, app_id, quota=None):
         """Attach an application; ``quota`` optionally caps how many slots
@@ -236,9 +248,17 @@ class MemoryManager:
             self._quotas[app_id] = quota
 
     def detach(self, app_id):
+        """Detach an application: its waiting allocations fail with
+        :class:`SessionError`, then every slot it still holds returns to
+        the pool (or to the next waiting application)."""
         leaked = self._attached.pop(app_id, set())
         self._quotas.pop(app_id, None)
         self._quota_waiters.pop(app_id, None)
+        for on_alloc, callback in self._waiting.pop(app_id, {}).items():
+            self.pool.drop_alloc_waiter(on_alloc)
+            callback(None, SessionError(
+                "application %r detached while waiting for a buffer"
+                % (app_id,)))
         for buffer in list(leaked):
             self.pool.release(buffer)
         return len(leaked)
@@ -266,23 +286,31 @@ class MemoryManager:
 
         An application at its quota parks until it holds fewer slots.  A
         slot handed over while it was lent back up to its quota returns
-        to the pool, and the application parks again.
+        to the pool, and the application parks again.  Detaching the
+        application first calls ``callback(None, SessionError)`` instead.
         """
-        if app_id not in self._attached:
+        owned = self._attached.get(app_id)
+        if owned is None:
             raise ValueError("application %r is not attached" % (app_id,))
         quota = self._quotas.get(app_id)
+        waiting = self._waiting.setdefault(app_id, {})
 
         def on_alloc(buffer, exception):
-            owned = self._attached.get(app_id)
-            if owned is not None:
-                if quota is not None and len(owned) >= quota:
-                    self.pool.release(buffer)
-                    self._quota_waiters.setdefault(app_id, []).append(on_alloc)
-                    return
-                owned.add(buffer)
+            if self._attached.get(app_id) is not owned:
+                # detached while the slot was on its way: detach failed
+                # the call, so the slot goes to the next waiter
+                self.pool.release(buffer)
+                return
+            if quota is not None and len(owned) >= quota:
+                self.pool.release(buffer)
+                self._quota_waiters.setdefault(app_id, []).append(on_alloc)
+                return
+            owned.add(buffer)
+            del waiting[on_alloc]
             callback(buffer, exception)
 
-        if quota is not None and len(self._attached[app_id]) >= quota:
+        waiting[on_alloc] = callback
+        if quota is not None and len(owned) >= quota:
             self._quota_waiters.setdefault(app_id, []).append(on_alloc)
         else:
             self.pool.add_alloc_waiter(on_alloc)

@@ -8,12 +8,11 @@ over shared memory (sessions) and exchange slot-id tokens with it.
 """
 
 from functools import partial
-from types import MappingProxyType
 
 from repro.core.config import RuntimeConfig
 from repro.core.control import ControlPlane, HealthMonitor
 from repro.core.errors import NoDatapathError
-from repro.core.ipc import Token, TokenRing
+from repro.core.ipc import NO_META, Token, TokenRing
 from repro.core.qos import resolve_mapping
 from repro.core.memory import MemoryManager
 from repro.core.outcomes import EmitOutcome
@@ -21,8 +20,8 @@ from repro.core.polling import PollingThread
 from repro.core.scheduler import (
     CLASS_BEST_EFFORT,
     CLASS_TIME_SENSITIVE,
+    FifoScheduler,
     TsnScheduler,
-    scheduler_for,
 )
 from repro.datapaths import (
     DpdkDatapath,
@@ -55,8 +54,12 @@ _DEGRADED = EmitOutcome.DEGRADED.as_int()
 _NO_SUBSCRIBERS = EmitOutcome.NO_SUBSCRIBERS.as_int()
 _FAILED = EmitOutcome.FAILED.as_int()
 
-#: the metadata of every untraced network delivery: read-only and shared
-_NO_META = MappingProxyType({})
+#: the byte of a pending emit that routing turns into DEGRADED rather
+#: than SENT: its stream was degraded when it was emitted, or a failover
+#: migrated it.  The stream's flag at route time would not do: an emit
+#: that reached a failed binding's ring just after its stream's re-map
+#: is routed there, as SENT, once that binding is restored.
+PENDING_DEGRADED = 254
 
 
 class SinkEndpoint:
@@ -123,8 +126,7 @@ class DatapathBinding:
         # without perturbing any value (jitter is applied after the sum)
         self._token_cost_cache = {}
         self._rx_cost_cache = {}
-        self._ipc_half_ns = self.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
-        self.fifo = scheduler_for(False, best_effort=config.best_effort_scheduler)
+        self.fifo = FifoScheduler()
         self.tsn = None
         self.cross_tech_routes = Counter("%s.%s.cross_tech" % (self.host.name, name))
         self.pool_drops = Counter("%s.%s.pool_drops" % (self.host.name, name))
@@ -157,10 +159,6 @@ class DatapathBinding:
             self.tx_rings[app_id] = ring
             self._ring_list.append(ring)
         return ring
-
-    def ipc_half_cost(self):
-        """Per-side cost of one client<->runtime ring crossing."""
-        return Timeout(self.host.jitter(self._ipc_half_ns))
 
     def _wire_datapath(self):
         """Build the plugin and claim the port.  The one place that knows
@@ -349,18 +347,21 @@ class DatapathBinding:
         """Deliver locally over shared memory, schedule remote transmissions."""
         runtime = self.runtime
         buffer = token.buffer
-        key = (token.stream, token.channel)  # hashes equal to ChannelKey
+        source = token.source
+        key = source.key
         local = runtime._sinks.get(key)
         if local is None:
             local = ()
         remote = runtime.control.remote_subscribers(key, self.host.ip)
         refs_needed = len(local) + len(remote)
+        outcomes = source._outcomes
+        index = token.emit_index
         if refs_needed == 0:
-            token.outcomes[token.emit_index] = _NO_SUBSCRIBERS
+            outcomes[index] = _NO_SUBSCRIBERS
             buffer.pool.release(buffer)
             return
-        token.outcomes[token.emit_index] = (
-            _DEGRADED if token.meta.get("degraded") else _SENT
+        outcomes[index] = (
+            _DEGRADED if outcomes[index] == PENDING_DEGRADED else _SENT
         )
         pool = buffer.pool
         for _ in range(refs_needed - 1):
@@ -371,7 +372,8 @@ class DatapathBinding:
                           token.channel, token.source_ip, meta,
                           meta.get("obs"))
         traffic_class = (
-            CLASS_TIME_SENSITIVE if token.meta.get("time_sensitive") else CLASS_BEST_EFFORT
+            CLASS_TIME_SENSITIVE if source.stream.time_sensitive
+            else CLASS_BEST_EFFORT
         )
         for dst_ip, dst_datapaths in remote:
             egress = self if self.name in dst_datapaths else self._egress_for(dst_datapaths)
@@ -429,9 +431,6 @@ class DatapathBinding:
             trace["runtime_tx"] = self.sim.now
         packet.insane = (token.stream, token.channel, token.length)
         packet.tx_buffer = buffer
-        app = meta.get("app")
-        if app is not None:
-            packet.flow = app
         return packet
 
     def _push_scheduler(self, packet, traffic_class):
@@ -441,10 +440,7 @@ class DatapathBinding:
                 self.tsn = TsnScheduler()
             self.tsn.push(packet, traffic_class, now=now)
         else:
-            flow = packet.flow
-            if flow is None:
-                flow = "default"
-            self.fifo.push(packet, traffic_class, now=now, flow=flow)
+            self.fifo.push(packet, traffic_class, now=now)
 
     def _pop_ready(self, now, max_items):
         batch = []
@@ -548,7 +544,7 @@ class DatapathBinding:
             for _ in range(len(sinks) - 1):
                 addref(buffer)
         self._deliver(sinks, buffer, length, stream, channel, packet.src_ip,
-                      _NO_META if trace is None else {"trace": trace}, trace)
+                      NO_META if trace is None else {"trace": trace}, trace)
 
     def _deliver(self, sinks, buffer, length, stream, channel, source_ip,
                  meta, record):
@@ -592,6 +588,7 @@ class InsaneRuntime:
         self.control = control or ControlPlane()
         self.control.register_runtime(self)
         self.ipc_ring_slots = int(self.profile.scalar("ipc_ring_slots"))
+        self._ipc_half_ns = self.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
         self.memory = MemoryManager(self.sim, self.profile, name=host.name + ".mm")
         self.frame_policy = FramePolicy(
             mtu=self.profile.mtu, jumbo_mtu=self.profile.jumbo_mtu
@@ -611,6 +608,11 @@ class InsaneRuntime:
         # the kernel path listens on every runtime: the universal fallback
         # for publishers on heterogeneous deployments
         self.ensure_binding("udp")
+
+    def ipc_half_cost(self):
+        """Per-side cost of one client<->runtime ring crossing, charged by
+        ``emit_data`` and ``consume_data``; the same for every binding."""
+        return Timeout(self.host.jitter(self._ipc_half_ns))
 
     # -- datapath management ------------------------------------------------
 
@@ -763,10 +765,11 @@ class InsaneRuntime:
         migrated = 0
         for app_id, ring in list(binding.tx_rings.items()):
             for token in ring.drain(len(ring)):
-                stream = self._stream_for(app_id, token.stream)
+                stream = token.source.stream
+                outcomes = token.source._outcomes
                 target = None
                 if (
-                    stream is not None
+                    not stream.closed
                     and not stream.failed
                     and stream.binding is not binding
                     and not stream.binding.failed
@@ -774,31 +777,22 @@ class InsaneRuntime:
                     target = stream.binding
                 obs = token.meta.get("obs")
                 if target is None:
-                    token.outcomes[token.emit_index] = _FAILED
+                    outcomes[token.emit_index] = _FAILED
                     token.buffer.pool.release(token.buffer)
                     if obs is not None:
                         obs.mark_dropped(self.sim.now, "failover: no surviving datapath")
                     continue
-                token.meta["degraded"] = True
+                outcomes[token.emit_index] = PENDING_DEGRADED
                 if obs is not None:
                     obs.annotate(self.sim.now, "migrated", target.name)
                 if target.ring_for(app_id).try_enqueue(token):
                     migrated += 1
                 else:
-                    token.outcomes[token.emit_index] = _FAILED
+                    outcomes[token.emit_index] = _FAILED
                     token.buffer.pool.release(token.buffer)
                     if obs is not None:
                         obs.mark_dropped(self.sim.now, "failover: fallback ring full")
         return migrated
-
-    def _stream_for(self, app_id, stream_name):
-        session = self._sessions.get(app_id)
-        if session is None:
-            return None
-        for stream in session.streams:
-            if stream.name == stream_name:
-                return stream
-        return None
 
     # -- session management ----------------------------------------------------
 

@@ -49,7 +49,7 @@ class FifoScheduler:
     def __len__(self):
         return len(self._queue)
 
-    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0, flow="default"):
+    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0):
         _stamp(item, "sched_enqueue", now)
         self._queue.append(item)
 
@@ -139,7 +139,7 @@ class TsnScheduler:
     def __len__(self):
         return sum(len(queue) for queue in self._queues.values())
 
-    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0, flow="default"):
+    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0):
         _stamp(item, "sched_enqueue", now)
         self._queues.setdefault(traffic_class, deque()).append(item)
 
@@ -165,123 +165,3 @@ class TsnScheduler:
             if earliest is None or ready < earliest:
                 earliest = ready
         return earliest
-
-
-class PriorityScheduler:
-    """Strict priority across traffic classes, FIFO within a class.
-
-    Unlike :class:`TsnScheduler` there are no gates: higher classes always
-    preempt lower ones, so best-effort traffic can starve under sustained
-    high-priority load (the classic trade-off the 802.1Qbv gates avoid).
-    """
-
-    name = "priority"
-
-    def __init__(self):
-        self._queues = {}
-
-    def __len__(self):
-        return sum(len(queue) for queue in self._queues.values())
-
-    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0, flow="default"):
-        _stamp(item, "sched_enqueue", now)
-        self._queues.setdefault(traffic_class, deque()).append(item)
-
-    def pop_ready(self, now, max_items):
-        batch = []
-        for traffic_class in sorted(self._queues, reverse=True):
-            queue = self._queues[traffic_class]
-            while queue and len(batch) < max_items:
-                batch.append(queue.popleft())
-            if len(batch) >= max_items:
-                break
-        _stamp_batch(batch, now)
-        return batch
-
-    def next_ready_at(self, now):
-        return now if len(self) else None
-
-
-class DrrScheduler:
-    """Deficit round robin across flows: byte-level fairness.
-
-    Each flow (keyed by the pusher, e.g. an application id) owns a queue
-    and a deficit counter replenished by ``quantum`` bytes per round —
-    a flooding tenant cannot starve a paced one sharing the datapath.
-    Items must expose ``payload_len`` (packets do); anything else counts
-    as one quantum's worth.
-    """
-
-    name = "drr"
-
-    def __init__(self, quantum=4096):
-        if quantum < 1:
-            raise ValueError("quantum must be >= 1")
-        self.quantum = quantum
-        self._queues = {}
-        self._deficits = {}
-        self._active = deque()
-
-    def __len__(self):
-        return sum(len(queue) for queue in self._queues.values())
-
-    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0, flow="default"):
-        _stamp(item, "sched_enqueue", now)
-        queue = self._queues.get(flow)
-        if queue is None:
-            queue = deque()
-            self._queues[flow] = queue
-            self._deficits[flow] = 0
-        if not queue and flow not in self._active:
-            self._active.append(flow)
-        queue.append(item)
-
-    @staticmethod
-    def _size_of(item):
-        return getattr(item, "payload_len", None) or 1
-
-    def pop_ready(self, now, max_items):
-        batch = []
-        if not self._active:
-            return batch
-        rounds_without_progress = 0
-        while self._active and len(batch) < max_items:
-            flow = self._active[0]
-            queue = self._queues[flow]
-            self._deficits[flow] += self.quantum
-            progressed = False
-            while queue and len(batch) < max_items:
-                size = self._size_of(queue[0])
-                if size > self._deficits[flow]:
-                    break
-                self._deficits[flow] -= size
-                batch.append(queue.popleft())
-                progressed = True
-            self._active.rotate(-1)
-            if not queue:
-                self._deficits[flow] = 0
-                self._active.remove(flow)
-            if progressed:
-                rounds_without_progress = 0
-            else:
-                rounds_without_progress += 1
-                if rounds_without_progress > len(self._active):
-                    break  # every remaining head is larger than one quantum
-        _stamp_batch(batch, now)
-        return batch
-
-    def next_ready_at(self, now):
-        return now if len(self) else None
-
-
-def scheduler_for(time_sensitive, gcl=None, best_effort="fifo"):
-    """Factory used by the runtime when binding a stream's datapath."""
-    if time_sensitive:
-        return TsnScheduler(gcl)
-    if best_effort == "fifo":
-        return FifoScheduler()
-    if best_effort == "drr":
-        return DrrScheduler()
-    if best_effort == "priority":
-        return PriorityScheduler()
-    raise ValueError("unknown best-effort scheduler %r" % (best_effort,))

@@ -41,15 +41,17 @@ from repro.core.errors import (
     PoolExhaustedError,
     SessionError,
 )
-from repro.core.ipc import Token
+from repro.core.ipc import NO_META, Token
 from repro.core.outcomes import EmitOutcome
 from repro.core.qos import QosPolicy, resolve_mapping
-from repro.core.runtime import INSANE_HEADER_BYTES
+from repro.core.runtime import INSANE_HEADER_BYTES, PENDING_DEGRADED
 from repro.simnet import Get, Signal, Timeout, TimeoutAt, Wait
 
 #: a source's outcome table keeps each emit's ``as_int`` code modulo 256
-#: (one byte; PENDING's -1 is kept as 255)
+#: (one byte; PENDING's -1 is kept as 255), or PENDING_DEGRADED for a
+#: pending emit that will read DEGRADED once routed
 _OUTCOME_OF_BYTE = {outcome.as_int() & 0xFF: outcome for outcome in EmitOutcome}
+_OUTCOME_OF_BYTE[PENDING_DEGRADED] = EmitOutcome.PENDING
 _PENDING = EmitOutcome.PENDING.as_int() & 0xFF
 
 
@@ -171,7 +173,8 @@ class Session:
 
     def get_buffer_wait(self, source, size):
         """Like :meth:`get_buffer`, but blocks until the application is
-        under its slot quota and a slot is free.
+        under its slot quota and a slot is free.  Closing the session
+        while the call waits raises :class:`SessionError`.
 
         Generator — use ``buffer = yield from session.get_buffer_wait(...)``.
         """
@@ -179,9 +182,14 @@ class Session:
             return self.get_buffer(source, size)
         except PoolExhaustedError:
             signal = Signal(self.sim)
-            self.runtime.memory.alloc_waiter_for(
-                self.app_id, lambda buffer, exc: signal.succeed(buffer)
-            )
+
+            def on_alloc(buffer, exc):
+                if exc is None:
+                    signal.succeed(buffer)
+                else:
+                    signal.fail(exc)
+
+            self.runtime.memory.alloc_waiter_for(self.app_id, on_alloc)
             buffer = yield Wait(signal)
             return buffer
 
@@ -210,20 +218,13 @@ class Session:
         runtime.memory.transfer_ownership(self.app_id, buffer)
         outcomes = source._outcomes
         index = len(outcomes)
-        outcomes.append(_PENDING)
+        outcomes.append(PENDING_DEGRADED if stream.degraded else _PENDING)
         emit_id = (self.app_id, source.number, index)
-        meta = {"app": self.app_id}
-        if stream.time_sensitive:
-            meta["time_sensitive"] = True
-        if stream.degraded:
-            meta["degraded"] = True
-        if runtime.config.trace:
-            meta["emit_ns"] = self.sim.now
         tracer = runtime.tracer
         if tracer is not None:
             # open the root lifecycle record; egress bindings fork one
             # child per wire packet off it in _build_packet
-            meta["obs"] = tracer.begin(
+            meta = {"obs": tracer.begin(
                 self.sim.now,
                 stream=stream.name,
                 channel=source.channel,
@@ -231,7 +232,11 @@ class Session:
                 datapath=stream.binding.name,
                 host=runtime.host.name,
                 app=self.app_id,
-            )
+            )}
+        elif runtime.config.trace:
+            meta = {"emit_ns": self.sim.now}
+        else:
+            meta = NO_META
         token = Token(
             buffer.slot_id,
             length,
@@ -240,13 +245,11 @@ class Session:
             runtime.host.ip,
             buffer,
             meta,
-            outcomes,
+            source,
             index,
         )
-        ring = source._ring
-        if ring is None:
-            source._ring = ring = stream.binding.ring_for(self.app_id)
-        yield stream.binding.ipc_half_cost()
+        ring = stream.binding.ring_for(self.app_id)
+        yield runtime.ipc_half_cost()
         yield ring.enqueue_effect(token)
         source.emitted.value += 1
         return emit_id
@@ -301,7 +304,7 @@ class Session:
             if not ok:
                 return None
         if extra_ns:
-            effect = sink._ipc_half()  # jitter drawn now, as unfused
+            effect = self.runtime.ipc_half_cost()  # jitter drawn now, as unfused
             sim = self.sim
             if self._lane is not None and sim.observer is None:
                 target = sim.now + effect.delay  # unfused first wake-up
@@ -311,7 +314,7 @@ class Session:
                 yield effect
                 yield Timeout(extra_ns)
         else:
-            yield sink._ipc_half()
+            yield self.runtime.ipc_half_cost()
         sink.received.value += 1
         if self.runtime.tracer is not None:
             self._finish_trace(token, sink)

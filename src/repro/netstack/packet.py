@@ -6,9 +6,9 @@ memory-pool slot; ``payload_len`` is authoritative for all cost and wire
 computations so throughput runs may carry size-only packets.
 
 Packets are *slotted records*: the metadata keys the per-packet hot path
-reads and writes — the INSANE stream header (``insane``), the scheduler
-flow label (``flow``), and the TX/RX pool buffers — are ``__slots__``
-attributes, so lookups are attribute loads instead of dict operations.
+reads and writes — the INSANE stream header (``insane``) and the TX/RX
+pool buffers — are ``__slots__`` attributes, so lookups are attribute
+loads instead of dict operations.
 Cold keys (a baseline's topic or group, a generated fabric's QoS class
 and flow id) live in one plain dict in the ``meta`` slot, which stays
 ``None`` unless the code that builds the packet assigns one.
@@ -53,7 +53,6 @@ class Packet:
         "trace",
         # -- hot metadata ------------------------------------------------
         "insane",      # (stream, channel, length) INSANE header tuple
-        "flow",        # scheduler flow label
         "tx_buffer",   # TX pool slot, released when the frame departs
         "rx_buffer",   # RX mbuf (DPDK mempool staging)
         "meta",        # cold keys (dds_topic, qos_class, ...) or None
@@ -74,7 +73,6 @@ class Packet:
         self.seq = seq
         self.trace = trace
         self.insane = None
-        self.flow = None
         self.tx_buffer = None
         self.rx_buffer = None
         self.meta = None

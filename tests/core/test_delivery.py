@@ -3,14 +3,15 @@ application consumes, and buffers never exceed an application's quota."""
 
 import pytest
 
-from repro.core import PoolExhaustedError, QosPolicy, Session
+from repro.core import PoolExhaustedError, QosPolicy, Session, SessionError
 from repro.core.channel import ChannelKey
 from repro.core.config import RuntimeConfig
 from repro.core.ipc import Token
 from repro.core.runtime import InsaneDeployment
 from repro.hw import Testbed
 from repro.obs import LifecycleTracer
-from repro.simnet import Store
+from repro.simnet import Store, Timeout
+from tests.core.helpers import routed_tokens
 
 PAYLOAD = b"delivered as sent"
 
@@ -96,17 +97,30 @@ class TestRingTokenIsTheDelivery:
     def test_co_located_copies_carry_the_emit_metadata(self):
         testbed = Testbed.local()
         sim = testbed.sim
-        runtime = InsaneDeployment(testbed).runtime(0)
+        runtime = InsaneDeployment(
+            testbed, config=RuntimeConfig(trace=True)).runtime(0)
         tx = Session(runtime, "tx")
         rx = Session(runtime, "rx")
-        source = tx.create_source(tx.create_stream(QosPolicy.fast(), "d"), 1)
+        tx_stream = tx.create_stream(QosPolicy.fast(), "d")
+        source = tx.create_source(tx_stream, 1)
         stream = rx.create_stream(QosPolicy.fast(), "d")
         sinks = [rx.create_sink(stream, 1) for _ in range(2)]
-        emit(sim, tx, source)
+        routed = routed_tokens(tx_stream.binding)
+        emitted_at = []
+
+        def producer():
+            yield Timeout(1_000)
+            buffer = tx.get_buffer(source, len(PAYLOAD))
+            emitted_at.append(sim.now)
+            yield from tx.emit_data(source, buffer)
+
+        sim.process(producer())
+        sim.run()
         first, second = (sink.ring._items[0] for sink in sinks)
         assert first is not second
-        assert first.meta is second.meta
-        assert first.meta["app"] == "tx"
+        assert first.meta is second.meta is routed[0].meta
+        assert first.meta == {"emit_ns": emitted_at[0]}
+        assert emitted_at[0] >= 1_000
 
 
 class TestTracedSinkRingFull:
@@ -215,3 +229,93 @@ class TestGetBufferWaitQuota:
         session.release_buffer(source, held.pop())
         sim.run()
         assert len(got) == 1 and memory.pool.free_slots == 0
+
+
+class TestGetBufferWaitClose:
+    """A session closed while parked in ``get_buffer_wait`` takes no slot
+    with it: the parked call raises and the next release goes on."""
+
+    @staticmethod
+    def stack(quota=None):
+        testbed = Testbed.local()
+        runtime = InsaneDeployment(testbed).runtime(0)
+        sessions = []
+        for name in ("a", "b", "c"):
+            session = Session(runtime, name, slot_quota=quota)
+            source = session.create_source(
+                session.create_stream(QosPolicy.fast(), "w"), 1)
+            sessions.append((session, source))
+        return testbed.sim, runtime.memory.pool, sessions
+
+    @staticmethod
+    def wait(sim, session, source, results):
+        def waiter():
+            try:
+                results.append((yield from session.get_buffer_wait(source, 64)))
+            except SessionError as exc:
+                results.append(exc)
+
+        sim.process(waiter())
+
+    def test_closed_waiter_leaks_no_slot(self):
+        sim, pool, [(a, a_src), (b, b_src), _c] = self.stack()
+        held = []
+        while pool.free_slots:
+            held.append(b.get_buffer(b_src, 64))
+        got = []
+        self.wait(sim, a, a_src, got)
+        sim.run()
+        a.close()
+        sim.run()
+        assert len(got) == 1 and isinstance(got[0], SessionError)
+        b.release_buffer(b_src, held.pop())
+        assert pool.free_slots == 1  # at once: no closed waiter holds it
+        b.close()
+        assert pool.in_use == 0
+
+    def test_closed_while_a_slot_is_on_its_way(self):
+        sim, pool, [(a, a_src), (b, b_src), _c] = self.stack()
+        held = []
+        while pool.free_slots:
+            held.append(b.get_buffer(b_src, 64))
+        got = []
+        self.wait(sim, a, a_src, got)
+        sim.run()
+        b.release_buffer(b_src, held.pop())  # handed to a's parked call
+        a.close()                            # before the hand-off runs
+        sim.run()
+        assert len(got) == 1 and isinstance(got[0], SessionError)
+        assert pool.free_slots == 1
+        b.close()
+        assert pool.in_use == 0
+
+    def test_live_waiter_behind_a_closed_one_gets_the_slot(self):
+        sim, pool, [(a, a_src), (b, b_src), (c, c_src)] = self.stack()
+        held = []
+        while pool.free_slots:
+            held.append(b.get_buffer(b_src, 64))
+        closed, live = [], []
+        self.wait(sim, a, a_src, closed)
+        self.wait(sim, c, c_src, live)
+        sim.run()
+        a.close()
+        released = held.pop()
+        b.release_buffer(b_src, released)
+        sim.run()
+        assert isinstance(closed[0], SessionError)
+        assert live == [released] and pool.free_slots == 0
+        c.release_buffer(c_src, live[0])
+        b.close()
+        assert pool.in_use == 0
+
+    def test_call_parked_at_its_quota_raises(self):
+        sim, pool, [(a, a_src), _b, _c] = self.stack(quota=1)
+        first = a.get_buffer(a_src, 64)
+        got = []
+        self.wait(sim, a, a_src, got)
+        sim.run()
+        assert got == []
+        a.close()
+        sim.run()
+        assert len(got) == 1 and isinstance(got[0], SessionError)
+        assert first.refcount == 0 and pool.in_use == 0

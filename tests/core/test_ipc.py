@@ -89,9 +89,9 @@ def test_blocking_enqueue_applies_backpressure():
 
 def test_half_cost_reflects_profile():
     bed = Testbed.local()
-    binding = InsaneDeployment(bed).runtime(0).ensure_binding("udp")
+    runtime = InsaneDeployment(bed).runtime(0)
     stage = bed.profile.stage("insane_ipc")
-    effect = binding.ipc_half_cost()
+    effect = runtime.ipc_half_cost()
     expected = stage.cost(0, burst=1) / 2.0
     # jittered, but within a few percent
     assert abs(effect.delay - expected) / expected < 0.2

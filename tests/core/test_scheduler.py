@@ -9,7 +9,6 @@ from repro.core.scheduler import (
     FifoScheduler,
     GateControlList,
     TsnScheduler,
-    scheduler_for,
 )
 
 
@@ -126,8 +125,3 @@ class TestTsnScheduler:
         scheduler.push("a", CLASS_BEST_EFFORT)
         scheduler.push("b", CLASS_TIME_SENSITIVE)
         assert len(scheduler) == 2
-
-
-def test_scheduler_factory():
-    assert isinstance(scheduler_for(False), FifoScheduler)
-    assert isinstance(scheduler_for(True), TsnScheduler)

@@ -193,6 +193,88 @@ class TestSinkRemap:
         assert len(deliveries) >= 18   # at most the detection window is lost
 
 
+class TestParkedTokens:
+    """Tokens parked on a failed binding's emit rings when the health
+    monitor re-maps their streams."""
+
+    @staticmethod
+    def pubsub(pub_policy, sub_policy):
+        testbed = Testbed.local(seed=0)
+        deployment = InsaneDeployment(testbed)
+        pub = Session(deployment.runtime(0), "pub")
+        sub = Session(deployment.runtime(1), "sub")
+        sink = sub.create_sink(sub.create_stream(sub_policy, name="s"), 1)
+        return testbed.sim, deployment.runtime(0), pub, sink
+
+    @staticmethod
+    def emit(sim, pub, source, count, at=0.0):
+        emit_ids = []
+
+        def producer():
+            yield Timeout(at)
+            for _ in range(count):
+                buffer = pub.get_buffer(source, 64)
+                emit_ids.append((yield from pub.emit_data(source, buffer,
+                                                          length=64)))
+
+        sim.process(producer(), name="pub")
+        return emit_ids
+
+    def test_migrated_tokens_read_degraded(self):
+        sim, runtime, pub, sink = self.pubsub(QosPolicy.fast(), QosPolicy.fast())
+        stream = pub.create_stream(QosPolicy.fast(), name="s")
+        source = pub.create_source(stream, 1)
+        runtime.fail_datapath("dpdk", "injected")
+        emit_ids = self.emit(sim, pub, source, 3)
+        sim.run(until=FAILOVER_DETECT_NS / 2)
+        assert len(runtime.bindings["dpdk"].tx_rings["pub"]) == 3
+        assert [pub.check_emit_outcome(source, e) for e in emit_ids] \
+            == [EmitOutcome.PENDING] * 3
+        sim.run()
+        assert runtime.health.events[0].migrated == 3
+        assert [pub.check_emit_outcome(source, e) for e in emit_ids] \
+            == [EmitOutcome.DEGRADED] * 3
+        assert len(sink.ring) == 3
+
+    def test_parked_tokens_follow_their_own_stream(self):
+        """Two streams of one session share a name: when the slow one is
+        stranded, its parked tokens fail with it instead of migrating
+        onto the fast one's binding."""
+        sim, runtime, pub, sink = self.pubsub(QosPolicy.slow(), QosPolicy.slow())
+        fast = pub.create_stream(QosPolicy.fast(), name="s")
+        slow = pub.create_stream(QosPolicy.slow(), name="s")
+        source = pub.create_source(slow, 1)
+        runtime.fail_datapath("udp", "injected")
+        emit_ids = self.emit(sim, pub, source, 3)
+        sim.run()
+        assert slow.failed and not fast.failed
+        event = runtime.health.events[0]
+        assert event.stranded == [("pub", "s")] and event.migrated == 0
+        assert [pub.check_emit_outcome(source, e) for e in emit_ids] \
+            == [EmitOutcome.FAILED] * 3
+        assert runtime.memory.pool.in_use == 0
+        assert len(sink.ring) == 0
+
+    def test_emit_in_flight_at_the_remap_keeps_its_outcome(self):
+        """An emit that resolved its ring before the re-map lands on the
+        failed binding after the migration; once that binding is restored
+        it is routed there and reads SENT, although its stream is by then
+        degraded."""
+        sim, runtime, pub, sink = self.pubsub(QosPolicy.fast(), QosPolicy.fast())
+        stream = pub.create_stream(QosPolicy.fast(), name="s")
+        source = pub.create_source(stream, 1)
+        runtime.fail_datapath("dpdk", "injected")
+        emit_ids = self.emit(sim, pub, source, 1, at=FAILOVER_DETECT_NS - 1)
+        sim.run(until=FAILOVER_DETECT_NS + 1_000)
+        assert stream.degraded and runtime.health.events[0].migrated == 0
+        assert len(runtime.bindings["dpdk"].tx_rings["pub"]) == 1
+        runtime.restore_datapath("dpdk")
+        sim.run()
+        assert [pub.check_emit_outcome(source, e) for e in emit_ids] \
+            == [EmitOutcome.SENT]
+        assert len(sink.ring) == 1
+
+
 class TestStranding:
     def test_stream_with_no_survivors_is_stranded(self):
         testbed = Testbed.local(seed=0)

@@ -80,7 +80,7 @@ class TestColdMeta:
     def test_new_packet_has_no_meta(self):
         packet = make_packet()
         assert packet.meta is None
-        assert packet.insane is None and packet.flow is None
+        assert packet.insane is None
         assert packet.tx_buffer is None and packet.rx_buffer is None
 
     def test_cold_dict_set_by_sender_is_read_at_receiver(self):

@@ -79,7 +79,7 @@ class TestSchedulerDropAccounting:
         stream = session.create_stream(QosPolicy.fast(), name="s")
         binding = runtime.bindings[stream.datapath]
         for _ in range(4):
-            binding.fifo.push(_SchedulerPacket(), 0, now=0.0, flow=None)
+            binding.fifo.push(_SchedulerPacket(), 0, now=0.0)
         binding.fail("test: burst stranded mid-schedule")
         # regression: _drop_scheduled()'s return value was discarded
         assert binding.sched_drops.value == 4
