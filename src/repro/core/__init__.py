@@ -8,8 +8,8 @@ This package is the paper's primary contribution:
   slots enabling technology-agnostic zero-copy transfers (paper §5.3);
 * :mod:`repro.core.ipc` — lock-free token rings between the client library
   and the runtime;
-* :mod:`repro.core.scheduler` — FIFO and IEEE 802.1Qbv (TSN) packet
-  schedulers;
+* :mod:`repro.core.scheduler` — the transmit scheduler, one per datapath
+  binding: FIFO, with IEEE 802.1Qbv (TSN) time-aware priority;
 * :mod:`repro.core.polling` — the pool of polling threads driving datapath
   plugins;
 * :mod:`repro.core.channel` — streams, channels, sources, and sinks;

@@ -91,7 +91,7 @@ class PollingThread:
     def _earliest_scheduler_wake(self):
         earliest = None
         for binding in self.bindings:
-            ready = binding.next_scheduler_ready(self.sim.now)
+            ready = binding.scheduler.next_ready_at(self.sim.now)
             if ready is not None and (earliest is None or ready < earliest):
                 earliest = ready
         return earliest

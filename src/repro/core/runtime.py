@@ -2,7 +2,7 @@
 
 The runtime centralizes host networking and offers it *as a service* to
 local applications (paper §5.3): it owns the memory manager, instantiates
-each datapath at most once per host, runs the packet schedulers, and drives
+each datapath at most once per host with one transmit scheduler, and drives
 everything with a configurable pool of polling threads.  Applications attach
 over shared memory (sessions) and exchange slot-id tokens with it.
 """
@@ -17,12 +17,7 @@ from repro.core.qos import resolve_mapping
 from repro.core.memory import MemoryManager
 from repro.core.outcomes import EmitOutcome
 from repro.core.polling import PollingThread
-from repro.core.scheduler import (
-    CLASS_BEST_EFFORT,
-    CLASS_TIME_SENSITIVE,
-    FifoScheduler,
-    TsnScheduler,
-)
+from repro.core.scheduler import TxScheduler
 from repro.datapaths import (
     DpdkDatapath,
     KernelUdpDatapath,
@@ -55,10 +50,10 @@ _NO_SUBSCRIBERS = EmitOutcome.NO_SUBSCRIBERS.as_int()
 _FAILED = EmitOutcome.FAILED.as_int()
 
 #: the byte of a pending emit that routing turns into DEGRADED rather
-#: than SENT: its stream was degraded when it was emitted, or a failover
-#: migrated it.  The stream's flag at route time would not do: an emit
-#: that reached a failed binding's ring just after its stream's re-map
-#: is routed there, as SENT, once that binding is restored.
+#: than SENT: its stream was degraded when the emit crossed into the
+#: runtime, or a failover migrated it.  The outcome follows the ring the
+#: emit was handed to, not the stream's flag at the later instant a
+#: polling pass routes it.
 PENDING_DEGRADED = 254
 
 
@@ -126,8 +121,7 @@ class DatapathBinding:
         # without perturbing any value (jitter is applied after the sum)
         self._token_cost_cache = {}
         self._rx_cost_cache = {}
-        self.fifo = FifoScheduler()
-        self.tsn = None
+        self.scheduler = TxScheduler()
         self.cross_tech_routes = Counter("%s.%s.cross_tech" % (self.host.name, name))
         self.pool_drops = Counter("%s.%s.pool_drops" % (self.host.name, name))
         self.no_sink_drops = Counter("%s.%s.no_sink_drops" % (self.host.name, name))
@@ -212,7 +206,7 @@ class DatapathBinding:
         self.failed_at = self.sim.now
         self._failover_handled = False
         self.datapath.fail()
-        self.sched_drops.value += self._drop_scheduled()
+        self._drop_scheduled(self.scheduler.take_all())
         self.runtime._on_binding_failed(self, reason)
 
     def restore(self):
@@ -234,27 +228,19 @@ class DatapathBinding:
             self.stalled_until = until
             self.sim.schedule(duration_ns, self._kick)
 
-    def _drop_scheduled(self):
-        """Release the TX buffers of packets stranded in the schedulers
-        (data already past the API is lost with the datapath)."""
-        dropped = 0
-        for scheduler in (self.fifo, self.tsn):
-            if scheduler is None:
-                continue
-            while len(scheduler):
-                ready = scheduler.next_ready_at(self.sim.now)
-                batch = scheduler.pop_ready(
-                    self.sim.now if ready is None else ready, 1024
-                )
-                if not batch:
-                    break
-                for packet in batch:
-                    buffer = packet.tx_buffer
-                    if buffer is not None:
-                        packet.tx_buffer = None
-                        buffer.pool.release(buffer)
-                    dropped += 1
-        return dropped
+    def _drop_scheduled(self, packets):
+        """Drop packets this failed binding will never send: release each
+        TX buffer (data already past the API is lost with the datapath),
+        count it in ``sched_drops`` and close its traced record."""
+        now = self.sim.now
+        for packet in packets:
+            buffer = packet.tx_buffer
+            if buffer is not None:
+                packet.tx_buffer = None
+                buffer.pool.release(buffer)
+            if packet.trace is not None:
+                trace_drop(packet.trace, now, "datapath %s failed" % self.name)
+        self.sched_drops.value += len(packets)
 
     # -- cost helpers -----------------------------------------------------------
 
@@ -306,10 +292,7 @@ class DatapathBinding:
         for ring in self._ring_list:
             if ring._items:
                 return True
-        if len(self.fifo):
-            return True
-        tsn = self.tsn
-        return tsn is not None and len(tsn) > 0
+        return len(self.scheduler) > 0
 
     def rx_pending(self):
         """Whether the datapath's receive queue holds anything."""
@@ -335,8 +318,9 @@ class DatapathBinding:
             yield Timeout(jitter(base * burst))
             for token in tokens:
                 route(token)
+        pop_ready = self.scheduler.pop_ready
         while True:
-            ready = self._pop_ready(self.sim.now, self.tx_burst)
+            ready = pop_ready(self.sim.now, self.tx_burst)
             if not ready:
                 break
             progressed = True
@@ -371,26 +355,26 @@ class DatapathBinding:
             self._deliver(local, buffer, token.length, token.stream,
                           token.channel, token.source_ip, meta,
                           meta.get("obs"))
-        traffic_class = (
-            CLASS_TIME_SENSITIVE if source.stream.time_sensitive
-            else CLASS_BEST_EFFORT
-        )
+        time_sensitive = source.stream.time_sensitive
+        now = self.sim.now
         for dst_ip, dst_datapaths in remote:
             egress = self if self.name in dst_datapaths else self._egress_for(dst_datapaths)
             packet = egress._build_packet(token, buffer, dst_ip)
-            egress._push_scheduler(packet, traffic_class)
+            if egress is not self and egress.failed:
+                # fail() has emptied its queue already: nothing would
+                # ever send or drop a copy queued there
+                egress._drop_scheduled([packet])
+                continue
+            egress.scheduler.push(packet, time_sensitive, now)
             if egress is not self:
                 egress._kick()
 
     def _egress_for(self, dst_datapaths):
-        """The binding to reach a subscriber bound to ``dst_datapaths``.
-
-        Prefer this binding's own technology when the subscriber listens on
-        it; otherwise pick the best mutually supported one; the kernel path
-        is the universal fallback (every runtime keeps it open).
+        """The binding to reach a subscriber bound to ``dst_datapaths``,
+        which this binding's technology is not among: the best mutually
+        supported one, else the kernel path, the universal fallback (every
+        runtime keeps it open; it may have failed).
         """
-        if self.name in dst_datapaths:
-            return self
         available = self.runtime.available_datapaths()
         for tech in TECH_PREFERENCE:
             if tech in dst_datapaths and tech in available:
@@ -432,31 +416,6 @@ class DatapathBinding:
         packet.insane = (token.stream, token.channel, token.length)
         packet.tx_buffer = buffer
         return packet
-
-    def _push_scheduler(self, packet, traffic_class):
-        now = self.sim.now
-        if traffic_class == CLASS_TIME_SENSITIVE:
-            if self.tsn is None:
-                self.tsn = TsnScheduler()
-            self.tsn.push(packet, traffic_class, now=now)
-        else:
-            self.fifo.push(packet, traffic_class, now=now)
-
-    def _pop_ready(self, now, max_items):
-        batch = []
-        if self.tsn is not None:
-            batch.extend(self.tsn.pop_ready(now, max_items))
-        if len(batch) < max_items:
-            batch.extend(self.fifo.pop_ready(now, max_items - len(batch)))
-        return batch
-
-    def next_scheduler_ready(self, now):
-        ready = self.fifo.next_ready_at(now)
-        if self.tsn is not None:
-            tsn_ready = self.tsn.next_ready_at(now)
-            if tsn_ready is not None and (ready is None or tsn_ready < ready):
-                ready = tsn_ready
-        return ready
 
     def _send_batch(self, packets):
         # NIC TX backpressure: keep the hardware queue shallow so packet
@@ -764,9 +723,11 @@ class InsaneRuntime:
         buffers return to the pool)."""
         migrated = 0
         for app_id, ring in list(binding.tx_rings.items()):
-            for token in ring.drain(len(ring)):
+            # each take admits a producer blocked on the full ring: take
+            # until the ring is empty, or its token would strand there
+            while len(ring):
+                _ok, token = ring.try_get()
                 stream = token.source.stream
-                outcomes = token.source._outcomes
                 target = None
                 if (
                     not stream.closed
@@ -775,24 +736,28 @@ class InsaneRuntime:
                     and not stream.binding.failed
                 ):
                     target = stream.binding
-                obs = token.meta.get("obs")
                 if target is None:
-                    outcomes[token.emit_index] = _FAILED
-                    token.buffer.pool.release(token.buffer)
-                    if obs is not None:
-                        obs.mark_dropped(self.sim.now, "failover: no surviving datapath")
+                    self.fail_emit(token, "failover: no surviving datapath")
                     continue
-                outcomes[token.emit_index] = PENDING_DEGRADED
+                token.source._outcomes[token.emit_index] = PENDING_DEGRADED
+                obs = token.meta.get("obs")
                 if obs is not None:
                     obs.annotate(self.sim.now, "migrated", target.name)
                 if target.ring_for(app_id).try_enqueue(token):
                     migrated += 1
                 else:
-                    outcomes[token.emit_index] = _FAILED
-                    token.buffer.pool.release(token.buffer)
-                    if obs is not None:
-                        obs.mark_dropped(self.sim.now, "failover: fallback ring full")
+                    self.fail_emit(token, "failover: fallback ring full")
         return migrated
+
+    def fail_emit(self, token, reason):
+        """Fail an emit the runtime cannot route: its outcome reads
+        FAILED, its buffer returns to the pool and a traced emit's record
+        is closed as dropped."""
+        token.source._outcomes[token.emit_index] = _FAILED
+        token.buffer.pool.release(token.buffer)
+        obs = token.meta.get("obs")
+        if obs is not None:
+            obs.mark_dropped(self.sim.now, reason)
 
     # -- session management ----------------------------------------------------
 
@@ -872,8 +837,7 @@ class InsaneRuntime:
                     }
                     for app_id, ring in binding.tx_rings.items()
                 },
-                "scheduler_backlog": len(binding.fifo)
-                + (len(binding.tsn) if binding.tsn is not None else 0),
+                "scheduler_backlog": len(binding.scheduler),
                 "rx_queue_depth": len(binding.rx_queue),
                 "pool_drops": binding.pool_drops.value,
                 "no_sink_drops": binding.no_sink_drops.value,

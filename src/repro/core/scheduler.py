@@ -1,4 +1,4 @@
-"""Packet schedulers: FIFO and the IEEE 802.1Qbv time-aware scheduler.
+"""The transmit scheduler: FIFO, with 802.1Qbv time-aware priority.
 
 By default INSANE sends packets in FIFO order as soon as they are emitted.
 Streams labelled time-sensitive are instead handled by a Time-Sensitive
@@ -6,6 +6,10 @@ Networking (TSN) scheduler implementing the 802.1Qbv time-aware shaper: a
 cyclic *gate control list* opens and closes per-traffic-class gates, so
 time-critical traffic transmits in protected windows with deterministic
 latency regardless of best-effort load (paper §5.2/§5.3).
+
+Each datapath binding owns one :class:`TxScheduler` holding both queues.
+Best-effort packets pass no gate; time-sensitive packets wait for their
+gate and go ahead of best effort once it is open.
 """
 
 from collections import deque
@@ -13,57 +17,6 @@ from collections import deque
 #: Traffic classes (a subset of the eight 802.1Q priorities).
 CLASS_BEST_EFFORT = 0
 CLASS_TIME_SENSITIVE = 6
-
-
-def _stamp(item, key, now):
-    """Record a lifecycle stamp on a traced packet.
-
-    Packets carry ``trace is None`` unless tracing is on, so the cost with
-    tracing off is one attribute load and a ``None`` check per item."""
-    trace = getattr(item, "trace", None)
-    if trace is not None:
-        trace[key] = now
-
-
-def _stamp_batch(batch, now):
-    """Stamp ``sched_dequeue`` on a popped batch.
-
-    Batches are homogeneous within a run (tracing is either on or off for
-    the whole simulation), so checking the head is enough to skip the
-    per-item loop entirely when tracing is off."""
-    if batch and getattr(batch[0], "trace", None) is not None:
-        for item in batch:
-            trace = getattr(item, "trace", None)
-            if trace is not None:
-                trace["sched_dequeue"] = now
-
-
-class FifoScheduler:
-    """Send packets in emission order, immediately."""
-
-    name = "fifo"
-
-    def __init__(self):
-        self._queue = deque()
-
-    def __len__(self):
-        return len(self._queue)
-
-    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0):
-        _stamp(item, "sched_enqueue", now)
-        self._queue.append(item)
-
-    def pop_ready(self, now, max_items):
-        """Items eligible for transmission at virtual time ``now``."""
-        batch = []
-        while self._queue and len(batch) < max_items:
-            batch.append(self._queue.popleft())
-        _stamp_batch(batch, now)
-        return batch
-
-    def next_ready_at(self, now):
-        """Earliest time anything becomes eligible, or None when empty."""
-        return now if self._queue else None
 
 
 class GateControlList:
@@ -122,46 +75,62 @@ class GateControlList:
         )
 
 
-class TsnScheduler:
-    """An 802.1Qbv time-aware scheduler over per-class FIFO queues.
+class TxScheduler:
+    """One binding's transmit queue: a best-effort FIFO and, behind the
+    gate control list ``gcl``, a time-sensitive FIFO that goes first.
 
-    Higher traffic classes drain first within an open window, giving
-    time-sensitive packets strict priority over best effort even when both
-    gates are open.
+    Traced packets get their ``sched_enqueue`` stamp on :meth:`push` and
+    their ``sched_dequeue`` stamp on :meth:`pop_ready`.
     """
-
-    name = "tsn"
 
     def __init__(self, gcl=None):
         self.gcl = gcl or GateControlList.default()
-        self._queues = {}
+        self._best_effort = deque()
+        self._time_sensitive = deque()
 
     def __len__(self):
-        return sum(len(queue) for queue in self._queues.values())
+        return len(self._best_effort) + len(self._time_sensitive)
 
-    def push(self, item, traffic_class=CLASS_BEST_EFFORT, now=0):
-        _stamp(item, "sched_enqueue", now)
-        self._queues.setdefault(traffic_class, deque()).append(item)
+    def push(self, packet, time_sensitive, now):
+        trace = packet.trace
+        if trace is not None:
+            trace["sched_enqueue"] = now
+        if time_sensitive:
+            self._time_sensitive.append(packet)
+        else:
+            self._best_effort.append(packet)
 
     def pop_ready(self, now, max_items):
+        """Up to ``max_items`` packets eligible at virtual time ``now``:
+        the time-sensitive ones while their gate is open, then best
+        effort."""
         batch = []
-        for traffic_class in sorted(self._queues, reverse=True):
-            queue = self._queues[traffic_class]
-            if not queue or not self.gcl.is_open(traffic_class, now):
-                continue
+        queue = self._time_sensitive
+        if queue and self.gcl.is_open(CLASS_TIME_SENSITIVE, now):
             while queue and len(batch) < max_items:
                 batch.append(queue.popleft())
-            if len(batch) >= max_items:
-                break
-        _stamp_batch(batch, now)
+        queue = self._best_effort
+        while queue and len(batch) < max_items:
+            batch.append(queue.popleft())
+        # tracing is on or off for a whole runtime: the head tells
+        if batch and batch[0].trace is not None:
+            for packet in batch:
+                packet.trace["sched_dequeue"] = now
         return batch
 
     def next_ready_at(self, now):
-        earliest = None
-        for traffic_class, queue in self._queues.items():
-            if not queue:
-                continue
-            ready = self.gcl.next_open_at(traffic_class, now)
-            if earliest is None or ready < earliest:
-                earliest = ready
-        return earliest
+        """Earliest time anything becomes eligible, or None when empty."""
+        if self._best_effort:
+            return now
+        if self._time_sensitive:
+            return self.gcl.next_open_at(CLASS_TIME_SENSITIVE, now)
+        return None
+
+    def take_all(self):
+        """Empty both queues at once, gate or no gate; returns their
+        packets, best effort first."""
+        packets = list(self._best_effort)
+        packets.extend(self._time_sensitive)
+        self._best_effort.clear()
+        self._time_sensitive.clear()
+        return packets

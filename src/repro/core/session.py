@@ -248,10 +248,22 @@ class Session:
             source,
             index,
         )
-        ring = stream.binding.ring_for(self.app_id)
+        # resolved before the crossing: a binding polls its rings in the
+        # order they were first resolved
+        binding = stream.binding
+        ring = binding.ring_for(self.app_id)
         yield runtime.ipc_half_cost()
-        yield ring.enqueue_effect(token)
+        # the emit enters the runtime now, on its stream's binding at this
+        # instant: a failover during the crossing may have stranded or
+        # re-mapped the stream
         source.emitted.value += 1
+        if stream.failed:
+            runtime.fail_emit(token, "failover: no surviving datapath")
+            return emit_id
+        if stream.binding is not binding:
+            outcomes[index] = PENDING_DEGRADED
+            ring = stream.binding.ring_for(self.app_id)
+        yield ring.enqueue_effect(token)
         return emit_id
 
     def check_emit_outcome(self, source, emit_id):

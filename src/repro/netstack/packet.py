@@ -19,9 +19,8 @@ process never share an id stream.  Packets built outside any simulation
 (codec tests, :func:`parse_wire_bytes`) keep the default ``0``.
 
 ``wire_bytes`` produces the real on-the-wire byte string (Ethernet + IPv4 +
-UDP + payload) using the codecs in this package; it is exercised by tests
-and by datapaths running with ``deep_processing`` enabled, while the default
-simulation accounts header processing as a stage cost instead.
+UDP + payload) using the codecs in this package; it is exercised by tests,
+while the simulation accounts header processing as a stage cost instead.
 """
 
 from repro.netstack.addresses import MacAddress

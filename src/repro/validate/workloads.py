@@ -386,9 +386,7 @@ def _ledger(spec, sim, testbed, deployment, streams, sinks, emit_log,
             residuals["tx_rings"] += sum(
                 len(ring) for ring in binding.tx_rings.values()
             )
-            residuals["sched"] += len(binding.fifo)
-            if binding.tsn is not None:
-                residuals["sched"] += len(binding.tsn)
+            residuals["sched"] += len(binding.scheduler)
             residuals["rx_queues"] += len(binding.rx_queue)
     for host in testbed.hosts:
         counters["nic_tx"] += host.nic.tx_frames.value

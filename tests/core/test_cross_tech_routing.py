@@ -9,9 +9,11 @@ always-on kernel listener as the universal fallback.
 
 import pytest
 
-from repro.core import QosPolicy, Session
+from repro.core import EmitOutcome, QosPolicy, Session
+from repro.core.config import RuntimeConfig
 from repro.core.runtime import InsaneDeployment
 from repro.hw import LOCAL_TESTBED, Testbed
+from repro.obs import LifecycleTracer
 
 
 def heterogeneous_pair(tx_profile, rx_profile, seed=0):
@@ -126,3 +128,40 @@ def test_mixed_subscribers_each_reached_on_their_technology():
     # the slow subscriber's packets really crossed the kernel path
     kernel_rx = deployment.runtime(2).bindings["udp"]
     assert kernel_rx.no_sink_drops.value == 0
+
+
+def test_copy_for_a_failed_kernel_binding_is_dropped_at_route_time():
+    """A fast publisher reaches a slow subscriber through its kernel
+    binding.  With that binding failed, each copy is dropped when it is
+    routed, as the failure drops a queued copy, instead of waiting in the
+    dead binding's queue for good."""
+    tracer = LifecycleTracer()
+    bed = Testbed(LOCAL_TESTBED, hosts=2, seed=1)
+    deployment = InsaneDeployment(bed, RuntimeConfig(tracer=tracer))
+    runtime = deployment.runtime(0)
+    tx = Session(runtime, "tx")
+    rx = Session(deployment.runtime(1), "rx")
+    source = tx.create_source(tx.create_stream(QosPolicy.fast(), name="s"), 1)
+    got = []
+    rx.create_sink(rx.create_stream(QosPolicy.slow(), name="s"), 1,
+                   callback=got.append)
+    runtime.fail_datapath("udp", "injected")
+    emit_ids = []
+
+    def producer():
+        for _ in range(3):
+            buffer = tx.get_buffer(source, 64)
+            emit_ids.append((yield from tx.emit_data(source, buffer,
+                                                     length=64)))
+
+    bed.sim.process(producer())
+    bed.sim.run()
+    assert [tx.check_emit_outcome(source, e) for e in emit_ids] \
+        == [EmitOutcome.SENT] * 3
+    assert got == []
+    stats = runtime.stats()
+    assert stats["memory"]["in_use"] == 0
+    assert stats["bindings"]["udp"]["scheduler_backlog"] == 0
+    assert stats["bindings"]["udp"]["sched_drops"] == 3
+    assert [root.children[0].state for root in tracer.roots] \
+        == ["dropped"] * 3

@@ -256,23 +256,58 @@ class TestParkedTokens:
         assert len(sink.ring) == 0
 
     def test_emit_in_flight_at_the_remap_keeps_its_outcome(self):
-        """An emit that resolved its ring before the re-map lands on the
-        failed binding after the migration; once that binding is restored
-        it is routed there and reads SENT, although its stream is by then
-        degraded."""
+        """An emit still crossing into the runtime when the health monitor
+        re-maps its stream enters on the stream's new binding: it reads
+        DEGRADED, is delivered once and frees its slot, with no restore
+        of the failed binding."""
         sim, runtime, pub, sink = self.pubsub(QosPolicy.fast(), QosPolicy.fast())
         stream = pub.create_stream(QosPolicy.fast(), name="s")
         source = pub.create_source(stream, 1)
         runtime.fail_datapath("dpdk", "injected")
         emit_ids = self.emit(sim, pub, source, 1, at=FAILOVER_DETECT_NS - 1)
-        sim.run(until=FAILOVER_DETECT_NS + 1_000)
-        assert stream.degraded and runtime.health.events[0].migrated == 0
-        assert len(runtime.bindings["dpdk"].tx_rings["pub"]) == 1
-        runtime.restore_datapath("dpdk")
         sim.run()
+        assert stream.degraded and runtime.health.events[0].migrated == 0
         assert [pub.check_emit_outcome(source, e) for e in emit_ids] \
-            == [EmitOutcome.SENT]
+            == [EmitOutcome.DEGRADED]
+        assert not any(runtime.bindings["dpdk"].tx_rings.values())
         assert len(sink.ring) == 1
+        assert runtime.memory.pool.in_use == 0
+
+    def test_emit_in_flight_when_its_stream_is_stranded_fails(self):
+        """The same emit, when the re-map finds no surviving datapath,
+        fails as a parked token does instead of stranding on the dead
+        ring."""
+        sim, runtime, pub, sink = self.pubsub(QosPolicy.fast(), QosPolicy.fast())
+        stream = pub.create_stream(QosPolicy.fast(), name="s")
+        source = pub.create_source(stream, 1)
+        for name in ("dpdk", "xdp", "udp"):
+            runtime.ensure_binding(name)
+            runtime.fail_datapath(name, "injected")
+        emit_ids = self.emit(sim, pub, source, 1, at=FAILOVER_DETECT_NS - 1)
+        sim.run()
+        assert stream.failed
+        assert [pub.check_emit_outcome(source, e) for e in emit_ids] \
+            == [EmitOutcome.FAILED]
+        assert not any(runtime.bindings["dpdk"].tx_rings.values())
+        assert runtime.memory.pool.in_use == 0
+
+    def test_producer_blocked_on_the_full_dead_ring_is_migrated_too(self):
+        """400 emits into a failed binding's 256-slot ring: the re-map's
+        first take admits the blocked producer's token, which the
+        migration takes as well instead of leaving it on the dead ring.
+        The fallback ring is full by then, so that one emit fails."""
+        sim, runtime, pub, sink = self.pubsub(QosPolicy.fast(), QosPolicy.fast())
+        stream = pub.create_stream(QosPolicy.fast(), name="s")
+        source = pub.create_source(stream, 1)
+        runtime.fail_datapath("dpdk", "injected")
+        emit_ids = self.emit(sim, pub, source, 400)
+        sim.run()
+        outcomes = [pub.check_emit_outcome(source, e) for e in emit_ids]
+        assert EmitOutcome.PENDING not in outcomes
+        assert outcomes.count(EmitOutcome.FAILED) == 1
+        assert outcomes.count(EmitOutcome.DEGRADED) == 399
+        assert not any(runtime.bindings["dpdk"].tx_rings.values())
+        assert runtime.memory.pool.in_use == 0
 
 
 class TestStranding:

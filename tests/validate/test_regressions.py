@@ -70,6 +70,7 @@ class _SchedulerPacket:
 
     def __init__(self):
         self.tx_buffer = None
+        self.trace = None
 
 
 class TestSchedulerDropAccounting:
@@ -79,9 +80,9 @@ class TestSchedulerDropAccounting:
         stream = session.create_stream(QosPolicy.fast(), name="s")
         binding = runtime.bindings[stream.datapath]
         for _ in range(4):
-            binding.fifo.push(_SchedulerPacket(), 0, now=0.0)
+            binding.scheduler.push(_SchedulerPacket(), False, now=0.0)
         binding.fail("test: burst stranded mid-schedule")
-        # regression: _drop_scheduled()'s return value was discarded
+        # regression: packets dropped at fail() went uncounted
         assert binding.sched_drops.value == 4
         stats = runtime.stats()["bindings"][stream.datapath]
         assert stats["sched_drops"] == 4
