@@ -102,7 +102,6 @@ class Source:
         self.channel = channel
         self.key = ChannelKey(stream.name, channel)
         self.closed = False
-        self.emitted = Counter("source.emitted")
         self.number = next(session._source_numbers)
         self._outcomes = bytearray()
 

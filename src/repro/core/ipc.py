@@ -8,13 +8,7 @@ shared memory (paper §5.3, Fig. 4).  The simulated ring is a bounded
 dequeuing side so that the cost lands on the correct simulated core.
 """
 
-from types import MappingProxyType
-
 from repro.simnet import Counter, Put, Store
-
-#: the ``meta`` of every untraced emit and network delivery token:
-#: read-only and shared
-NO_META = MappingProxyType({})
 
 
 class Token:
@@ -26,35 +20,33 @@ class Token:
     token also names its :class:`~repro.core.channel.Source` and the
     emit's index in the source's outcome table: routing reads the
     channel key and time sensitivity off the source and writes the
-    outcome at that index.  Its ``meta`` carries tracing only: the
-    emit's lifecycle root as ``{"obs": root}``, or ``{"emit_ns": now}``
-    under ``RuntimeConfig(trace=True)``, and otherwise a shared empty
-    read-only mapping.  Delivery tokens carry no source.
+    outcome at that index.  ``trace`` is tracing only, as on a packet:
+    the emit's lifecycle root under a tracer, ``{"emit_ns": now}`` under
+    ``RuntimeConfig(trace=True)``, otherwise None.
 
     A delivery token is what the application gets: ``consume_data``
-    returns the token it took off the sink ring.  Its ``meta`` is
-    shared, so consumers only read it: a co-located copy carries the
-    emit's own metadata, a traced network copy ``{"trace": record}``
-    built once per message, and an untraced one a shared empty
-    read-only mapping.  One token is built per emit and one per
-    delivered copy, so this is a plain ``__slots__`` class rather than
-    a dataclass.
+    returns the token it took off the sink ring.  It names no source,
+    and its trace is its packet's record for a network copy and its
+    emit's for a co-located one.  A delivered message is one token, put
+    on every sink ring it reaches on the host, so consumers only read
+    it.  One token is built per emit and one per delivered message, so
+    this is a plain ``__slots__`` class rather than a dataclass.
     """
 
     __slots__ = (
         "slot_id", "length", "stream", "channel",
-        "source_ip", "buffer", "meta", "source", "emit_index",
+        "source_ip", "buffer", "trace", "source", "emit_index",
     )
 
     def __init__(self, slot_id, length, stream, channel, source_ip=None,
-                 buffer=None, meta=None, source=None, emit_index=None):
+                 buffer=None, trace=None, source=None, emit_index=None):
         self.slot_id = slot_id
         self.length = length
         self.stream = stream
         self.channel = channel
         self.source_ip = source_ip
         self.buffer = buffer
-        self.meta = {} if meta is None else meta
+        self.trace = trace
         self.source = source
         self.emit_index = emit_index
 

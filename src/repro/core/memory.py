@@ -217,6 +217,10 @@ class MemoryManager:
     a part of the shared memory area into its own address space; detach
     releases any slots the application leaked, which keeps a long-running
     runtime healthy across misbehaving clients.
+
+    Each application's buffers map to the references it holds: one
+    application with two sinks on a channel is lent each message twice.
+    Quotas count slots, not references.
     """
 
     def __init__(self, sim, profile, name="memmgr"):
@@ -243,15 +247,16 @@ class MemoryManager:
             raise ValueError("application %r already attached" % (app_id,))
         if quota is not None and quota < 1:
             raise ValueError("quota must be >= 1")
-        self._attached[app_id] = set()
+        self._attached[app_id] = {}
         if quota is not None:
             self._quotas[app_id] = quota
 
     def detach(self, app_id):
         """Detach an application: its waiting allocations fail with
-        :class:`SessionError`, then every slot it still holds returns to
-        the pool (or to the next waiting application)."""
-        leaked = self._attached.pop(app_id, set())
+        :class:`SessionError`, then every reference it still holds is
+        released, each slot returning to the pool (or to the next
+        waiting application).  Returns the count of references."""
+        leaked = self._attached.pop(app_id, {})
         self._quotas.pop(app_id, None)
         self._quota_waiters.pop(app_id, None)
         for on_alloc, callback in self._waiting.pop(app_id, {}).items():
@@ -259,9 +264,10 @@ class MemoryManager:
             callback(None, SessionError(
                 "application %r detached while waiting for a buffer"
                 % (app_id,)))
-        for buffer in list(leaked):
-            self.pool.release(buffer)
-        return len(leaked)
+        for buffer, references in leaked.items():
+            for _ in range(references):
+                self.pool.release(buffer)
+        return sum(leaked.values())
 
     def alloc_for(self, app_id, size=0):
         """Allocate a slot on behalf of an attached application."""
@@ -277,7 +283,7 @@ class MemoryManager:
         buffer = self.pool.try_alloc(size)
         if buffer is None:
             raise PoolExhaustedError("%s out of slots" % self.pool.name)
-        owned.add(buffer)
+        owned[buffer] = 1
         return buffer
 
     def alloc_waiter_for(self, app_id, callback):
@@ -305,7 +311,7 @@ class MemoryManager:
                 self.pool.release(buffer)
                 self._quota_waiters.setdefault(app_id, []).append(on_alloc)
                 return
-            owned.add(buffer)
+            owned[buffer] = 1
             del waiting[on_alloc]
             callback(buffer, exception)
 
@@ -328,7 +334,9 @@ class MemoryManager:
         owned = self._attached.get(app_id)
         if owned is None:
             raise ValueError("application %r is not attached" % (app_id,))
-        owned.discard(buffer)
+        references = owned.pop(buffer, 0)
+        if references > 1:
+            owned[buffer] = references - 1
         self.pool.release(buffer)
         if self._quota_waiters:
             self._below_quota(app_id, owned)
@@ -340,7 +348,9 @@ class MemoryManager:
             raise BufferLifecycleError(
                 "application %r does not own %r" % (app_id, buffer)
             )
-        owned.discard(buffer)
+        references = owned.pop(buffer)
+        if references > 1:
+            owned[buffer] = references - 1
         if self._quota_waiters:
             self._below_quota(app_id, owned)
 
@@ -349,4 +359,4 @@ class MemoryManager:
         owned = self._attached.get(app_id)
         if owned is None:
             raise ValueError("application %r is not attached" % (app_id,))
-        owned.add(buffer)
+        owned[buffer] = owned.get(buffer, 0) + 1

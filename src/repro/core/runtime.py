@@ -12,7 +12,7 @@ from functools import partial
 from repro.core.config import RuntimeConfig
 from repro.core.control import ControlPlane, HealthMonitor
 from repro.core.errors import NoDatapathError
-from repro.core.ipc import NO_META, Token, TokenRing
+from repro.core.ipc import Token, TokenRing
 from repro.core.qos import resolve_mapping
 from repro.core.memory import MemoryManager
 from repro.core.outcomes import EmitOutcome
@@ -37,6 +37,7 @@ INSANE_PORTS = {"udp": 47000, "dpdk": 47001, "xdp": 47002, "rdma": 47003}
 
 #: Bytes of INSANE message header on the wire (stream hash, channel id,
 #: length, emit id) — accounted in the payload length of every datagram.
+#: The simulated header is ``packet.insane = (channel_key, length)``.
 INSANE_HEADER_BYTES = 24
 
 #: Preference order when a publisher must pick a technology the subscriber
@@ -55,6 +56,19 @@ _FAILED = EmitOutcome.FAILED.as_int()
 #: emit was handed to, not the stream's flag at the later instant a
 #: polling pass routes it.
 PENDING_DEGRADED = 254
+
+
+def fanout_cost_ns(sinks, rings, per_sink_ns, l2_budget, l2_penalty_ns):
+    """Receive-side cost of fanning one message out to ``sinks`` local
+    sink rings, ``rings`` being registered on the host; a binding's
+    receive pass and the fluid tier's envelope both charge it."""
+    if sinks <= 0:
+        return 0.0
+    cost = (sinks - 1) * per_sink_ns
+    excess = rings - l2_budget
+    if excess > 0:
+        cost += excess * l2_penalty_ns
+    return cost
 
 
 class SinkEndpoint:
@@ -78,7 +92,7 @@ class SinkEndpoint:
 
 class SinkGroup(list):
     """The endpoints registered on one channel key, with their summed
-    weight: the sink count ``rx_pass`` charges fan-out for."""
+    weight: the sink count a receive pass charges fan-out for."""
 
     __slots__ = ("weight",)
 
@@ -127,7 +141,7 @@ class DatapathBinding:
         self.no_sink_drops = Counter("%s.%s.no_sink_drops" % (self.host.name, name))
         self.unknown_drops = Counter("%s.%s.unknown_drops" % (self.host.name, name))
         self.sched_drops = Counter("%s.%s.sched_drops" % (self.host.name, name))
-        #: packets rx_pass drained from the datapath's receive queue
+        #: packets polling passes drained from the receive queue
         self.rx_packets = Counter("%s.%s.rx_packets" % (self.host.name, name))
         # fault state (repro.faults): a failed binding accepts emits (the
         # client-side rings stay up — shared memory does not die with a
@@ -267,43 +281,29 @@ class DatapathBinding:
             cost += profile.stage("insane_pool_fast").cost(0, burst=burst)
         return cost
 
-    def _fanout_cost(self, sink_count):
-        """Token fan-out to local sink rings, with the L2 pressure model."""
-        if sink_count <= 0:
-            return 0.0
-        cost = (sink_count - 1) * self.fanout_ns
-        excess = self.runtime.sink_ring_count - self.l2_budget
-        if excess > 0:
-            cost += excess * self.l2_penalty_ns
-        return cost
+    # -- the polling pass ----------------------------------------------------------
 
-    # -- TX path --------------------------------------------------------------------
-
-    def tx_pending(self):
-        """Whether a tx_pass could make progress right now.
+    def pending(self):
+        """Whether a polling pass could make progress right now.
 
         May report a false positive (a queued TSN packet behind a closed
         gate); the pass then simply finds nothing eligible.  Must never
         report a false negative, or the polling thread would park with
-        work queued.
+        work queued.  A failed or stalled binding reports no work.
         """
         if self.failed or self.stalled_until > self.sim.now:
             return False
         for ring in self._ring_list:
             if ring._items:
                 return True
-        return len(self.scheduler) > 0
+        return len(self.rx_queue) > 0 or len(self.scheduler) > 0
 
-    def rx_pending(self):
-        """Whether the datapath's receive queue holds anything."""
-        if self.failed or self.stalled_until > self.sim.now:
-            return False
-        return len(self.rx_queue) > 0
-
-    def tx_pass(self):
-        """Drain emitted tokens through the scheduler into the datapath."""
+    def poll(self):
+        """One polling pass: drain emitted tokens through the scheduler
+        into the datapath, then received packets into local sink rings.
+        Returns whether it did any work."""
         progressed = False
-        cache = self._token_cost_cache
+        token_costs = self._token_cost_cache
         jitter = self.host.jitter
         route = self._route_token
         for ring in self._ring_list:
@@ -312,9 +312,9 @@ class DatapathBinding:
                 continue
             progressed = True
             burst = len(tokens)
-            base = cache.get(burst)
+            base = token_costs.get(burst)
             if base is None:
-                base = cache[burst] = self._token_cost(burst)
+                base = token_costs[burst] = self._token_cost(burst)
             yield Timeout(jitter(base * burst))
             for token in tokens:
                 route(token)
@@ -325,7 +325,80 @@ class DatapathBinding:
                 break
             progressed = True
             yield from self._send_batch(ready)
-        return progressed
+        # the binding may have failed or stalled during the transmit half
+        if self.failed or self.stalled_until > self.sim.now:
+            return progressed
+        batch = self.rx_queue.drain(self.rx_burst)
+        if not batch:
+            return progressed
+        burst = len(batch)
+        self.rx_packets.value += burst
+        cost = self.detect_ns
+        rx_costs = self._rx_cost_cache
+        sinks_get = self.runtime._sinks.get
+        sink_rings = self.runtime.sink_ring_count
+        l2_excess = sink_rings > self.l2_budget
+        groups = []
+        for packet in batch:
+            # pure function of (payload_len, burst): memoized, same value
+            key = (packet.payload_len, burst)
+            pkt_cost = rx_costs.get(key)
+            if pkt_cost is None:
+                if len(rx_costs) > 4096:
+                    rx_costs.clear()
+                pkt_cost = rx_costs[key] = self._rx_pkt_cost(packet, burst)
+            cost += pkt_cost
+            header = packet.insane
+            sinks = None
+            if header is not None:
+                sinks = sinks_get(header[0])
+                if sinks is not None:
+                    weight = sinks.weight
+                    if weight > 1 or l2_excess:
+                        cost += fanout_cost_ns(weight, sink_rings,
+                                               self.fanout_ns, self.l2_budget,
+                                               self.l2_penalty_ns)
+            groups.append(sinks)
+        yield Timeout(self.host.jitter(cost))
+        now = self.sim.now
+        pool = self.runtime.memory.pool
+        for packet, sinks in zip(batch, groups):
+            trace = packet.trace
+            if trace is not None:
+                trace["runtime_rx"] = now
+            header = packet.insane
+            if header is None:
+                self.unknown_drops.value += 1
+                if trace is not None:
+                    trace_drop(trace, now, "unknown stream header")
+                continue
+            key, length = header
+            if sinks is None:
+                # no sink group when the batch was drained: one may have
+                # registered during the receive charge
+                sinks = sinks_get(key)
+            if not sinks:
+                self.no_sink_drops.value += 1
+                if trace is not None:
+                    trace_drop(trace, now, "no local sink")
+                continue
+            buffer = pool.try_alloc()
+            if buffer is None:
+                self.pool_drops.value += 1
+                if trace is not None:
+                    trace_drop(trace, now, "rx pool exhausted")
+                continue
+            payload = packet.payload
+            if payload is not None:
+                # the NIC's DMA wrote straight into this pool slot
+                buffer.write(payload[:length])
+            buffer.length = length
+            if len(sinks) > 1:
+                addref = pool.addref
+                for _ in range(len(sinks) - 1):
+                    addref(buffer)
+            self._deliver(sinks, buffer, length, key, packet.src_ip, trace)
+        return True
 
     def _route_token(self, token):
         """Deliver locally over shared memory, schedule remote transmissions."""
@@ -351,10 +424,8 @@ class DatapathBinding:
         for _ in range(refs_needed - 1):
             pool.addref(buffer)
         if local:
-            meta = token.meta
-            self._deliver(local, buffer, token.length, token.stream,
-                          token.channel, token.source_ip, meta,
-                          meta.get("obs"))
+            self._deliver(local, buffer, token.length, key,
+                          token.source_ip, token.trace)
         time_sensitive = source.stream.time_sensitive
         now = self.sim.now
         for dst_ip, dst_datapaths in remote:
@@ -390,16 +461,16 @@ class DatapathBinding:
         if written > token.length:
             written = token.length
         payload = buffer.view[:written] if written else None
-        meta = token.meta
-        obs = meta.get("obs")
-        if obs is not None:
-            # one lifecycle child record per wire packet; a MessageTrace is
-            # a dict, so every stamp site downstream works unchanged
-            trace = obs.tracer.fork(obs, self.sim.now, self.name, dst_ip)
-        elif "emit_ns" in meta:
-            trace = {"emit_ns": meta["emit_ns"]}
-        else:
-            trace = None
+        trace = token.trace
+        if trace is not None:
+            tracer = self.runtime.tracer
+            if tracer is not None:
+                # one lifecycle child record per wire packet; a
+                # MessageTrace is a dict, so every stamp site downstream
+                # works unchanged
+                trace = tracer.fork(trace, self.sim.now, self.name, dst_ip)
+            else:
+                trace = {"emit_ns": trace["emit_ns"]}
         # slotted record: hot metadata lands in attributes
         packet = Packet(
             self.host.ip,
@@ -413,7 +484,7 @@ class DatapathBinding:
         )
         if trace is not None:
             trace["runtime_tx"] = self.sim.now
-        packet.insane = (token.stream, token.channel, token.length)
+        packet.insane = (token.source.key, token.length)
         packet.tx_buffer = buffer
         return packet
 
@@ -430,102 +501,25 @@ class DatapathBinding:
                 packet.trace["datapath_tx"] = now
         yield from self._send_many(packets)
 
-    # -- RX path ----------------------------------------------------------------------
-
-    def rx_pass(self):
-        """Drain received packets and dispatch them to local sinks."""
-        batch = self.rx_queue.drain(self.rx_burst)
-        if not batch:
-            return False
-        burst = len(batch)
-        self.rx_packets.value += burst
-        cost = self.detect_ns
-        cache = self._rx_cost_cache
-        sinks_get = self.runtime._sinks.get
-        l2_excess = self.runtime.sink_ring_count > self.l2_budget
-        per_packet_sinks = []
-        for packet in batch:
-            # pure function of (payload_len, burst): memoized, same value
-            key = (packet.payload_len, burst)
-            pkt_cost = cache.get(key)
-            if pkt_cost is None:
-                if len(cache) > 4096:
-                    cache.clear()
-                pkt_cost = cache[key] = self._rx_pkt_cost(packet, burst)
-            cost += pkt_cost
-            meta = packet.insane
-            sinks = None
-            if meta is not None:
-                sinks = sinks_get((meta[0], meta[1]))
-                if sinks is not None:
-                    weight = sinks.weight
-                    if weight > 1 or l2_excess:
-                        cost += self._fanout_cost(weight)
-            per_packet_sinks.append(sinks)
-        yield Timeout(self.host.jitter(cost))
-        dispatch = self._dispatch
-        for packet, sinks in zip(batch, per_packet_sinks):
-            dispatch(packet, sinks)
-        return True
-
-    def _dispatch(self, packet, sinks=None):
-        now = self.sim.now
-        trace = packet.trace
-        if trace is not None:
-            trace["runtime_rx"] = now
-        meta = packet.insane
-        if meta is None:
-            self.unknown_drops.value += 1
-            if trace is not None:
-                trace_drop(trace, now, "unknown stream header")
-            return
-        stream, channel, length = meta
-        if sinks is None:
-            sinks = self.runtime._sinks.get((stream, channel))
-        if not sinks:
-            self.no_sink_drops.value += 1
-            if trace is not None:
-                trace_drop(trace, now, "no local sink")
-            return
-        buffer = self.runtime.memory.pool.try_alloc()
-        if buffer is None:
-            self.pool_drops.value += 1
-            if trace is not None:
-                trace_drop(trace, now, "rx pool exhausted")
-            return
-        payload = packet.payload
-        if payload is not None:
-            # the NIC's DMA wrote straight into this pool slot
-            buffer.write(payload[:length])
-        buffer.length = length
-        if len(sinks) > 1:
-            addref = buffer.pool.addref
-            for _ in range(len(sinks) - 1):
-                addref(buffer)
-        self._deliver(sinks, buffer, length, stream, channel, packet.src_ip,
-                      NO_META if trace is None else {"trace": trace}, trace)
-
-    def _deliver(self, sinks, buffer, length, stream, channel, source_ip,
-                 meta, record):
-        """Put one delivery token per endpoint of ``sinks`` on its ring.
+    def _deliver(self, sinks, buffer, length, key, source_ip, trace):
+        """Put one delivery token on the ring of every endpoint of
+        ``sinks``.
 
         Co-located and network copies both come through here.  Each
-        endpoint is lent ``buffer`` (the caller took its references),
-        then handed a token sharing ``meta``.  A full ring drops that
-        copy: the endpoint counts it, the lend is released and the
-        traced ``record`` (the emit's root or the packet's child) is
-        annotated.
+        endpoint is lent ``buffer`` (the caller took its references) and
+        handed the message's one token.  A full ring drops that copy:
+        the endpoint counts it, the lend is released and a traced
+        record (the emit's root or the packet's child) is annotated.
         """
         memory = self.runtime.memory
-        slot_id = buffer.slot_id
+        token = Token(buffer.slot_id, length, key[0], key[1], source_ip,
+                      buffer, trace)
         for endpoint in sinks:
             memory.lend_to(endpoint.app_id, buffer)
-            if not endpoint.ring.try_put(Token(slot_id, length, stream,
-                                               channel, source_ip, buffer,
-                                               meta)):
+            if not endpoint.ring.try_put(token):
                 endpoint.dropped.value += 1
                 memory.release_for(endpoint.app_id, buffer)
-                annotate = getattr(record, "annotate", None)
+                annotate = getattr(trace, "annotate", None)
                 if annotate is not None:
                     annotate(self.sim.now, "drop",
                              "sink ring full: %s" % endpoint.app_id)
@@ -740,9 +734,8 @@ class InsaneRuntime:
                     self.fail_emit(token, "failover: no surviving datapath")
                     continue
                 token.source._outcomes[token.emit_index] = PENDING_DEGRADED
-                obs = token.meta.get("obs")
-                if obs is not None:
-                    obs.annotate(self.sim.now, "migrated", target.name)
+                if self.tracer is not None:
+                    token.trace.annotate(self.sim.now, "migrated", target.name)
                 if target.ring_for(app_id).try_enqueue(token):
                     migrated += 1
                 else:
@@ -755,9 +748,8 @@ class InsaneRuntime:
         is closed as dropped."""
         token.source._outcomes[token.emit_index] = _FAILED
         token.buffer.pool.release(token.buffer)
-        obs = token.meta.get("obs")
-        if obs is not None:
-            obs.mark_dropped(self.sim.now, reason)
+        if self.tracer is not None:
+            token.trace.mark_dropped(self.sim.now, reason)
 
     # -- session management ----------------------------------------------------
 

@@ -41,7 +41,7 @@ from repro.core.errors import (
     PoolExhaustedError,
     SessionError,
 )
-from repro.core.ipc import NO_META, Token
+from repro.core.ipc import Token
 from repro.core.outcomes import EmitOutcome
 from repro.core.qos import QosPolicy, resolve_mapping
 from repro.core.runtime import INSANE_HEADER_BYTES, PENDING_DEGRADED
@@ -224,7 +224,7 @@ class Session:
         if tracer is not None:
             # open the root lifecycle record; egress bindings fork one
             # child per wire packet off it in _build_packet
-            meta = {"obs": tracer.begin(
+            trace = tracer.begin(
                 self.sim.now,
                 stream=stream.name,
                 channel=source.channel,
@@ -232,11 +232,11 @@ class Session:
                 datapath=stream.binding.name,
                 host=runtime.host.name,
                 app=self.app_id,
-            )}
+            )
         elif runtime.config.trace:
-            meta = {"emit_ns": self.sim.now}
+            trace = {"emit_ns": self.sim.now}
         else:
-            meta = NO_META
+            trace = None
         token = Token(
             buffer.slot_id,
             length,
@@ -244,7 +244,7 @@ class Session:
             source.channel,
             runtime.host.ip,
             buffer,
-            meta,
+            trace,
             source,
             index,
         )
@@ -256,7 +256,6 @@ class Session:
         # the emit enters the runtime now, on its stream's binding at this
         # instant: a failover during the crossing may have stranded or
         # re-mapped the stream
-        source.emitted.value += 1
         if stream.failed:
             runtime.fail_emit(token, "failover: no surviving datapath")
             return emit_id
@@ -329,20 +328,12 @@ class Session:
             yield self.runtime.ipc_half_cost()
         sink.received.value += 1
         if self.runtime.tracer is not None:
-            self._finish_trace(token, sink)
+            # close the lifecycle record the token carries: its packet's
+            # child or its emit's root (a plain stamp dict has no finish)
+            finish = getattr(token.trace, "finish", None)
+            if finish is not None:
+                finish(self.sim.now, sink)
         return token
-
-    def _finish_trace(self, token, sink):
-        """Close the lifecycle record delivered with ``token`` (network
-        deliveries carry the packet child as ``meta["trace"]``, local ones
-        the root as ``meta["obs"]``; plain-dict traces have no finish)."""
-        meta = token.meta
-        record = meta.get("trace")
-        if record is None:
-            record = meta.get("obs")
-        finish = getattr(record, "finish", None)
-        if finish is not None:
-            finish(self.sim.now, sink)
 
     def release_buffer(self, sink, delivery):
         """Return a consumed buffer to the middleware: a delivery token,

@@ -45,7 +45,7 @@ MODE_ANALYTIC = "analytic"
 class FluidAbsorber:
     """Ring-duck standing in for the cold population's sink rings.
 
-    ``_dispatch`` treats it like any ring: ``try_put`` receives the
+    The runtime treats it like any ring: ``try_put`` receives the
     delivery token.  It always absorbs — the aggregate's drop behaviour
     is modelled by the weighted fan-out charge upstream, not by slot
     exhaustion — and immediately returns the lent pool buffer so the
@@ -127,7 +127,7 @@ class FluidAggregate:
         """Piggyback arrival: one dispatched token for the whole cold
         population, at the exact instant hot sinks are enqueued."""
         now = self.sim.now
-        trace = delivery.meta.get("trace")
+        trace = delivery.trace
         emit = trace.get("emit_ns") if trace else None
         if emit is not None:
             # dispatch instant + jitter-free IPC pickup: what a real sink

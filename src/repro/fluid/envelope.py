@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.core import QosPolicy
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import build_stack
+from repro.core.runtime import build_stack, fanout_cost_ns
 from repro.obs.probe import COMPONENTS, run_paced_probe
 
 
@@ -35,7 +35,7 @@ class Envelope:
     ipc_half_ns: float
     #: per-stage means: {"send", "network", "receive", "data_processing"}
     stage_ns: dict = field(default_factory=dict)
-    #: receiver fan-out scalars (mirrors DatapathBinding._fanout_cost)
+    #: receiver fan-out scalars, as the binding charges them
     fanout_per_sink_ns: float = 0.0
     l2_ring_budget: int = 0
     l2_penalty_ns: float = 0.0
@@ -44,17 +44,13 @@ class Envelope:
 
     def fanout_service_ns(self, subscribers, ring_count=None):
         """Receiver-side fan-out service time for one message delivered
-        to ``subscribers`` local sinks — the analytic mirror of
-        ``DatapathBinding._fanout_cost`` including the L2 ring-pressure
-        penalty (``ring_count`` defaults to one ring per subscriber)."""
-        if subscribers <= 0:
-            return 0.0
+        to ``subscribers`` local sinks: the binding's
+        :func:`~repro.core.runtime.fanout_cost_ns`, L2 ring-pressure
+        penalty included (``ring_count`` defaults to one ring per
+        subscriber)."""
         rings = subscribers if ring_count is None else ring_count
-        cost = (subscribers - 1) * self.fanout_per_sink_ns
-        excess = rings - self.l2_ring_budget
-        if excess > 0:
-            cost += excess * self.l2_penalty_ns
-        return cost
+        return fanout_cost_ns(subscribers, rings, self.fanout_per_sink_ns,
+                              self.l2_ring_budget, self.l2_penalty_ns)
 
     def service_ns(self, subscribers):
         """Receiver service time for one message: RX pipeline plus the

@@ -131,7 +131,7 @@ def run_hybrid_fanout(subscribers, messages=64, size=1024,
             state.last_ns = now
             if state.deliveries is not None:
                 state.deliveries.append(now)
-            stamps = delivery.meta.get("trace")
+            stamps = delivery.trace
             if stamps and "emit_ns" in stamps:
                 hot_hist.record(now - stamps["emit_ns"])
             session.release_buffer(sink, delivery)

@@ -51,7 +51,7 @@ def run_paced_probe(deployment, messages, size, gap_ns, policy=None):
         for _ in range(messages):
             delivery = yield from rx.consume_data(sink)
             done = sim.now
-            stamps = delivery.meta.get("trace")
+            stamps = delivery.trace
             if stamps and "emit_ns" in stamps:
                 tallies["send"].record(
                     stamps["nic_handoff"] - stamps["emit_ns"])

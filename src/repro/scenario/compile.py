@@ -221,7 +221,7 @@ def _drive_streaming(spec, testbed, deployment):
             delivery = yield from sub.consume_data(sink)
             now = sim.now
             deliveries.append(now)
-            stamps = delivery.meta.get("trace")
+            stamps = delivery.trace
             if stamps and "emit_ns" in stamps:
                 hist.record(now - stamps["emit_ns"])
             sub.release_buffer(sink, delivery)
@@ -404,7 +404,7 @@ def _drive_fanout(spec, testbed, deployment):
             delivery = yield from session.consume_data(sink)
             now = sim.now
             deliveries.append(now)
-            stamps = delivery.meta.get("trace")
+            stamps = delivery.trace
             if stamps and "emit_ns" in stamps:
                 hist.record(now - stamps["emit_ns"])
             session.release_buffer(sink, delivery)

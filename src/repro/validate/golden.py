@@ -20,7 +20,10 @@ move inside of without anyone seeing:
 * ``capacity`` — a two-point closed-loop client grid per datapath;
 * ``baselines`` — the Fig. 7, Fig. 9 and Fig. 11 systems;
 * ``breakdown`` — the Fig. 6 split and the traced per-datapath report
-  with its Chrome trace.
+  with its Chrome trace;
+* ``polling`` — ablations A2 (one polling thread per datapath vs one
+  shared) and A5 (one vs two per binding), which no paper workload
+  runs; A1 is too slow here, so a tier-1 test pins its ring order.
 
 The ``schedule`` section pins each paper workload's and each pinned
 city's count of scheduler round trips (``Simulator.stats()["scheduled"]``,
@@ -80,6 +83,8 @@ BASELINE_ROUNDS = 20
 BASELINE_RESOLUTION = "HD"
 BASELINE_FRAMES = 4
 BREAKDOWN_MESSAGES = 40
+POLLING_ROUNDS = 40
+POLLING_MESSAGES = 400
 ENTRY_SEED = 0
 
 CORPUS_VERSION = 1
@@ -87,7 +92,8 @@ CORPUS_VERSION = 1
 #: the corpus sections, each a name -> digest map except ``schedule``
 #: (name -> scheduler round trips).
 SECTIONS = ("baselines", "breakdown", "capacity", "city", "engine",
-            "fanout", "faults", "scenario", "schedule", "validate")
+            "fanout", "faults", "polling", "scenario", "schedule",
+            "validate")
 
 
 def corpus_path(root=None):
@@ -222,6 +228,26 @@ def _breakdown_digests():
     }
 
 
+def _polling_digests():
+    """A2's round-trip tallies and A5's per-sink goodputs."""
+    from repro.bench.ablations import (
+        run_ablation_rx_threads,
+        run_ablation_threads,
+    )
+    from repro.bench.sweep import tally_payload
+
+    threads = run_ablation_threads(rounds=POLLING_ROUNDS, seed=ENTRY_SEED,
+                                   quiet=True)
+    rx_threads = run_ablation_rx_threads(messages=POLLING_MESSAGES,
+                                         seed=ENTRY_SEED, quiet=True)
+    return {
+        "a2-threads": _digest({mapping: tally_payload(tally)
+                               for mapping, tally in threads.items()}),
+        "a5-rx-threads": _digest({"%d-threads-%d-sinks" % key: gbps
+                                  for key, gbps in rx_threads.items()}),
+    }
+
+
 def compute_corpus():
     """Recompute every corpus entry from the current code."""
     from repro.bench.faults import _run_failover_once
@@ -256,6 +282,8 @@ def compute_corpus():
             "fanout": dict(FANOUT_RUNS, seed=ENTRY_SEED),
             "validate_seeds": list(VALIDATE_SEEDS),
             "city": {"topologies": list(CITY_TOPOLOGIES), "seed": CITY_SEED},
+            "polling": {"rounds": POLLING_ROUNDS,
+                        "messages": POLLING_MESSAGES, "seed": ENTRY_SEED},
         },
         "baselines": _baseline_digests(),
         "breakdown": _breakdown_digests(),
@@ -264,6 +292,7 @@ def compute_corpus():
         "engine": {},
         "fanout": _fanout_digests(),
         "faults": {},
+        "polling": _polling_digests(),
         "scenario": _scenario_digests(),
         "schedule": {},
         "validate": {},

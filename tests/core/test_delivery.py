@@ -77,7 +77,7 @@ class TestRingTokenIsTheDelivery:
         emit(sim, tx, source)
         assert got == [(Token, PAYLOAD)]
 
-    def test_untraced_network_copies_share_one_read_only_meta(self):
+    def test_network_copies_of_a_message_are_one_token(self):
         testbed = Testbed.local()
         sim = testbed.sim
         deployment = InsaneDeployment(testbed)
@@ -87,12 +87,13 @@ class TestRingTokenIsTheDelivery:
         stream = rx.create_stream(QosPolicy.fast(), "d")
         sinks = [rx.create_sink(stream, 1) for _ in range(2)]
         emit(sim, tx, source)
-        emit(sim, tx, source)
-        metas = [token.meta for sink in sinks for token in sink.ring._items]
-        assert len(metas) == 4 and all(meta is metas[0] for meta in metas)
-        assert metas[0].get("trace") is None
-        with pytest.raises(TypeError):
-            metas[0]["x"] = 1
+        emit(sim, tx, source, data=b"second")
+        first, second = (list(sink.ring._items) for sink in sinks)
+        assert first == second
+        assert first[0] is not first[1]
+        assert [bytes(token.payload()) for token in first] == \
+            [PAYLOAD, b"second"]
+        assert all(token.trace is None for token in first)
 
     def test_co_located_copies_carry_the_emit_metadata(self):
         testbed = Testbed.local()
@@ -117,10 +118,44 @@ class TestRingTokenIsTheDelivery:
         sim.process(producer())
         sim.run()
         first, second = (sink.ring._items[0] for sink in sinks)
-        assert first is not second
-        assert first.meta is second.meta is routed[0].meta
-        assert first.meta == {"emit_ns": emitted_at[0]}
+        assert first is second
+        assert first.trace is routed[0].trace
+        assert first.trace == {"emit_ns": emitted_at[0]}
         assert emitted_at[0] >= 1_000
+
+
+class TestTwoCopiesInOneApplication:
+    """An application with two sinks on one channel holds two references
+    to each message's slot, and closing its session returns both."""
+
+    @staticmethod
+    def deliver(rx_host):
+        testbed = Testbed.local()
+        sim = testbed.sim
+        deployment = InsaneDeployment(testbed)
+        tx = Session(deployment.runtime(0), "tx")
+        rx = Session(deployment.runtime(rx_host), "rx")
+        source = tx.create_source(tx.create_stream(QosPolicy.fast(), "d"), 1)
+        stream = rx.create_stream(QosPolicy.fast(), "d")
+        sinks = [rx.create_sink(stream, 1) for _ in range(2)]
+        emit(sim, tx, source)
+        assert [len(sink.ring) for sink in sinks] == [1, 1]
+        return sim, deployment.runtime(rx_host).memory.pool, rx, sinks
+
+    @pytest.mark.parametrize("rx_host", [0, 1], ids=["co-located", "network"])
+    def test_close_returns_both_unconsumed_copies(self, rx_host):
+        _sim, pool, rx, _sinks = self.deliver(rx_host)
+        assert pool.in_use == 1
+        assert rx.close() == 2
+        assert pool.in_use == 0
+
+    @pytest.mark.parametrize("rx_host", [0, 1], ids=["co-located", "network"])
+    def test_close_after_releasing_one_copy_returns_the_other(self, rx_host):
+        sim, pool, rx, sinks = self.deliver(rx_host)
+        rx.release_buffer(sinks[0], consume(sim, rx, sinks[0]))
+        assert pool.in_use == 1
+        assert rx.close() == 1
+        assert pool.in_use == 0
 
 
 class TestTracedSinkRingFull:

@@ -1,10 +1,9 @@
 """The emit contract: the token on an application's emit ring names its
-source, carries tracing only, and the source's outcome byte says whether
-routing will report SENT or DEGRADED."""
+source, its trace is tracing only, and the source's outcome byte says
+whether routing will report SENT or DEGRADED."""
 
 from repro.core import EmitOutcome, QosPolicy, Session
 from repro.core.config import RuntimeConfig
-from repro.core.ipc import NO_META
 from repro.core.runtime import PENDING_DEGRADED, InsaneDeployment
 from repro.hw import Testbed
 from repro.obs import LifecycleTracer
@@ -48,20 +47,20 @@ class TestEmitToken:
         assert [token.emit_index for token in routed] == \
             [emit_id[2] for emit_id, _ in emitted]
 
-    def test_untraced_emit_builds_no_meta(self):
+    def test_untraced_emit_carries_no_trace(self):
         sim, _deployment, tx, stream, source = stack()
         routed = routed_tokens(stream.binding)
         emit(sim, tx, source, count=2)
         assert len(routed) == 2
-        assert all(token.meta is NO_META for token in routed)
+        assert all(token.trace is None for token in routed)
 
-    def test_traced_meta_carries_the_lifecycle_root_only(self):
+    def test_traced_emit_carries_its_lifecycle_root(self):
         tracer = LifecycleTracer()
         sim, _deployment, tx, stream, source = stack(
             RuntimeConfig(tracer=tracer))
         routed = routed_tokens(stream.binding)
         emit(sim, tx, source)
-        assert routed[0].meta == {"obs": tracer.roots[0]}
+        assert routed[0].trace is tracer.roots[0]
 
 
 class TestDegradedStreamEmits:

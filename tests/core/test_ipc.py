@@ -95,9 +95,3 @@ def test_half_cost_reflects_profile():
     expected = stage.cost(0, burst=1) / 2.0
     # jittered, but within a few percent
     assert abs(effect.delay - expected) / expected < 0.2
-
-
-def test_token_meta_is_per_token():
-    a, b = make_token(), make_token()
-    a.meta["x"] = 1
-    assert "x" not in b.meta

@@ -2,8 +2,13 @@
 
 from repro.core import QosPolicy, Session
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import InsaneDeployment
+import pytest
+
+from repro.core.runtime import INSANE_PORTS, InsaneDeployment
 from repro.hw import Testbed
+from repro.netstack import Packet
+from repro.simnet import Timeout
+from tests.core.helpers import routed_tokens
 
 
 def make(config=None, seed=0):
@@ -33,8 +38,6 @@ class TestThreadMapping:
         assert len(runtime.threads[0].bindings) == 2
 
     def test_invalid_mapping_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             RuntimeConfig(thread_mapping="bogus")
 
@@ -93,7 +96,10 @@ class TestIdleBehaviour:
         assert len(sink.ring) == 1
 
     def test_pending_kick_is_not_lost(self):
-        """A kick arriving while the thread is mid-pass must not be lost."""
+        """A kick arriving while the thread is mid-pass must not be lost.
+        The thread keeps no flag for it: such a kick arrives inside a
+        pass that did work, and the thread polls every binding again
+        after a round with work, so it holds by construction."""
         testbed, deployment = make()
         sim = testbed.sim
         tx = Session(deployment.runtime(0), "tx")
@@ -113,3 +119,86 @@ class TestIdleBehaviour:
         sim.run()
         received = sink.received.value + len(sink.ring)
         assert received == 100
+
+
+class TestRingOrder:
+    def test_a_pass_routes_rings_in_first_lookup_order(self):
+        """A binding's pass drains its emit rings in the order they were
+        first looked up, not in the order their tokens arrived; ablation
+        A1 rests on this order (EXPERIMENTS A1).  B looks its ring up
+        first.  During a stall A emits before B, and the one pass at the
+        stall's end routes B's token first."""
+        testbed, deployment = make()
+        sim = testbed.sim
+        runtime = deployment.runtime(0)
+        rx = Session(deployment.runtime(1), "rx")
+        rx.create_sink(rx.create_stream(QosPolicy.fast(), name="o"), 1)
+        sources = {}
+        for name in ("a", "b"):
+            session = Session(runtime, name)
+            stream = session.create_stream(QosPolicy.fast(), name="o")
+            sources[name] = (session, session.create_source(stream, 1))
+        binding = stream.binding
+
+        def emit(name, delay=0):
+            session, source = sources[name]
+            yield Timeout(delay)
+            buffer = session.get_buffer(source, 8)
+            yield from session.emit_data(source, buffer, length=8)
+
+        routed = routed_tokens(binding)
+        sim.process(emit("b"))
+        sim.run()
+        stall_end = sim.now + 50_000
+        binding.stall(50_000)
+        sim.process(emit("a"))
+        sim.process(emit("b", delay=1_000))
+        sim.run(until=stall_end - 1)
+        assert len(routed) == 1
+        assert [len(binding.tx_rings[name]) for name in "ab"] == [1, 1]
+        sim.run()  # the stall's end wakes the parked thread
+        a_source, b_source = sources["a"][1], sources["b"][1]
+        assert [token.source for token in routed] == \
+            [b_source, b_source, a_source]
+
+
+class TestFaultDuringATransmitHalf:
+    @pytest.mark.parametrize("fault", ["fail", "stall"])
+    def test_the_receive_half_waits_for_a_healthy_binding(self, fault):
+        """A binding that fails or stalls while its pass routes leaves its
+        receive queue to a pass after the fault: never for a failure,
+        at the stall's end for a stall."""
+        testbed, deployment = make()
+        sim = testbed.sim
+        tx = Session(deployment.runtime(0), "tx")
+        stream = tx.create_stream(QosPolicy.fast(), name="f")
+        source = tx.create_source(stream, 1)
+        binding = stream.binding
+        route = binding._route_token
+        faulted_at = []
+
+        def route_then_fault(token):
+            route(token)
+            # a foreign packet, dropped as unknown once a pass drains it
+            binding.rx_queue.try_put(Packet(
+                "10.0.0.9", "10.0.0.1", INSANE_PORTS["dpdk"],
+                INSANE_PORTS["dpdk"], payload_len=64))
+            faulted_at.append(sim.now)
+            if fault == "fail":
+                binding.fail("injected")
+            else:
+                binding.stall(50_000)
+
+        binding._route_token = route_then_fault
+
+        def producer():
+            buffer = tx.get_buffer(source, 8)
+            yield from tx.emit_data(source, buffer, length=8)
+
+        sim.process(producer())
+        sim.run(until=10_000)
+        assert faulted_at and faulted_at[0] + 50_000 > 10_000
+        assert len(binding.rx_queue) == 1
+        sim.run()
+        drained = 0 if fault == "fail" else 1
+        assert binding.rx_packets.value == binding.unknown_drops.value == drained

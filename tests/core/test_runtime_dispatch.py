@@ -9,7 +9,12 @@ from repro.bench.harness import InsaneBenchApp, make_testbed
 from repro.core import EmitOutcome, QosPolicy, Session, SessionError
 from repro.core.channel import ChannelKey
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import INSANE_PORTS, InsaneDeployment, InsaneRuntime
+from repro.core.runtime import (
+    INSANE_PORTS,
+    InsaneDeployment,
+    InsaneRuntime,
+    fanout_cost_ns,
+)
 from repro.hw import LOCAL_TESTBED, Testbed
 from repro.netstack import Packet
 
@@ -108,30 +113,38 @@ class TestDropPaths:
 
 
 class TestFanoutAccounting:
+    @staticmethod
+    def fanout_cost(runtime, sinks):
+        """What a receive pass on ``runtime``'s DPDK binding charges to
+        fan one message out to ``sinks`` sinks."""
+        binding = runtime.bindings["dpdk"]
+        return fanout_cost_ns(sinks, runtime.sink_ring_count,
+                              binding.fanout_ns, binding.l2_budget,
+                              binding.l2_penalty_ns)
+
     def test_l2_penalty_applies_beyond_ring_budget(self):
         testbed, deployment = make()
         runtime = deployment.runtime(0)
         session = Session(runtime, "app")
         stream = session.create_stream(QosPolicy.fast(), name="f")
         binding = runtime.bindings["dpdk"]
-        base = binding._fanout_cost(1)
+        base = self.fanout_cost(runtime, 1)
         # register sinks beyond the L2 budget
         sinks = [session.create_sink(stream, channel=100 + i) for i in range(8)]
-        loaded = binding._fanout_cost(1)
+        loaded = self.fanout_cost(runtime, 1)
         assert loaded > base
         excess = runtime.sink_ring_count - binding.l2_budget
         assert loaded - base == pytest.approx(excess * binding.l2_penalty_ns)
         for sink in sinks:
             sink.close()
-        assert binding._fanout_cost(1) == pytest.approx(base)
+        assert self.fanout_cost(runtime, 1) == pytest.approx(base)
 
     def test_fanout_cost_grows_with_sink_count(self):
         testbed, deployment = make()
         runtime = deployment.runtime(0)
         Session(runtime, "app").create_stream(QosPolicy.fast(), name="g")
-        binding = runtime.bindings["dpdk"]
-        assert binding._fanout_cost(0) == 0.0
-        assert binding._fanout_cost(3) > binding._fanout_cost(1)
+        assert self.fanout_cost(runtime, 0) == 0.0
+        assert self.fanout_cost(runtime, 3) > self.fanout_cost(runtime, 1)
 
 
 class TestWeightedSinks:
@@ -163,7 +176,7 @@ class TestWeightedSinks:
         sim.run()
         ok, token = ring.try_get()
         assert ok
-        return token.meta["trace"]["runtime_rx"]
+        return token.trace["runtime_rx"]
 
     def test_weighted_endpoint_charges_like_plain_sinks(self):
         weighted, plain = self.twin(), self.twin()

@@ -5,7 +5,8 @@ fig8b), the failover bench, four differential-validation workloads and
 the serial runs of the smoke64 and city256 cities, plus each paper
 workload's and each city's count of scheduler round trips.  It also
 pins every other entry point: the scenario corpus, the hybrid fan-out
-tier, the capacity grid, the baseline systems and the breakdowns.
+tier, the capacity grid, the baseline systems, the breakdowns and the
+polling-thread ablations A2 and A5.
 If a commit moves any pin, this test names the exact entry — re-pin
 deliberately with ``insane validate golden --regen --force``.
 
@@ -88,6 +89,7 @@ class TestCorpusFile:
         assert len(corpus["baselines"]) == 7 + 4 + 3
         assert set(corpus["breakdown"]) == {"fig6", "traced"}
         assert set(corpus["fanout"]) == set(golden.FANOUT_RUNS)
+        assert set(corpus["polling"]) == {"a2-threads", "a5-rx-threads"}
 
     def test_digests_look_like_sha256(self):
         corpus = load_corpus()
@@ -195,6 +197,7 @@ class TestRegeneration:
         ("capacity", "rdma"),
         ("baselines", "fig9-zeromq"),
         ("breakdown", "traced"),
+        ("polling", "a5-rx-threads"),
     ])
     def test_tampered_entry_point_digest_is_named(self, tmp_path, computed,
                                                   section, key):
