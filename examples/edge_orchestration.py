@@ -11,7 +11,8 @@ Run with::
     python examples/edge_orchestration.py
 """
 
-from repro.cloud import Container, ContainerSpec, EdgeOrchestrator
+from repro.cloud.container import Container, ContainerSpec
+from repro.cloud.orchestrator import EdgeOrchestrator
 from repro.core import QosPolicy, Session
 from repro.core.runtime import InsaneDeployment
 from repro.hw import LOCAL_TESTBED, Testbed

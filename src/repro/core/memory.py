@@ -166,11 +166,11 @@ class SlotPool:
         if callback in self._waiters:
             self._waiters.remove(callback)
 
-    def addref(self, buffer):
-        """Take an extra reference for multi-sink delivery."""
+    def addref(self, buffer, count=1):
+        """Take ``count`` extra references for multi-sink delivery."""
         if buffer.pool is not self or self._live.get(buffer.slot_id) is not buffer:
             self._check_live(buffer)  # raises with the precise diagnosis
-        buffer.refcount += 1
+        buffer.refcount += count
 
     def release(self, buffer):
         """Drop one reference; recycle the slot when it hits zero."""
@@ -331,12 +331,23 @@ class MemoryManager:
                 del self._quota_waiters[app_id]
 
     def release_for(self, app_id, buffer):
+        """Drop one of ``app_id``'s references to ``buffer``.
+
+        An application holding no reference raises before the pool is
+        touched: a double release must not free a slot that another
+        application still holds.
+        """
         owned = self._attached.get(app_id)
         if owned is None:
             raise ValueError("application %r is not attached" % (app_id,))
         references = owned.pop(buffer, 0)
         if references > 1:
             owned[buffer] = references - 1
+        elif not references:
+            raise BufferLifecycleError(
+                "application %r holds no reference to slot %d (double "
+                "release?)" % (app_id, buffer.slot_id)
+            )
         self.pool.release(buffer)
         if self._quota_waiters:
             self._below_quota(app_id, owned)

@@ -394,9 +394,7 @@ class DatapathBinding:
                 buffer.write(payload[:length])
             buffer.length = length
             if len(sinks) > 1:
-                addref = pool.addref
-                for _ in range(len(sinks) - 1):
-                    addref(buffer)
+                pool.addref(buffer, len(sinks) - 1)
             self._deliver(sinks, buffer, length, key, packet.src_ip, trace)
         return True
 
@@ -420,9 +418,8 @@ class DatapathBinding:
         outcomes[index] = (
             _DEGRADED if outcomes[index] == PENDING_DEGRADED else _SENT
         )
-        pool = buffer.pool
-        for _ in range(refs_needed - 1):
-            pool.addref(buffer)
+        if refs_needed > 1:
+            buffer.pool.addref(buffer, refs_needed - 1)
         if local:
             self._deliver(local, buffer, token.length, key,
                           token.source_ip, token.trace)

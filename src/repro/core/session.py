@@ -78,12 +78,20 @@ class Session:
         self._credentials[credential.stream] = credential
         return self
 
-    def _authorize(self, stream_name, right):
+    def _authorize(self, stream_name, publish):
+        """Enforce the publish (or else subscribe) right on a stream.
+
+        Without an access controller nothing is checked, and the security
+        module, with the HMAC library it loads, is never imported.
+        """
         controller = self.runtime.config.access_controller
         if controller is None:
             return
+        from repro.core.security import RIGHT_PUBLISH, RIGHT_SUBSCRIBE
+
         controller.enforce(
-            self._credentials.get(stream_name), self.app_id, stream_name, right
+            self._credentials.get(stream_name), self.app_id, stream_name,
+            RIGHT_PUBLISH if publish else RIGHT_SUBSCRIBE,
         )
 
     # -- stream management ----------------------------------------------------
@@ -114,9 +122,7 @@ class Session:
     def create_source(self, stream, channel):
         self._check_open()
         self._check_stream(stream)
-        from repro.core.security import RIGHT_PUBLISH
-
-        self._authorize(stream.name, RIGHT_PUBLISH)
+        self._authorize(stream.name, publish=True)
         source = Source(self, stream, channel)
         stream.sources.append(source)
         return source
@@ -124,9 +130,7 @@ class Session:
     def create_sink(self, stream, channel, callback=None):
         self._check_open()
         self._check_stream(stream)
-        from repro.core.security import RIGHT_SUBSCRIBE
-
-        self._authorize(stream.name, RIGHT_SUBSCRIBE)
+        self._authorize(stream.name, publish=False)
         endpoint = self.runtime.register_sink(
             ChannelKey(stream.name, channel), self.app_id,
             datapath=stream.binding.name,

@@ -71,6 +71,9 @@ BLOCK_TIMEOUT_S = 120.0
 #: whether a worker that has not reported has died.
 _POLL_S = 0.2
 
+#: delivery records :func:`city_digest` encodes per hash update
+DIGEST_SLICE = 4096
+
 
 def city_end_of_time(spec):
     """A provable upper bound on the last event instant of a city run.
@@ -441,9 +444,32 @@ def _run_inline(spec, assignment):
 
 
 def city_digest(records):
-    """sha256 over the canonical JSON of a city delivery/drop record."""
-    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """sha256 over the canonical JSON of a city delivery/drop record.
+
+    The bytes hashed are exactly ``json.dumps(records, sort_keys=True,
+    separators=(",", ":"))``, but a list value (the deliveries) is
+    encoded :data:`DIGEST_SLICE` items at a time: a metro-scale record's
+    whole text and its encoded copy never exist at once.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    digest = hashlib.sha256()
+    opener = b"{"
+    for key in sorted(records):
+        digest.update(opener + encode(key).encode() + b":")
+        opener = b","
+        value = records[key]
+        if not isinstance(value, list):
+            digest.update(encode(value).encode())
+            continue
+        digest.update(b"[")
+        for start in range(0, len(value), DIGEST_SLICE):
+            if start:
+                digest.update(b",")
+            text = encode(value[start:start + DIGEST_SLICE])
+            digest.update(text[1:-1].encode())
+        digest.update(b"]")
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def merge_partition_records(parts):
@@ -468,8 +494,9 @@ def merge_partition_records(parts):
                 )
             counters[key] = value
         core_forwarded += records["core_forwarded"]
+    deliveries.sort()
     return {
-        "deliveries": sorted(deliveries),
+        "deliveries": deliveries,
         "counters": counters,
         "core_forwarded": core_forwarded,
     }

@@ -406,7 +406,7 @@ class CityNetwork:
             if self._region_by_ip[ip] in self.owned_regions
         )
 
-        #: delivery records [flow_id, msg_index, delivered_ns]
+        #: delivery records (flow_id, msg_index, delivered_ns)
         self.deliveries = []
         #: boundary exports: dst region -> [(arrival, flow, k, is_reply)]
         self.outbox = []
@@ -468,7 +468,7 @@ class CityNetwork:
         flow = self.plan["flows"][flow_id]
         delivered = self.sim.now + self.rx_cost_ns
         if flow["kind"] == "paced" or is_reply:
-            self.deliveries.append([flow_id, k, delivered])
+            self.deliveries.append((flow_id, k, delivered))
             return
         # rpc request at the service host: turn it around after the
         # service time plus the reply's tx datapath cost

@@ -24,7 +24,6 @@ what lets a cached single-worker report compare equal to a fresh
 
 import json
 from dataclasses import dataclass, field
-from hashlib import sha256
 from typing import Mapping
 
 #: Version of the report layout.  Bump when the body shape changes; the
@@ -73,6 +72,11 @@ class RunReport:
 
     def digest(self):
         """sha256 over the canonical body — ``meta`` never moves it."""
+        # imported here: most runs that build reports never digest one,
+        # and hashlib maps OpenSSL's libcrypto (about 3.8 MB resident
+        # with OpenSSL 3.0)
+        from hashlib import sha256
+
         return sha256(self.to_json(with_meta=False).encode()).hexdigest()
 
     @classmethod

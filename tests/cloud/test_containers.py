@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cloud import Container, ContainerSpec, ContainerState, EdgeOrchestrator, PlacementError
+from repro.cloud.container import Container, ContainerSpec, ContainerState
+from repro.cloud.orchestrator import EdgeOrchestrator, PlacementError
 from repro.core import QosPolicy
 from repro.core.errors import PoolExhaustedError
 from repro.core.runtime import InsaneDeployment

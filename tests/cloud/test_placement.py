@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cloud import RegionPlacer
-from repro.cloud.placement import least_loaded
+from repro.cloud.placement import RegionPlacer, least_loaded
 from repro.core.errors import TopologyError
 
 

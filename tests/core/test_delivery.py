@@ -3,7 +3,9 @@ application consumes, and buffers never exceed an application's quota."""
 
 import pytest
 
-from repro.core import PoolExhaustedError, QosPolicy, Session, SessionError
+from repro.core import (
+    BufferLifecycleError, PoolExhaustedError, QosPolicy, Session, SessionError,
+)
 from repro.core.channel import ChannelKey
 from repro.core.config import RuntimeConfig
 from repro.core.ipc import Token
@@ -155,6 +157,36 @@ class TestTwoCopiesInOneApplication:
         rx.release_buffer(sinks[0], consume(sim, rx, sinks[0]))
         assert pool.in_use == 1
         assert rx.close() == 1
+        assert pool.in_use == 0
+
+
+class TestDoubleRelease:
+    """An application that releases a delivery it no longer holds is
+    refused before the pool is touched, so it cannot free the slot that
+    another application's copy still uses."""
+
+    @pytest.mark.parametrize("rx_host", [0, 1], ids=["co-located", "network"])
+    def test_second_release_raises_and_keeps_the_other_copy(self, rx_host):
+        testbed = Testbed.local()
+        sim = testbed.sim
+        deployment = InsaneDeployment(testbed)
+        tx = Session(deployment.runtime(0), "tx")
+        source = tx.create_source(tx.create_stream(QosPolicy.fast(), "d"), 1)
+        a, b = (Session(deployment.runtime(rx_host), name)
+                for name in ("a", "b"))
+        a_sink, b_sink = (app.create_sink(app.create_stream(
+            QosPolicy.fast(), "d"), 1) for app in (a, b))
+        emit(sim, tx, source)
+        pool = deployment.runtime(rx_host).memory.pool
+        delivery = consume(sim, a, a_sink)
+        a.release_buffer(a_sink, delivery)
+        assert pool.in_use == 1
+        with pytest.raises(BufferLifecycleError,
+                           match="'a' holds no reference to slot %d"
+                           % delivery.slot_id):
+            a.release_buffer(a_sink, delivery)
+        assert pool.in_use == 1
+        b.release_buffer(b_sink, consume(sim, b, b_sink))
         assert pool.in_use == 0
 
 

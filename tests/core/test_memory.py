@@ -129,9 +129,9 @@ class TestSlotPool:
         pool = make_pool(slots=1)
         buffer = pool.alloc()
         pool.addref(buffer)
-        pool.addref(buffer)  # three holders in total
-        pool.release(buffer)
-        pool.release(buffer)
+        pool.addref(buffer, 2)  # four holders in total
+        for _ in range(3):
+            pool.release(buffer)
         assert pool.free_slots == 0  # still held by one borrower
         pool.release(buffer)
         assert pool.free_slots == 1

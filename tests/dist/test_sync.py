@@ -8,6 +8,9 @@ simulation horizon and a merge that refuses to paper over overlapping
 counters.
 """
 
+import hashlib
+import itertools
+import json
 import os
 import time
 
@@ -23,7 +26,13 @@ from repro.dist import (
     run_city_serial,
 )
 from repro.dist.partition import partition_regions
-from repro.dist.sync import PartitionRunner, _city_worker, city_end_of_time
+from repro.dist.sync import (
+    DIGEST_SLICE,
+    PartitionRunner,
+    _city_worker,
+    city_digest,
+    city_end_of_time,
+)
 from repro.hw.generate import DATAPATH_STAGES, resolve_topology
 
 TINY = {"hosts": 16, "regions": 4, "messages": 2, "seed": 11}
@@ -159,6 +168,29 @@ class TestMerge:
                                       "tor1.forwarded": 4}
         assert merged["core_forwarded"] == 3
         assert merged["deliveries"] == [[0, 0, 5.0], [1, 0, 3.0]]
+
+
+class TestDigest:
+    """The digest is fed a slice of deliveries at a time, and hashes the
+    bytes of the one-shot canonical JSON exactly."""
+
+    @staticmethod
+    def one_shot(records):
+        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_smoke64_matches_the_one_shot_digest(self):
+        run = serial("smoke64")
+        assert run["digest"] == self.one_shot(run["records"])
+
+    @pytest.mark.parametrize("count", [0, 1, DIGEST_SLICE, DIGEST_SLICE + 1],
+                             ids=["empty", "one", "slice", "slice+1"])
+    def test_slice_boundaries_match_the_one_shot_digest(self, count):
+        records = serial("smoke64")["records"]
+        deliveries = list(itertools.islice(
+            itertools.cycle(records["deliveries"]), count))
+        records = dict(records, deliveries=deliveries)
+        assert city_digest(records) == self.one_shot(records)
 
 
 class TestHorizon:
