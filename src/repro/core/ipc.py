@@ -27,15 +27,17 @@ class Token:
     A delivery token is what the application gets: ``consume_data``
     returns the token it took off the sink ring.  It names no source,
     and its trace is its packet's record for a network copy and its
-    emit's for a co-located one.  A delivered message is one token, put
-    on every sink ring it reaches on the host, so consumers only read
-    it.  One token is built per emit and one per delivered message, so
-    this is a plain ``__slots__`` class rather than a dataclass.
+    emit's for a co-located one.  Its ``lease`` is its buffer's lease
+    number when the token was built, which ``release_buffer`` checks.
+    A delivered message is one token, put on every sink ring it reaches
+    on the host, so consumers only read it.  One token is built per emit
+    and one per delivered message, so this is a plain ``__slots__``
+    class rather than a dataclass.
     """
 
     __slots__ = (
         "slot_id", "length", "stream", "channel",
-        "source_ip", "buffer", "trace", "source", "emit_index",
+        "source_ip", "buffer", "trace", "source", "emit_index", "lease",
     )
 
     def __init__(self, slot_id, length, stream, channel, source_ip=None,
@@ -49,6 +51,7 @@ class Token:
         self.trace = trace
         self.source = source
         self.emit_index = emit_index
+        self.lease = None if buffer is None else buffer.lease
 
     def __repr__(self):
         return "Token(slot=%r, len=%r, %s:%s)" % (

@@ -34,10 +34,14 @@ class Buffer:
     ``view`` is writable memory backed by the pool; ``length`` is the number
     of valid payload bytes (set by :meth:`write` or manually before emit).
     ``refcount`` supports multi-sink delivery: the slot returns to the free
-    list only when every borrower has released it.
+    list only when every borrower has released it.  ``lease`` numbers the
+    slot's leases (one per allocation or waiter hand-off; the pool bumps
+    it as each lease ends): a delivery token records it, so a token held
+    past its slot's release is told apart from the slot's next message.
     """
 
-    __slots__ = ("pool", "slot_id", "view", "length", "refcount", "frozen")
+    __slots__ = ("pool", "slot_id", "view", "length", "refcount", "frozen",
+                 "lease")
 
     def __init__(self, pool, slot_id, view):
         self.pool = pool
@@ -46,6 +50,7 @@ class Buffer:
         self.length = 0
         self.refcount = 1
         self.frozen = False
+        self.lease = 0
 
     @property
     def capacity(self):
@@ -182,6 +187,7 @@ class SlotPool:
         del self._live[buffer.slot_id]
         buffer.frozen = False
         buffer.length = 0
+        buffer.lease += 1
         if self._waiters:
             # hand the slot straight to a blocked allocator
             callback = self._waiters.pop(0)

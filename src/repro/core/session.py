@@ -37,6 +37,7 @@ import itertools
 
 from repro.core.channel import ChannelKey, Sink, Source, Stream
 from repro.core.errors import (
+    BufferLifecycleError,
     DatapathFailedError,
     PoolExhaustedError,
     SessionError,
@@ -341,8 +342,20 @@ class Session:
 
     def release_buffer(self, sink, delivery):
         """Return a consumed buffer to the middleware: a delivery token,
-        or a bare buffer (such as one whose emit was refused)."""
-        buffer = delivery.buffer if isinstance(delivery, Token) else delivery
+        or a bare buffer (such as one whose emit was refused).
+
+        A token whose slot was freed since its delivery is refused before
+        the pool is touched, even when the slot now holds a later message.
+        """
+        if isinstance(delivery, Token):
+            buffer = delivery.buffer
+            if delivery.lease != buffer.lease:
+                raise BufferLifecycleError(
+                    "application %r released a stale token: slot %d was "
+                    "freed since its delivery" % (self.app_id, buffer.slot_id)
+                )
+        else:
+            buffer = delivery
         self.runtime.memory.release_for(self.app_id, buffer)
 
     # -- lifecycle ------------------------------------------------------------------------

@@ -96,8 +96,8 @@ class Datapath:
     # -- helpers shared by plugins ------------------------------------------
 
     def transmit(self, packet):
-        """Hand ``packet`` to the NIC and release its TX buffer when the
-        frame has fully left the host (the DMA read is then complete)."""
+        """Hand ``packet`` to the NIC, which releases its TX buffer when
+        the frame has fully left the host (the DMA read is then complete)."""
         if self.failed:
             return self._drop_failed(packet)
         payload = packet.payload
@@ -105,13 +105,8 @@ class Datapath:
             # The NIC's DMA engine reads the slot during serialization;
             # capture the bytes so the slot can be recycled immediately.
             packet.payload = bytes(payload)
-        sim = self.sim
         if packet.trace is not None:
-            packet.trace["nic_handoff"] = sim.now
+            packet.trace["nic_handoff"] = self.sim.now
         departure = self.nic.transmit(packet)
-        buffer = packet.tx_buffer
-        if buffer is not None:
-            packet.tx_buffer = None
-            sim.schedule(departure - sim.now, buffer.pool.release, buffer)
         self.tx_packets.value += 1
         return departure

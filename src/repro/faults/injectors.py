@@ -124,23 +124,27 @@ class Injector:
     def arm(self, testbed, deployment, trace):
         """Schedule the fire/clear callbacks.  Called once by the schedule.
 
-        A ``_fire`` returning the string ``"skip"`` means the fault could
-        not apply to the live system (e.g. the targeted datapath binding
-        was never instantiated); the trace records a ``skip`` phase and no
-        clear is scheduled, instead of an exception unwinding ``sim.run``.
+        What ``_fire`` returns is handed to ``_clear``: the state one
+        firing needs undone lives with that firing, never on the
+        (frozen, shareable) injector.  A ``_fire`` returning the string
+        ``"skip"`` means the fault could not apply to the live system
+        (e.g. the targeted datapath binding was never instantiated); the
+        trace records a ``skip`` phase and no clear is scheduled, instead
+        of an exception unwinding ``sim.run``.
         """
         sim = testbed.sim
 
         def fire():
-            if self._fire(testbed, deployment) == "skip":
+            fired = self._fire(testbed, deployment)
+            if fired == "skip":
                 trace.record(sim.now, self.kind, "skip", self._target())
                 return
             trace.record(sim.now, self.kind, "fire", self._target())
             if self.for_ns is not None:
-                sim.schedule(self.for_ns, clear)
+                sim.schedule(self.for_ns, clear, fired)
 
-        def clear():
-            self._clear(testbed, deployment)
+        def clear(fired):
+            self._clear(testbed, deployment, fired)
             trace.record(sim.now, self.kind, "clear", self._target())
 
         sim.schedule(self.at_ns, fire)
@@ -150,7 +154,7 @@ class Injector:
     def _fire(self, testbed, deployment):
         raise NotImplementedError
 
-    def _clear(self, testbed, deployment):
+    def _clear(self, testbed, deployment, fired):
         raise NotImplementedError
 
 
@@ -198,7 +202,7 @@ class LinkDown(Injector):
     def _fire(self, testbed, deployment):
         _link(testbed, self.link).take_down()
 
-    def _clear(self, testbed, deployment):
+    def _clear(self, testbed, deployment, fired):
         _link(testbed, self.link).bring_up()
 
 
@@ -221,7 +225,7 @@ class LossBurst(Injector):
     def _fire(self, testbed, deployment):
         _link(testbed, self.link).loss_rate = self.rate
 
-    def _clear(self, testbed, deployment):
+    def _clear(self, testbed, deployment, fired):
         _link(testbed, self.link).loss_rate = 0.0
 
 
@@ -233,21 +237,14 @@ class NicQueueSqueeze(Injector):
     capacity: int = 4
     kind = "nic_queue_squeeze"
 
-    # the saved capacities of the currently-armed squeeze, keyed by object
-    # id (the dataclass is frozen; state lives in this class-level map)
-    _saved = {}
-
     def _target(self):
         return ("host%d" % self.host, self.capacity)
 
     def _fire(self, testbed, deployment):
-        nic = _host(testbed, self.host).nic
-        NicQueueSqueeze._saved[id(self)] = nic.squeeze_queues(self.capacity)
+        return _host(testbed, self.host).nic.squeeze_queues(self.capacity)
 
-    def _clear(self, testbed, deployment):
-        saved = NicQueueSqueeze._saved.pop(id(self), None)
-        if saved is not None:
-            _host(testbed, self.host).nic.restore_queues(saved)
+    def _clear(self, testbed, deployment, fired):
+        _host(testbed, self.host).nic.restore_queues(fired)
 
 
 @dataclass(frozen=True)
@@ -274,7 +271,7 @@ class DatapathFailure(Injector):
             return "skip"
         runtime.fail_datapath(self.datapath, self.reason)
 
-    def _clear(self, testbed, deployment):
+    def _clear(self, testbed, deployment, fired):
         _runtime(deployment, self.host).restore_datapath(self.datapath)
 
 
@@ -332,5 +329,5 @@ class CpuSlowdown(Injector):
     def _fire(self, testbed, deployment):
         _host(testbed, self.host).slow_down(self.factor)
 
-    def _clear(self, testbed, deployment):
+    def _clear(self, testbed, deployment, fired):
         _host(testbed, self.host).restore_speed()

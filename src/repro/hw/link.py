@@ -41,37 +41,45 @@ class Link:
         # wire path.
         self._fuse = getattr(sim, "_lane", None) is not None
 
-    def carry(self, frame, sender):
-        """Propagate ``frame`` from ``sender`` to the opposite end."""
+    def carry(self, frame, sender, tx_buffer=None):
+        """Propagate ``frame`` from ``sender`` to the opposite end.
+
+        A sending NIC on the fast engine passes the TX slot the frame
+        holds (``tx_buffer``).  It returns to its pool at the end of this
+        event, the frame's departure, just as the release event that
+        would have followed at the same instant frees it.
+        """
         if sender is self.end_a:
             receiver = self.end_b
         elif sender is self.end_b:
             receiver = self.end_a
         else:
             raise ValueError("frame sent on a link by a foreign endpoint")
+        sim = self.sim
         dropped = (not self.up) or (
-            self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate
+            self.loss_rate > 0.0 and sim.rng.random() < self.loss_rate
         )
         for tap in self.taps:
-            tap.record(frame, self.sim.now, dropped=dropped)
+            tap.record(frame, sim.now, dropped=dropped)
         trace = frame.packet.trace
         if trace is not None:
             # first hop only: re-stamping on the switch-to-NIC hop would
             # rewrite the value in its original insertion position and
             # break the stage ordering derived from insertion order
-            trace.setdefault("link_carry", self.sim.now)
+            trace.setdefault("link_carry", sim.now)
             if dropped:
-                trace_drop(trace, self.sim.now,
+                trace_drop(trace, sim.now,
                            "link down" if not self.up else "link loss")
         if dropped:
             self.lost_frames.value += 1
-            return
-        sim = self.sim
-        # the arrival instant is the float schedule() would compute
-        if self._fuse and receiver.arrive(frame,
-                                          sim.now + self.propagation_ns):
-            return
-        sim.schedule(self.propagation_ns, receiver.receive, frame)
+        else:
+            # the arrival instant is the float schedule() would compute
+            arrival = sim.now + self.propagation_ns
+            if not (self._fuse and receiver.arrive(frame, arrival)):
+                sim.schedule(self.propagation_ns, receiver.receive, frame)
+        if tx_buffer is not None:
+            tx_buffer.pool.release(tx_buffer)
+            sim._executed += 1  # parity with the elided release event
 
     def account_fluid(self, frames):
         """Account ``frames`` modelled (not simulated) crossings."""

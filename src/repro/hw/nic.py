@@ -35,7 +35,7 @@ class Nic:
         self.name = name or ("nic-%s" % ip)
         self.rx_ring = Store(sim, capacity=profile.nic_rx_ring_slots, name=self.name + ".rx")
         self._steering = {}  # dst_port -> queue (receive flow steering)
-        self.egress = None  # Link or SwitchPort; set by topology wiring
+        self.egress = None  # the Link, set by topology wiring
         self.tx_frames = Counter(self.name + ".tx_frames")
         self.rx_frames = Counter(self.name + ".rx_frames")
         self.rx_dropped = Counter(self.name + ".rx_dropped")
@@ -48,10 +48,17 @@ class Nic:
         self.fluid_tx_bytes = 0.0
         self.fluid_rx_bytes = 0.0
         self._tx_free_at = 0.0
+        #: squeezes in force, oldest first (see :meth:`squeeze_queues`)
+        self._squeezes = []
         # hot-path scalars, hoisted out of the per-packet profile lookups
         self._bandwidth_gbps = profile.nic_bandwidth_gbps
         self._tx_dma_ns = profile.nic_tx_dma_ns
         self._rx_dma_ns = profile.nic_rx_dma_ns
+        # Fast-engine departure release (DESIGN.md §6): a frame holding a
+        # TX slot frees it at the end of its departure event, the link's
+        # carry, instead of in a second event at the same instant.  The
+        # legacy engine keeps the two-event form.
+        self._fuse = getattr(sim, "_lane", None) is not None
 
     # -- transmit ----------------------------------------------------------
 
@@ -63,7 +70,9 @@ class Nic:
         """Queue ``packet`` for transmission; returns its wire departure time.
 
         Models DMA fetch followed by store-and-forward serialization on the
-        NIC's single transmit queue.
+        NIC's single transmit queue.  The packet's ``tx_buffer``, if any,
+        returns to its pool when the frame departs: the DMA read is then
+        complete.
         """
         if self.egress is None:
             raise RuntimeError("%s is not wired to a link" % self.name)
@@ -80,7 +89,17 @@ class Nic:
             packet.trace["nic_tx_departure"] = departure
         # schedule(departure - now) computes the same now+delay sum as
         # schedule_at would, without the extra call
-        sim.schedule(departure - now, self.egress.carry, frame, self)
+        buffer = packet.tx_buffer
+        if buffer is None:
+            sim.schedule(departure - now, self.egress.carry, frame, self)
+            return departure
+        packet.tx_buffer = None
+        if self._fuse and sim.observer is None:
+            sim.schedule(departure - now, self.egress.carry, frame, self,
+                         buffer)
+        else:
+            sim.schedule(departure - now, self.egress.carry, frame, self)
+            sim.schedule(departure - now, buffer.pool.release, buffer)
         return departure
 
     def account_fluid_tx(self, frames, byte_count=0.0):
@@ -137,18 +156,35 @@ class Nic:
         """Shrink every receive queue to ``capacity`` slots (fault
         injection: models descriptor/memory pressure on the NIC — frames
         beyond the squeezed capacity are dropped and counted).  Returns
-        the saved capacities for :meth:`restore_queues`."""
+        the squeeze, which :meth:`restore_queues` lifts.
+
+        Squeezes may overlap: the latest one in force sets the
+        capacities, and each queue gets its own capacity back once every
+        squeeze is lifted, in whatever order they are lifted."""
         if capacity < 1:
             raise ValueError("squeezed capacity must be >= 1")
-        saved = []
+        saved = {}
         for queue in self._all_queues():
-            saved.append((queue, queue.capacity))
+            saved[queue] = queue.capacity
             queue.capacity = capacity
+        self._squeezes.append(saved)
         return saved
 
     def restore_queues(self, saved):
-        """Undo a :meth:`squeeze_queues`."""
-        for queue, capacity in saved:
+        """Lift a :meth:`squeeze_queues`.  The latest squeeze in force
+        puts back the capacities it replaced; an earlier one hands them to
+        the squeeze that replaced its own, which puts them back."""
+        squeezes = self._squeezes
+        for index, entry in enumerate(squeezes):
+            if entry is saved:
+                break
+        else:
+            raise ValueError("%s: that squeeze is not in force" % self.name)
+        del squeezes[index]
+        if index < len(squeezes):
+            squeezes[index].update(saved)
+            return
+        for queue, capacity in saved.items():
             queue.capacity = capacity
 
     # -- receive flow steering ----------------------------------------------

@@ -703,7 +703,10 @@ def parse_scenario(text, source=None):
                 "install pyyaml", source=source,
             ) from None
         try:
-            document = yaml.safe_load(text)
+            # libyaml's C parser when PyYAML was built with it, else the
+            # pure-Python one; both build the same plain objects
+            document = yaml.load(
+                text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ScenarioError("invalid YAML: %s" % exc, source=source) from None
     return validate_scenario(document, source=source)

@@ -192,11 +192,12 @@ class Process:
         """Advance the generator with ``value`` (or throw ``exception``).
 
         The body is a loop rather than a single step: when a ``Get`` finds
-        its item already waiting and nothing else is runnable at this
-        instant (empty lane, heap strictly in the future, no observer, no
-        queued getters/putters), the hand-off event is elided and the
-        generator continues in place — ``sim._executed`` is bumped for the
-        elided event so counters stay bit-identical to the scheduled form.
+        its item already waiting, or a ``Put`` is accepted at once, and
+        nothing else is runnable at this instant (empty lane, heap
+        strictly in the future, no observer), the hand-off event is
+        elided and the generator continues in place — ``sim._executed``
+        is bumped for the elided event so counters stay bit-identical to
+        the scheduled form.
         """
         if self._finished:
             return
@@ -253,28 +254,43 @@ class Process:
                     if len(heap) > sim._peak_heap:
                         sim._peak_heap = len(heap)
                 return
-            elif tag == 2:
+            elif tag == 2 or tag == 3:
+                # Get / Put: the store's own add_getter / add_putter, with
+                # the completion's lane entry elided when it would be the
+                # next event run
                 store = effect.store
                 lane = self._lane
-                if lane is not None and not lane:
+                if lane is None or lane or store._putters:
+                    if tag == 2:
+                        store.add_getter(self.resume)
+                    else:
+                        store.add_putter(effect.item, self.resume)
+                    return
+                if tag == 2:
                     items = store._items
-                    if items and not store._getters and not store._putters:
-                        sim = self.sim
-                        heap = sim._heap
-                        if sim.observer is None and (
-                            not heap or heap[0][0] > sim.now
-                        ):
-                            # ready hand-off with nothing else runnable at
-                            # this instant: elide the lane round-trip and
-                            # continue the generator in place
-                            sim._executed += 1
-                            value = items.popleft()
-                            exception = None
-                            continue
-                store.add_getter(self.resume)
-                return
-            elif tag == 3:
-                effect.store.add_putter(effect.item, self.resume)
+                    if not items or store._getters:
+                        store.add_getter(self.resume)
+                        return
+                    value = items.popleft()
+                else:
+                    # a getter it wakes or a thread it kicks goes on the
+                    # lane first, which rules the elision out below
+                    if not store.try_put(effect.item):
+                        store._putters.append((effect.item, self.resume))
+                        return
+                    value = None
+                sim = self.sim
+                heap = sim._heap
+                if not lane and sim.observer is None and (
+                    not heap or heap[0][0] > sim.now
+                ):
+                    # nothing else runnable at this instant: elide the
+                    # lane round-trip and continue the generator in place
+                    sim._executed += 1
+                    exception = None
+                    continue
+                sim._seq = seq = sim._seq + 1
+                lane.append((seq, self.resume, (value, None)))
                 return
             elif tag == 4:
                 effect.signal.add_waiter(self.resume)

@@ -27,10 +27,13 @@ move inside of without anyone seeing:
 
 The ``schedule`` section pins each paper workload's and each pinned
 city's count of scheduler round trips (``Simulator.stats()["scheduled"]``,
-keyed ``city-<preset>`` for a city).  The engine's fused paths skip
-round trips but count each step as executed, so the digests cannot see
-whether they ran; a fused path that stops engaging raises its
-workload's count.
+keyed ``city-<preset>`` for a city).  The engine's seven fused paths
+(DESIGN.md §6: burst-chain inlining, the link + rx-DMA and switch-arrival
+fusions, session consume fusion, store-get and store-put elision and the
+departure release of a frame's TX slot) skip round trips but count each
+step as executed, so the digests cannot see whether they ran; a fused
+path that stops engaging raises its workload's count, and a new one
+lowers it, which is re-pinned with every digest unchanged.
 
 Regeneration is deliberate: :func:`regenerate_corpus` (exposed as
 ``insane validate golden --regen``) refuses to overwrite an existing

@@ -190,6 +190,36 @@ class TestDoubleRelease:
         assert pool.in_use == 0
 
 
+class TestStaleToken:
+    """A delivery token released after its slot went to a later message
+    is refused: it cannot free the slot under the later message's token."""
+
+    @pytest.mark.parametrize("rx_host", [0, 1], ids=["co-located", "network"])
+    def test_stale_release_raises_and_keeps_the_later_message(self, rx_host):
+        testbed = Testbed.local()
+        sim = testbed.sim
+        deployment = InsaneDeployment(testbed)
+        tx = Session(deployment.runtime(0), "tx")
+        source = tx.create_source(tx.create_stream(QosPolicy.fast(), "d"), 1)
+        a = Session(deployment.runtime(rx_host), "a")
+        sink = a.create_sink(a.create_stream(QosPolicy.fast(), "d"), 1)
+        pool = deployment.runtime(rx_host).memory.pool
+        emit(sim, tx, source)
+        first = consume(sim, a, sink)
+        a.release_buffer(sink, first)
+        emit(sim, tx, source, b"the next message")
+        second = consume(sim, a, sink)
+        assert second.buffer is first.buffer  # the slot was leased again
+        assert pool.in_use == 1
+        with pytest.raises(BufferLifecycleError,
+                           match="'a' released a stale token: slot %d"
+                           % first.slot_id):
+            a.release_buffer(sink, first)
+        assert pool.in_use == 1
+        a.release_buffer(sink, second)
+        assert pool.in_use == 0
+
+
 class TestTracedSinkRingFull:
     def test_co_located_drop_annotates_the_emit_record(self):
         """A co-located copy refused by a full sink ring is counted,

@@ -1,5 +1,8 @@
 """Unit tests of the fault injectors and schedules (repro.faults)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import QosPolicy, Session
@@ -127,6 +130,43 @@ class TestHostFaults:
         bed.sim.process(probe(), name="probe")
         bed.sim.run()
         assert during == [2]
+        assert nic.rx_ring.capacity == before
+
+    @pytest.mark.parametrize("for_ns", [None, 500.0],
+                             ids=["permanent", "timed"])
+    def test_squeezed_simulation_is_collectable(self, for_ns):
+        bed, dep = make_bed()
+        FaultSchedule().nic_queue_squeeze(
+            at=10.0, for_ns=for_ns, capacity=2, host=1
+        ).apply(bed, dep)
+        bed.sim.run()
+        squeezed = bed.hosts[1].nic.rx_ring.capacity == 2
+        assert squeezed is (for_ns is None)
+        sim = weakref.ref(bed.sim)
+        del bed, dep
+        gc.collect()
+        assert sim() is None
+
+    @pytest.mark.parametrize("second_for_ns,expected", [
+        (50.0, [4, 2, 4, None, None]),   # lifted inside the first squeeze
+        (200.0, [4, 2, 2, 2, None]),     # outlasts the first squeeze
+    ], ids=["nested", "staggered"])
+    def test_overlapping_squeezes_restore_the_original_capacity(
+            self, second_for_ns, expected):
+        bed, dep = make_bed()
+        nic = bed.hosts[1].nic
+        before = nic.rx_ring.capacity
+        (FaultSchedule()
+         .nic_queue_squeeze(at=10.0, for_ns=100.0, capacity=4, host=1)
+         .nic_queue_squeeze(at=20.0, for_ns=second_for_ns, capacity=2,
+                            host=1)
+         .apply(bed, dep))
+        seen = []
+        for at in (15.0, 50.0, 90.0, 150.0, 300.0):
+            bed.sim.schedule_at(
+                at, lambda: seen.append(nic.rx_ring.capacity))
+        bed.sim.run()
+        assert seen == [before if cap is None else cap for cap in expected]
         assert nic.rx_ring.capacity == before
 
 

@@ -1,8 +1,11 @@
 """Scenario-document schema: normalization and loud, path-citing errors."""
 
+import os
+
 import pytest
 
 from repro.core.errors import ScenarioError
+from repro.scenario.runner import builtin_corpus_dir, discover_scenarios
 from repro.scenario.schema import (
     SCENARIO_SCHEMA,
     load_scenario,
@@ -262,3 +265,33 @@ class TestHybridFanout:
             workload={"kind": "fanout", "subscribers": 10,
                       "fidelity": {"promote_threshold": 500}},
             slo={"promotions_min": 1}))
+
+
+def _loader(monkeypatch, kind):
+    """Make ``parse_scenario`` use libyaml's parser ("c") or the
+    pure-Python one ("python"); skip the C half without libyaml."""
+    yaml = pytest.importorskip("yaml")
+    if kind == "c":
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+    else:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return yaml
+
+
+class TestYamlLoaders:
+    @pytest.mark.parametrize("path", discover_scenarios(builtin_corpus_dir()),
+                             ids=os.path.basename)
+    def test_both_loaders_give_equal_specs(self, path, monkeypatch):
+        with open(path) as handle:
+            text = handle.read()
+        _loader(monkeypatch, "c")
+        fast = parse_scenario(text, source=path)
+        _loader(monkeypatch, "python")
+        assert parse_scenario(text, source=path) == fast
+
+    @pytest.mark.parametrize("kind", ["c", "python"])
+    def test_malformed_yaml_raises_scenario_error(self, kind, monkeypatch):
+        _loader(monkeypatch, kind)
+        with pytest.raises(ScenarioError, match="invalid YAML"):
+            parse_scenario("scenario: [unclosed\n", source="bad.yaml")
