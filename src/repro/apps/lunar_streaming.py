@@ -14,7 +14,6 @@ materializing multi-megabyte payloads — used by the Fig. 11 benchmarks.
 import struct
 
 from repro.core import QosPolicy, Session
-from repro.core.runtime import INSANE_HEADER_BYTES
 from repro.netstack.fragment import FRAGMENT_HEADER, FRAGMENT_HEADER_LEN
 from repro.simnet import Counter, Timeout
 
@@ -41,8 +40,7 @@ class LunarStreamServer:
         self.stream = self.session.create_stream(policy, name=stream_name)
         self.control_sink = self.session.create_sink(self.stream, CONTROL_CHANNEL)
         self.data_source = self.session.create_source(self.stream, DATA_CHANNEL)
-        max_payload = runtime.frame_policy.max_payload - INSANE_HEADER_BYTES
-        self.max_fragment = max_payload - FRAGMENT_HEADER_LEN
+        self.max_fragment = runtime.max_emit_size - FRAGMENT_HEADER_LEN
         self.frames_sent = Counter("lnr.server.frames")
         #: send-start virtual time of each frame, index == frame id — used
         #: by the Fig. 11b end-to-end latency measurement

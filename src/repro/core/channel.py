@@ -8,6 +8,7 @@ handles; the runtime keeps its own registry of sink endpoints.
 
 from typing import NamedTuple
 
+from repro.core.errors import BufferLifecycleError
 from repro.core.qos import TimeSensitivity
 from repro.simnet import Counter
 
@@ -59,16 +60,20 @@ class Stream:
         return self.decision.datapath
 
     def close(self):
+        """Close the stream and its endpoints; returns the references its
+        sinks released (see :meth:`Sink.close`)."""
         if self.closed:
-            return
+            return 0
         for source in list(self.sources):
             source.close()
+        released = 0
         for sink in list(self.sinks):
-            sink.close()
+            released += sink.close()
         self.closed = True
         streams = self.session.streams
         if self in streams:
             streams.remove(self)
+        return released
 
     def __enter__(self):
         return self
@@ -136,11 +141,27 @@ class Sink:
         self.ring = endpoint.ring
 
     def close(self):
-        if not self.closed:
-            self.closed = True
-            self.session.runtime.unregister_sink(self.endpoint)
-            if self in self.stream.sinks:
-                self.stream.sinks.remove(self)
+        """Unregister the sink, then release the application's reference
+        of every delivery left on its ring: a closed sink cannot consume
+        them, and each would hold its pool slot until the session closes.
+        A delivery the application has already released (through another
+        sink's copy, twice) holds none.  Returns how many were released.
+        """
+        if self.closed:
+            return 0
+        self.closed = True
+        session = self.session
+        session.runtime.unregister_sink(self.endpoint)
+        if self in self.stream.sinks:
+            self.stream.sinks.remove(self)
+        released = 0
+        for delivery in self.ring.drain(len(self.ring)):
+            try:
+                session.release_buffer(self, delivery)
+            except BufferLifecycleError:
+                continue
+            released += 1
+        return released
 
     def __enter__(self):
         return self

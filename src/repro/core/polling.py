@@ -6,7 +6,9 @@ through the packet scheduler into the datapath, then the datapath's
 receive queue into sink rings.  A thread parks after a round that did no
 work and is kicked awake by ring/queue activity (or by the next TSN gate
 opening), so an idle runtime consumes no simulated CPU — matching the
-paper's "threads are automatically paused when idle".
+paper's "threads are automatically paused when idle".  Only a parked
+thread arms its bindings' rings and receive queue to kick it: while every
+thread of a binding runs, an item put there calls nothing.
 """
 
 from repro.simnet import Signal, Wait
@@ -23,6 +25,9 @@ class PollingThread:
         self.bindings = []
         self.running = True
         self._signal = None
+        #: the bindings armed by the current park; ``add_binding`` may
+        #: grow ``bindings`` while it lasts
+        self._parked_on = ()
         self.host.pin_core()
         self.process = self.sim.process(self._loop(), name=name)
 
@@ -32,9 +37,14 @@ class PollingThread:
         self.kick()
 
     def kick(self):
-        """Wake the thread if it is parked."""
-        if self._signal is not None:
-            signal, self._signal = self._signal, None
+        """Wake the thread if it is parked, disarming what its park armed."""
+        signal = self._signal
+        if signal is not None:
+            self._signal = None
+            for binding in self._parked_on:
+                binding.parked -= 1
+                if not binding.parked:
+                    binding.arm(False)
             signal.succeed()
 
     def stop(self):
@@ -50,9 +60,10 @@ class PollingThread:
         nothing yields nothing, so skipping it only saves wall clock (a
         ``poll`` generator costs an allocation even when idle).  A stale
         positive (a closed TSN gate) runs a pass that reports no work.
-        No kick is lost: one that reaches a running thread arrives while
-        a pass that did work is suspended, and the next round polls every
-        binding, as a thread's first round does.
+        No wake-up is lost: an item that arrives while the thread runs
+        (which kicks nothing, unless another thread of its binding is
+        parked) arrives while a pass that did work is suspended, and the
+        next round polls every binding, as a thread's first round does.
         """
         try:
             while self.running:
@@ -68,9 +79,13 @@ class PollingThread:
     def _park(self):
         """Idle: sleep until kicked or until the next TSN gate opens."""
         self._signal = Signal(self.sim)
+        self._parked_on = bindings = tuple(self.bindings)
         now = self.sim.now
         wake_at = None
-        for binding in self.bindings:
+        for binding in bindings:
+            binding.parked += 1
+            if binding.parked == 1:
+                binding.arm(True)
             ready = binding.scheduler.next_ready_at(now)
             if ready is not None and (wake_at is None or ready < wake_at):
                 wake_at = ready

@@ -151,8 +151,10 @@ class DatapathBinding:
         self.failed_at = None
         self.stalled_until = 0.0
         self._failover_handled = False
+        #: threads parked on this binding, counted by their parks: the
+        #: binding is armed (see :meth:`arm`) while there is one
+        self.parked = 0
         self._wire_datapath()
-        self.rx_queue.on_item = self._kick
 
     def ring_for(self, app_id):
         """The application's private SPSC emit ring on this binding."""
@@ -163,7 +165,8 @@ class DatapathBinding:
                 self.runtime.ipc_ring_slots,
                 "%s.%s.txring.%s" % (self.host.name, self.name, app_id),
             )
-            ring.on_item = self._kick
+            if self.parked:
+                ring.on_item = self._kick
             self.tx_rings[app_id] = ring
             self._ring_list.append(ring)
         return ring
@@ -203,6 +206,15 @@ class DatapathBinding:
     def _kick(self):
         for thread in self.threads:
             thread.kick()
+
+    def arm(self, armed):
+        """Have an item put on an emit ring or the receive queue kick the
+        binding's threads, or call nothing.  A kick wakes only a parked
+        thread, so the threads arm their bindings while one is parked."""
+        on_item = self._kick if armed else None
+        self.rx_queue.on_item = on_item
+        for ring in self._ring_list:
+            ring.on_item = on_item
 
     # -- fault injection / failover ------------------------------------------
 
@@ -468,17 +480,11 @@ class DatapathBinding:
                 trace = tracer.fork(trace, self.sim.now, self.name, dst_ip)
             else:
                 trace = {"emit_ns": trace["emit_ns"]}
-        # slotted record: hot metadata lands in attributes
-        packet = Packet(
-            self.host.ip,
-            dst_ip,
-            self.port,
-            self.port,
-            payload=payload,
-            payload_len=token.length + INSANE_HEADER_BYTES,
-            trace=trace,
-            seq=next(self.sim.ids),
-        )
+        # slotted record: hot metadata lands in attributes; positional
+        # arguments (payload, payload_len, trace, seq) bind faster
+        packet = Packet(self.host.ip, dst_ip, self.port, self.port, payload,
+                        token.length + INSANE_HEADER_BYTES, trace,
+                        next(self.sim.ids))
         if trace is not None:
             trace["runtime_tx"] = self.sim.now
         packet.insane = (token.source.key, token.length)
@@ -538,11 +544,17 @@ class InsaneRuntime:
         self.control = control or ControlPlane()
         self.control.register_runtime(self)
         self.ipc_ring_slots = int(self.profile.scalar("ipc_ring_slots"))
-        self._ipc_half_ns = self.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
+        #: per-side cost of one client<->runtime ring crossing, the same
+        #: for every binding: ``emit_data`` and ``consume_data`` each
+        #: charge it jittered
+        self.ipc_half_ns = self.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
         self.memory = MemoryManager(self.sim, self.profile, name=host.name + ".mm")
         self.frame_policy = FramePolicy(
             mtu=self.profile.mtu, jumbo_mtu=self.profile.jumbo_mtu
         )
+        #: the largest buffer ``get_buffer`` lends: one frame's payload
+        #: under the policy, which never changes, less the INSANE header
+        self.max_emit_size = self.frame_policy.max_payload - INSANE_HEADER_BYTES
         self.bindings = {}
         self.threads = []
         self._shared_thread = None
@@ -558,11 +570,6 @@ class InsaneRuntime:
         # the kernel path listens on every runtime: the universal fallback
         # for publishers on heterogeneous deployments
         self.ensure_binding("udp")
-
-    def ipc_half_cost(self):
-        """Per-side cost of one client<->runtime ring crossing, charged by
-        ``emit_data`` and ``consume_data``; the same for every binding."""
-        return Timeout(self.host.jitter(self._ipc_half_ns))
 
     # -- datapath management ------------------------------------------------
 

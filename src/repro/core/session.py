@@ -114,9 +114,12 @@ class Session:
         return stream
 
     def close_stream(self, stream):
-        stream.close()
+        """Close ``stream`` and its endpoints; returns the references to
+        undelivered messages its sinks released (see :meth:`close_sink`)."""
+        released = stream.close()
         if stream in self.streams:
             self.streams.remove(stream)
+        return released
 
     # -- endpoints -----------------------------------------------------------------
 
@@ -146,7 +149,10 @@ class Session:
         source.close()
 
     def close_sink(self, sink):
-        sink.close()
+        """Close ``sink``: the runtime stops delivering to it, and the
+        application's reference of every message still on its ring is
+        released.  Returns how many were."""
+        return sink.close()
 
     def outstanding_window(self, limit):
         """A bounded in-flight request window scoped to this session.
@@ -168,13 +174,19 @@ class Session:
 
         Raises :class:`PoolExhaustedError` when no slot is free or the
         application is at its slot quota; :meth:`get_buffer_wait` waits
-        instead.
+        instead.  A negative size, or one no frame carries, raises
+        ``ValueError`` before a slot is taken.
         """
-        self._check_open()
+        if self.closed:
+            raise SessionError("session %s is closed" % self.app_id)
         if source.closed:
             raise SessionError("source is closed")
-        self.runtime.frame_policy.validate(size + INSANE_HEADER_BYTES)
-        return self.runtime.memory.alloc_for(self.app_id, size)
+        runtime = self.runtime
+        if not 0 <= size <= runtime.max_emit_size:
+            if size < 0:
+                raise ValueError("buffer size %d is negative" % size)
+            runtime.frame_policy.validate(size + INSANE_HEADER_BYTES)
+        return runtime.memory.alloc_for(self.app_id, size)
 
     def get_buffer_wait(self, source, size):
         """Like :meth:`get_buffer`, but blocks until the application is
@@ -216,7 +228,9 @@ class Session:
             )
         if length is None:
             length = buffer.length
-        if length > len(buffer.view):
+        if not 0 <= length <= len(buffer.view):
+            if length < 0:
+                raise SessionError("emit length %d is negative" % length)
             raise SessionError("emit length exceeds buffer capacity")
         buffer.frozen = True  # inline Buffer.freeze(): no-after-write
         runtime = self.runtime
@@ -257,7 +271,7 @@ class Session:
         # order they were first resolved
         binding = stream.binding
         ring = binding.ring_for(self.app_id)
-        yield runtime.ipc_half_cost()
+        yield Timeout(runtime.host.jitter(runtime.ipc_half_ns))
         # the emit enters the runtime now, on its stream's binding at this
         # instant: a failover during the crossing may have stranded or
         # re-mapped the stream
@@ -319,20 +333,21 @@ class Session:
             ok, token = sink.ring.try_get()
             if not ok:
                 return None
+        runtime = self.runtime
+        half = runtime.host.jitter(runtime.ipc_half_ns)  # drawn now, as unfused
         if extra_ns:
-            effect = self.runtime.ipc_half_cost()  # jitter drawn now, as unfused
             sim = self.sim
             if self._lane is not None and sim.observer is None:
-                target = sim.now + effect.delay  # unfused first wake-up
+                target = sim.now + half  # unfused first wake-up
                 yield TimeoutAt(target + extra_ns)
                 sim._executed += 1  # parity with the elided second event
             else:
-                yield effect
+                yield Timeout(half)
                 yield Timeout(extra_ns)
         else:
-            yield self.runtime.ipc_half_cost()
+            yield Timeout(half)
         sink.received.value += 1
-        if self.runtime.tracer is not None:
+        if runtime.tracer is not None:
             # close the lifecycle record the token carries: its packet's
             # child or its emit's root (a plain stamp dict has no finish)
             finish = getattr(token.trace, "finish", None)
@@ -361,14 +376,16 @@ class Session:
     # -- lifecycle ------------------------------------------------------------------------
 
     def close(self):
-        """Close the session, reclaiming every leaked slot.  Idempotent:
-        a second close returns 0 and touches nothing."""
+        """Close the session, reclaiming every leaked slot; returns the
+        count of references reclaimed, unconsumed deliveries included.
+        Idempotent: a second close returns 0 and touches nothing."""
         if self.closed:
             return 0
+        released = 0
         for stream in list(self.streams):
-            self.close_stream(stream)
+            released += self.close_stream(stream)
         self.closed = True
-        return self.runtime.detach_session(self)
+        return released + self.runtime.detach_session(self)
 
     def __enter__(self):
         return self

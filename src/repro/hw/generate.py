@@ -435,8 +435,9 @@ class CityNetwork:
     def _make_packet(self, flow, k, is_reply):
         src = self.plan["hosts"][flow["dst" if is_reply else "src"]]
         dst = self.plan["hosts"][flow["src" if is_reply else "dst"]]
-        packet = Packet(src["ip"], dst["ip"], 4000, 5000,
-                        payload_len=self.spec["size"], seq=next(self.sim.ids))
+        # positional: (payload, payload_len, trace, seq) bind faster
+        packet = Packet(src["ip"], dst["ip"], 4000, 5000, None,
+                        self.spec["size"], None, next(self.sim.ids))
         packet.meta = {"qos_class": flow["cls"],
                        "city": (flow["id"], k, is_reply)}
         return packet

@@ -416,3 +416,115 @@ class TestGetBufferWaitClose:
         sim.run()
         assert len(got) == 1 and isinstance(got[0], SessionError)
         assert first.refcount == 0 and pool.in_use == 0
+
+
+class TestNegativeSize:
+    """A negative buffer size or emit length is refused before a slot is
+    taken or handed over: a token of negative length would expose the
+    bytes earlier messages left in its slot."""
+
+    @staticmethod
+    def stack(rx_host):
+        testbed = Testbed.local()
+        deployment = InsaneDeployment(testbed)
+        tx = Session(deployment.runtime(0), "tx")
+        rx = Session(deployment.runtime(rx_host), "rx")
+        source = tx.create_source(tx.create_stream(QosPolicy.fast(), "n"), 1)
+        sink = rx.create_sink(rx.create_stream(QosPolicy.fast(), "n"), 1)
+        return testbed.sim, deployment.runtime(0).memory.pool, tx, source, sink
+
+    @pytest.mark.parametrize("rx_host", [0, 1], ids=["co-located", "network"])
+    def test_negative_buffer_size_takes_no_slot(self, rx_host):
+        sim, pool, tx, source, sink = self.stack(rx_host)
+        with pytest.raises(ValueError, match="-100 is negative"):
+            tx.get_buffer(source, -100)
+        with pytest.raises(ValueError, match="-100 is negative"):
+            next(tx.get_buffer_wait(source, -100))
+        assert pool.in_use == 0
+        sim.run()
+        assert len(sink.ring) == 0
+
+    @pytest.mark.parametrize("rx_host", [0, 1], ids=["co-located", "network"])
+    def test_negative_emit_length_hands_nothing_over(self, rx_host):
+        sim, pool, tx, source, sink = self.stack(rx_host)
+        buffer = tx.get_buffer(source, 64)
+        raised = []
+
+        def producer():
+            try:
+                yield from tx.emit_data(source, buffer, length=-100)
+            except SessionError as exc:
+                raised.append(exc)
+
+        sim.process(producer())
+        sim.run()
+        assert len(raised) == 1 and "-100 is negative" in str(raised[0])
+        assert pool.in_use == 1 and not buffer.frozen
+        assert len(sink.ring) == 0
+        tx.release_buffer(source, buffer)  # still the application's
+        assert pool.in_use == 0
+
+
+class TestSinkCloseReleasesUnconsumed:
+    """Closing a sink releases the application's reference of every
+    delivery left on its ring, while its session stays open."""
+
+    @pytest.mark.parametrize("rx_host", [0, 1], ids=["co-located", "network"])
+    def test_closed_sinks_free_a_full_pool(self, rx_host):
+        """Four sinks, each with a full ring of 256 unconsumed messages,
+        hold every slot of the receiving host's 1,024-slot pool."""
+        testbed = Testbed.local()
+        sim = testbed.sim
+        deployment = InsaneDeployment(testbed)
+        tx = Session(deployment.runtime(0), "tx")
+        rx = Session(deployment.runtime(rx_host), "rx")
+        tx_stream = tx.create_stream(QosPolicy.fast(), "c")
+        rx_stream = rx.create_stream(QosPolicy.fast(), "c")
+        sources = [tx.create_source(tx_stream, channel) for channel in range(4)]
+        sinks = [rx.create_sink(rx_stream, channel) for channel in range(4)]
+        pool = deployment.runtime(rx_host).memory.pool
+
+        def producer():
+            for _ in range(256):
+                for source in sources:
+                    buffer = yield from tx.get_buffer_wait(source, 64)
+                    yield from tx.emit_data(source, buffer, length=64)
+                    yield Timeout(2_000)  # under the receiver's NIC rate
+
+        sim.process(producer())
+        sim.run()
+        assert [len(sink.ring) for sink in sinks] == [256] * 4
+        assert pool.in_use == pool.slots == 1024
+        rx_source = rx.create_source(rx_stream, 9)
+        with pytest.raises(PoolExhaustedError):
+            rx.get_buffer(rx_source, 64)
+        assert [rx.close_sink(sink) for sink in sinks] == [256] * 4
+        assert pool.in_use == 0
+        assert [len(sink.ring) for sink in sinks] == [0] * 4
+        rx.release_buffer(rx_source, rx.get_buffer(rx_source, 64))
+        assert rx.close() == 0
+
+    def test_close_skips_a_copy_already_released(self):
+        """An application with two sinks that releases one copy twice
+        holds no reference for the other copy: closing that sink releases
+        nothing, so the slot another application holds stays live."""
+        testbed = Testbed.local()
+        sim = testbed.sim
+        deployment = InsaneDeployment(testbed)
+        tx = Session(deployment.runtime(0), "tx")
+        source = tx.create_source(tx.create_stream(QosPolicy.fast(), "d"), 1)
+        a, b = (Session(deployment.runtime(1), name) for name in ("a", "b"))
+        a_stream = a.create_stream(QosPolicy.fast(), "d")
+        a_sinks = [a.create_sink(a_stream, 1) for _ in range(2)]
+        b_sink = b.create_sink(b.create_stream(QosPolicy.fast(), "d"), 1)
+        emit(sim, tx, source)
+        pool = deployment.runtime(1).memory.pool
+        delivery = consume(sim, a, a_sinks[0])
+        a.release_buffer(a_sinks[0], delivery)
+        a.release_buffer(a_sinks[0], delivery)  # the other copy's reference
+        assert pool.in_use == 1
+        assert a_sinks[1].close() == 0
+        assert pool.in_use == 1
+        assert bytes(consume(sim, b, b_sink).payload()) == PAYLOAD
+        assert a.close() == 0 and b.close() == 1
+        assert pool.in_use == 0

@@ -1,5 +1,6 @@
 """Token ring tests."""
 
+from repro.core import QosPolicy, Session
 from repro.core.ipc import Token, TokenRing
 from repro.core.runtime import InsaneDeployment
 from repro.hw import Testbed
@@ -88,10 +89,34 @@ def test_blocking_enqueue_applies_backpressure():
 
 
 def test_half_cost_reflects_profile():
+    """``emit_data`` and ``consume_data`` each jitter ``ipc_half_ns``,
+    half of ``insane_ipc`` at burst 1, once per ring crossing."""
     bed = Testbed.local()
     runtime = InsaneDeployment(bed).runtime(0)
-    stage = bed.profile.stage("insane_ipc")
-    effect = runtime.ipc_half_cost()
-    expected = stage.cost(0, burst=1) / 2.0
+    expected = bed.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
+    assert runtime.ipc_half_ns == expected
+    session = Session(runtime, "app")
+    stream = session.create_stream(QosPolicy.fast(), "h")
+    source = session.create_source(stream, 1)
+    sink = session.create_sink(stream, 1)
+    jitter = runtime.host.jitter
+    charged = []
+
+    def recording(cost_ns):
+        value = jitter(cost_ns)
+        charged.append((cost_ns, value))
+        return value
+
+    runtime.host.jitter = recording
+
+    def app():
+        buffer = session.get_buffer(source, 8)
+        yield from session.emit_data(source, buffer, length=8)
+        yield from session.consume_data(sink)
+
+    bed.sim.process(app())
+    bed.sim.run()
+    crossings = [value for cost, value in charged if cost == expected]
+    assert len(crossings) == 2
     # jittered, but within a few percent
-    assert abs(effect.delay - expected) / expected < 0.2
+    assert all(abs(value - expected) / expected < 0.2 for value in crossings)
