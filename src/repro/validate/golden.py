@@ -23,7 +23,11 @@ move inside of without anyone seeing:
   with its Chrome trace;
 * ``polling`` — ablations A2 (one polling thread per datapath vs one
   shared) and A5 (one vs two per binding), which no paper workload
-  runs; A1 is too slow here, so a tier-1 test pins its ring order.
+  runs; A1 is too slow here, so a tier-1 test pins its ring order;
+* ``datapaths`` — each plugin's own send and receive loops, without the
+  runtime, over a two-host exchange of one- and 32-packet bursts: the
+  paper workloads reach XDP's and RDMA's receive loops never and DPDK's
+  only with one-packet batches.
 
 The ``schedule`` section pins each paper workload's and each pinned
 city's count of scheduler round trips (``Simulator.stats()["scheduled"]``,
@@ -88,14 +92,18 @@ BASELINE_FRAMES = 4
 BREAKDOWN_MESSAGES = 40
 POLLING_ROUNDS = 40
 POLLING_MESSAGES = 400
+DATAPATH_BURSTS = (1, 32)
+#: mbufs of the receiving DPDK plugin: a 32-packet burst outruns them, so
+#: the exchange also pins the driver's mempool drop
+DATAPATH_MEMPOOL_SLOTS = 24
 ENTRY_SEED = 0
 
 CORPUS_VERSION = 1
 
 #: the corpus sections, each a name -> digest map except ``schedule``
 #: (name -> scheduler round trips).
-SECTIONS = ("baselines", "breakdown", "capacity", "city", "engine",
-            "fanout", "faults", "polling", "scenario", "schedule",
+SECTIONS = ("baselines", "breakdown", "capacity", "city", "datapaths",
+            "engine", "fanout", "faults", "polling", "scenario", "schedule",
             "validate")
 
 
@@ -251,6 +259,92 @@ def _polling_digests():
     }
 
 
+def _datapath_exchange(name):
+    """Host 0 sends each burst of :data:`DATAPATH_BURSTS` to host 1 through
+    plugin ``name``'s own send and receive loops, 100 µs apart, every
+    packet traced.  Returns what the ``datapaths`` digest hashes."""
+    from functools import partial
+
+    from repro.core.memory import SlotPool
+    from repro.datapaths import (
+        DpdkDatapath,
+        KernelUdpDatapath,
+        RdmaDatapath,
+        XdpDatapath,
+    )
+    from repro.hw import LOCAL_TESTBED, Testbed
+    from repro.netstack import Packet
+    from repro.simnet import Counter, Timeout
+
+    profile = LOCAL_TESTBED.replace(rdma_nic=name == "rdma")
+    bed = Testbed(profile, seed=ENTRY_SEED)
+    sim = bed.sim
+    a, b = bed.hosts
+    port = 7400
+    if name == "udp":
+        tx, rx = KernelUdpDatapath.get(a), KernelUdpDatapath.get(b)
+        send = tx.socket(port).send_many
+        recv = rx.socket(port).recv_many
+    elif name == "rdma":
+        tx, rx = RdmaDatapath(a), RdmaDatapath(b)
+        tx_qp, rx_qp = tx.create_qp(port), rx.create_qp(port)
+        send, recv = tx_qp.post_send_many, rx_qp.poll_recv
+    else:
+        if name == "dpdk":
+            tx = DpdkDatapath(a)
+            rx = DpdkDatapath(b, mempool=SlotPool(
+                sim, DATAPATH_MEMPOOL_SLOTS, 2048, name="b.mempool"))
+        else:
+            tx, rx = XdpDatapath(a), XdpDatapath(b)
+        send = tx.send_many
+        recv = partial(rx.recv_burst, rx.open_port(port))
+    sent = []
+    batches = []
+
+    def sender():
+        for burst in DATAPATH_BURSTS:
+            packets = []
+            for _ in range(burst):
+                seq = next(sim.ids)
+                packets.append(Packet(a.ip, b.ip, port, port,
+                                      b"%08d" % seq * 8, None, {}, seq))
+            sent.extend(packets)
+            yield from send(packets)
+            yield Timeout(100_000.0)
+
+    def receiver():
+        while True:
+            batch = yield from recv(max(DATAPATH_BURSTS))
+            batches.append([sim.now] + [
+                [packet.seq, packet.payload_bytes().hex()] for packet in batch
+            ])
+
+    sim.process(sender(), name="sender")
+    sim.process(receiver(), name="receiver")
+    sim.run()
+    owners = {"tx": tx, "rx": rx}
+    if name == "rdma":
+        owners.update(tx_qp=tx_qp, rx_qp=rx_qp)
+    return {
+        "now": sim.now,
+        "events": sim.stats()["events_executed"],
+        "failures": len(sim.failures),
+        "stamps": [packet.trace for packet in sent],
+        "batches": batches,
+        "counters": {
+            "%s.%s" % (owner, attr): value.value
+            for owner, obj in owners.items()
+            for attr, value in vars(obj).items()
+            if isinstance(value, Counter)
+        },
+    }
+
+
+def _datapath_digests():
+    return {name: _digest(_datapath_exchange(name))
+            for name in CAPACITY_DATAPATHS}
+
+
 def compute_corpus():
     """Recompute every corpus entry from the current code."""
     from repro.bench.faults import _run_failover_once
@@ -287,11 +381,15 @@ def compute_corpus():
             "city": {"topologies": list(CITY_TOPOLOGIES), "seed": CITY_SEED},
             "polling": {"rounds": POLLING_ROUNDS,
                         "messages": POLLING_MESSAGES, "seed": ENTRY_SEED},
+            "datapaths": {"bursts": list(DATAPATH_BURSTS),
+                          "mempool_slots": DATAPATH_MEMPOOL_SLOTS,
+                          "seed": ENTRY_SEED},
         },
         "baselines": _baseline_digests(),
         "breakdown": _breakdown_digests(),
         "capacity": _capacity_digests(),
         "city": {},
+        "datapaths": _datapath_digests(),
         "engine": {},
         "fanout": _fanout_digests(),
         "faults": {},

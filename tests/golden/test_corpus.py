@@ -5,8 +5,9 @@ fig8b), the failover bench, four differential-validation workloads and
 the serial runs of the smoke64 and city256 cities, plus each paper
 workload's and each city's count of scheduler round trips.  It also
 pins every other entry point: the scenario corpus, the hybrid fan-out
-tier, the capacity grid, the baseline systems, the breakdowns and the
-polling-thread ablations A2 and A5.
+tier, the capacity grid, the baseline systems, the breakdowns, the
+polling-thread ablations A2 and A5 and each datapath plugin's own send
+and receive loops.
 If a commit moves any pin, this test names the exact entry — re-pin
 deliberately with ``insane validate golden --regen --force``.
 
@@ -90,6 +91,7 @@ class TestCorpusFile:
         assert set(corpus["breakdown"]) == {"fig6", "traced"}
         assert set(corpus["fanout"]) == set(golden.FANOUT_RUNS)
         assert set(corpus["polling"]) == {"a2-threads", "a5-rx-threads"}
+        assert set(corpus["datapaths"]) == {"udp", "xdp", "dpdk", "rdma"}
 
     def test_digests_look_like_sha256(self):
         corpus = load_corpus()
@@ -198,6 +200,7 @@ class TestRegeneration:
         ("baselines", "fig9-zeromq"),
         ("breakdown", "traced"),
         ("polling", "a5-rx-threads"),
+        ("datapaths", "xdp"),
     ])
     def test_tampered_entry_point_digest_is_named(self, tmp_path, computed,
                                                   section, key):
