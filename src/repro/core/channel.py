@@ -8,7 +8,7 @@ handles; the runtime keeps its own registry of sink endpoints.
 
 from typing import NamedTuple
 
-from repro.core.errors import BufferLifecycleError
+from repro.core.errors import BufferLifecycleError, SessionError
 from repro.core.qos import TimeSensitivity
 from repro.simnet import Counter
 
@@ -139,6 +139,8 @@ class Sink:
         #: the endpoint's shared-memory ring: consume_data takes the
         #: delivery tokens off it
         self.ring = endpoint.ring
+        #: the session's process handing deliveries to ``callback``
+        self.loop = None
 
     def close(self):
         """Unregister the sink, then release the application's reference
@@ -152,6 +154,11 @@ class Sink:
         self.closed = True
         session = self.session
         session.runtime.unregister_sink(self.endpoint)
+        loop = self.loop
+        if loop is not None and self.ring.drop_getter(loop.resume):
+            # nothing reaches the ring any more: end the parked loop as
+            # consume_data ends a call on a closed sink
+            loop.resume(None, SessionError("sink is closed"))
         if self in self.stream.sinks:
             self.stream.sinks.remove(self)
         released = 0

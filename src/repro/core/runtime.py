@@ -280,8 +280,8 @@ class DatapathBinding:
         return cost
 
     def _rx_pkt_cost(self, packet, burst):
-        """Receive-side per-packet processing cost: the plugin's RX chain
-        stages, then the hand-off to the runtime."""
+        """Receive-side per-packet processing cost: the plugin's
+        ``rx_stages``, then the hand-off to the runtime."""
         profile = self.profile
         size = packet.payload_len
         cost = 0.0

@@ -142,7 +142,8 @@ class Session:
         sink = Sink(self, stream, channel, endpoint, callback=callback)
         stream.sinks.append(sink)
         if callback is not None:
-            self.sim.process(self._callback_loop(sink), name=self.app_id + ".cb")
+            sink.loop = self.sim.process(self._callback_loop(sink),
+                                         name=self.app_id + ".cb")
         return sink
 
     def close_source(self, source):
@@ -397,8 +398,11 @@ class Session:
     # -- internals -------------------------------------------------------------------------
 
     def _callback_loop(self, sink):
-        while not sink.closed and not self.closed:
-            delivery = yield from self.consume_data(sink)
+        while True:
+            try:
+                delivery = yield from self.consume_data(sink)
+            except SessionError:
+                return  # the sink or its session is closed
             if sink.callback(delivery) is not True:
                 self.release_buffer(sink, delivery)
 

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from repro.netstack.packet import trace_drop
-from repro.simnet import Counter
+from repro.simnet import Counter, Get, Timeout
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,25 @@ class Datapath:
     send/receive mechanics.  ``send`` and receive methods are generators
     meant to run inside the calling thread's process
     (``yield from dp.send(...)``), so CPU time lands on the right simulated
-    core.
+    core.  A burst is charged packet by packet: one ``Timeout`` per packet
+    carrying that packet's stage costs, each stage's jitter drawn in stage
+    order, and the packet acted on when its ``Timeout`` completes
+    (DESIGN.md §11, "The batching contract").
     """
 
     info = None  # overridden by subclasses
 
-    #: stage keys the INSANE runtime charges per packet it drains from this
-    #: plugin's receive queue: the plugin's RX chain (repro.simnet.burst).
-    #: Empty for kernel UDP, whose softirq chain already charged udp_rx.
+    #: stage keys :meth:`send_many` charges per packet, in order, and the
+    #: trace key it stamps when a packet's charges are done
+    tx_stages = ()
+    tx_done_key = None
+
+    #: stage keys charged per packet drained from this plugin's receive
+    #: queue, read by :meth:`recv_burst` and by the INSANE runtime, and the
+    #: trace key stamped when they are done.  Empty for kernel UDP, whose
+    #: softirq charges ``udp_rx`` before a packet reaches a socket.
     rx_stages = ()
+    rx_done_key = None
 
     def __init__(self, host):
         self.host = host
@@ -94,6 +104,66 @@ class Datapath:
         return True
 
     # -- helpers shared by plugins ------------------------------------------
+
+    def send(self, packet):
+        yield from self.send_many([packet])
+
+    def send_many(self, packets):
+        """Transmit a burst: per packet, charge :attr:`tx_stages` (fixed
+        components amortized across the burst), stamp
+        :attr:`tx_done_key` and hand the packet to the NIC."""
+        stage_cost = self.host.stage_cost
+        stages = self.tx_stages
+        done_key = self.tx_done_key
+        burst = len(packets)
+        sim = self.sim
+        for packet in packets:
+            size = packet.payload_len
+            cost = 0.0
+            for key in stages:
+                cost += stage_cost(key, size, burst=burst)
+            yield Timeout(cost)
+            trace = packet.trace
+            if trace is not None:
+                trace[done_key] = sim.now
+            self.transmit(packet)
+
+    def recv_burst(self, queue, max_burst=None):
+        """Busy-poll ``queue`` until a packet arrives; returns the packets
+        of the drained batch that :meth:`_accept` kept.
+
+        The poll-loop reaction time (half a spin iteration on average) is
+        charged once per burst; :attr:`rx_stages` are charged per packet,
+        their fixed components amortized across the burst.
+        """
+        first = yield Get(queue)
+        yield Timeout(self.host.jitter(self.detect_ns))
+        batch = [first] + queue.drain((max_burst or self.rx_burst) - 1)
+        stage_cost = self.host.stage_cost
+        stages = self.rx_stages
+        burst = len(batch)
+        sim = self.sim
+        kept = []
+        for packet in batch:
+            size = packet.payload_len
+            cost = 0.0
+            for key in stages:
+                cost += stage_cost(key, size, burst=burst)
+            yield Timeout(cost)
+            if self._accept(packet):
+                trace = packet.trace
+                if trace is not None:
+                    trace[self.rx_done_key] = sim.now
+                self.rx_packets.value += 1
+                kept.append(packet)
+        return kept
+
+    def _accept(self, packet):
+        """Take a received frame into userspace; False drops it."""
+        payload = packet.payload
+        if type(payload) is memoryview:
+            packet.payload = bytes(payload)
+        return True
 
     def transmit(self, packet):
         """Hand ``packet`` to the NIC, which releases its TX buffer when

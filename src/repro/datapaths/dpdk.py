@@ -14,7 +14,6 @@ fast under load.
 
 from repro.datapaths.base import Datapath, DatapathInfo
 from repro.simnet import Counter, Get, Timeout
-from repro.simnet.burst import DpdkRxChain, TxChain
 
 #: pseudo-port carrying ARP exchanges on the simulated wire (the frame
 #: model is UDP-shaped; the ARP payload bytes themselves are the real
@@ -32,7 +31,10 @@ class DpdkDatapath(Datapath):
         dedicated_hardware=False,
     )
 
-    rx_stages = DpdkRxChain.stages
+    tx_stages = ("ustack_tx", "dpdk_tx")
+    tx_done_key = "dpdk_tx_done"
+    rx_stages = ("dpdk_rx", "ustack_rx")
+    rx_done_key = "dpdk_rx_done"
 
     def __init__(self, host, mempool=None):
         super().__init__(host)
@@ -67,35 +69,12 @@ class DpdkDatapath(Datapath):
         self._queues.pop(port, None)
         self.nic.release_port(port)
 
-    # -- transmit ----------------------------------------------------------------
-
-    def send(self, packet):
-        yield from self.send_many([packet])
-
-    def send_many(self, packets):
-        """Transmit a burst through the PMD (rte_eth_tx_burst)."""
-        if not packets:
-            return
-        yield TxChain(self, packets, ("ustack_tx", "dpdk_tx"), "dpdk_tx_done")
-
     # -- receive ------------------------------------------------------------------
 
-    def recv_burst(self, queue, max_burst=None):
-        """Busy-poll ``queue``; returns a non-empty batch of packets.
-
-        The poll-loop reaction time (half a spin iteration on average) is
-        charged once per burst; driver and stack costs amortize their fixed
-        components across the burst.
-        """
-        max_burst = max_burst or self.rx_burst
-        first = yield Get(queue)
-        yield Timeout(self.host.jitter(self.detect_ns))
-        batch = [first] + queue.drain(max_burst - 1)
-        delivered = yield DpdkRxChain(self, batch)
-        return delivered
-
-    def _stage_into_mempool(self, packet):
-        """Move the payload into an mbuf; drop the packet when out of mbufs."""
+    def _accept(self, packet):
+        """Move the payload into an mbuf; drop the packet when out of mbufs
+        (rx-descriptor starvation).  :meth:`recv_burst` returns only the
+        packets that got one."""
         buffer = self.mempool.try_alloc()
         if buffer is None:
             self.mempool_drops.value += 1

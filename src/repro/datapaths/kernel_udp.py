@@ -10,7 +10,6 @@ busy-polling detection delay (non-blocking sockets) or a scheduler wake-up
 
 from repro.datapaths.base import Datapath, DatapathInfo
 from repro.simnet import Counter, Get, Store, Timeout
-from repro.simnet.burst import KernelRxChain, TxChain
 
 
 class KernelUdpDatapath(Datapath):
@@ -24,6 +23,9 @@ class KernelUdpDatapath(Datapath):
         cpu_consumption="per-packet",
         dedicated_hardware=False,
     )
+
+    tx_stages = ("udp_tx",)
+    tx_done_key = "udp_tx_done"
 
     def __init__(self, host):
         super().__init__(host)
@@ -60,15 +62,29 @@ class KernelUdpDatapath(Datapath):
         """IRQ + softirq processing: NIC default ring -> socket buffers.
 
         Batches mimic NAPI: when a backlog exists, per-packet cost
-        amortizes its fixed component.  Each drained batch executes as one
-        :class:`KernelRxChain` — identical per-packet charges and rng
-        order, one trampoline activation per batch.
+        amortizes its fixed component.
         """
         ring = self.nic.rx_ring
+        stage_cost = self.host.stage_cost
+        sockets = self._sockets
+        sim = self.sim
         while True:
             first = yield Get(ring)
             batch = [first] + ring.drain(self.rx_burst - 1)
-            yield KernelRxChain(self, batch)
+            burst = len(batch)
+            for packet in batch:
+                yield Timeout(stage_cost("udp_rx", packet.payload_len,
+                                         burst=burst))
+                trace = packet.trace
+                if trace is not None:
+                    trace["kernel_rx_done"] = sim.now
+                socket = sockets.get(packet.dst_port)
+                if socket is None:
+                    self.no_socket_drops.value += 1
+                elif socket.buffer.try_put(packet):
+                    self.rx_packets.value += 1
+                else:
+                    self.socket_overflow_drops.value += 1
 
 
 class UdpSocket:
@@ -99,9 +115,7 @@ class UdpSocket:
     def send_many(self, packets):
         """Send a batch in one activation (models sendmmsg amortization)."""
         self._check_open()
-        if not packets:
-            return
-        yield TxChain(self.datapath, packets, ("udp_tx",), "udp_tx_done")
+        yield from self.datapath.send_many(packets)
 
     # -- receive ---------------------------------------------------------------
 

@@ -8,8 +8,7 @@ prefers RDMA whenever it is present.
 """
 
 from repro.datapaths.base import Datapath, DatapathInfo
-from repro.simnet import Counter, Get, Timeout
-from repro.simnet.burst import RdmaRxChain, RdmaTxChain
+from repro.simnet import Counter
 
 
 class RdmaDatapath(Datapath):
@@ -22,7 +21,10 @@ class RdmaDatapath(Datapath):
         dedicated_hardware=True,
     )
 
-    rx_stages = RdmaRxChain.stages
+    tx_stages = ("rdma_post",)
+    tx_done_key = "rdma_post_done"
+    rx_stages = ("rdma_poll_cq",)
+    rx_done_key = "rdma_rx_done"
 
     def __init__(self, host):
         super().__init__(host)
@@ -63,9 +65,8 @@ class QueuePair:
         yield from self.post_send_many([packet])
 
     def post_send_many(self, packets):
-        if not packets:
-            return
-        yield RdmaTxChain(self.datapath, packets, self.posted_sends)
+        yield from self.datapath.send_many(packets)
+        self.posted_sends.value += len(packets)
 
     def poll_recv(self, max_burst=None):
         """Poll the completion queue for received messages.
@@ -74,9 +75,6 @@ class QueuePair:
         capacity models the posted-receive depth, and overflow drops mirror
         receiver-not-ready errors.
         """
-        max_burst = max_burst or self.datapath.rx_burst
-        first = yield Get(self.recv_queue)
-        yield Timeout(self.datapath.host.jitter(self.datapath.detect_ns))
-        batch = [first] + self.recv_queue.drain(max_burst - 1)
-        yield RdmaRxChain(self.datapath, batch, self.completions)
+        batch = yield from self.datapath.recv_burst(self.recv_queue, max_burst)
+        self.completions.value += len(batch)
         return batch

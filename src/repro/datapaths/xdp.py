@@ -9,8 +9,6 @@ but resource consumption matters (paper §5.2).
 """
 
 from repro.datapaths.base import Datapath, DatapathInfo
-from repro.simnet import Get, Timeout
-from repro.simnet.burst import TxChain, XdpRxChain
 
 
 class XdpDatapath(Datapath):
@@ -23,7 +21,12 @@ class XdpDatapath(Datapath):
         dedicated_hardware=False,
     )
 
-    rx_stages = XdpRxChain.stages
+    #: a burst is one TX-ring submission and one sendto() kick, whose
+    #: fixed cost amortizes across the burst like a real AF_XDP send
+    tx_stages = ("ustack_tx", "xdp_tx")
+    tx_done_key = "xdp_tx_done"
+    rx_stages = ("xdp_rx", "ustack_rx")
+    rx_done_key = "xdp_rx_done"
 
     def __init__(self, host):
         super().__init__(host)
@@ -45,26 +48,3 @@ class XdpDatapath(Datapath):
     def close_port(self, port):
         self._queues.pop(port, None)
         self.nic.release_port(port)
-
-    def send(self, packet):
-        yield from self.send_many([packet])
-
-    def send_many(self, packets):
-        """Write descriptors to the TX ring and kick the driver once.
-
-        The sendto() kick is the fixed component; it amortizes across the
-        batch like a real AF_XDP submission.
-        """
-        if not packets:
-            return
-        yield TxChain(self, packets, ("ustack_tx", "xdp_tx"), "xdp_tx_done")
-
-    def recv_burst(self, queue, max_burst=None):
-        """Wait for redirected frames and process them through the
-        userspace stack."""
-        max_burst = max_burst or self.rx_burst
-        first = yield Get(queue)
-        yield Timeout(self.host.jitter(self.detect_ns))
-        batch = [first] + queue.drain(max_burst - 1)
-        yield XdpRxChain(self, batch)
-        return batch

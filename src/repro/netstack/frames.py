@@ -2,35 +2,27 @@
 
 The INSANE prototype does not support UDP/IP fragmentation (it would break
 zero-copy reconstruction, paper §8); payloads larger than the standard MTU
-require jumbo frames, and anything larger than the jumbo MTU must be
-fragmented at the application level (:mod:`repro.netstack.fragment`).
+travel in jumbo frames, which the runtime always enables, and anything
+larger than the jumbo MTU must be fragmented at the application level
+(:mod:`repro.netstack.fragment`).
 """
 
 from repro.netstack.packet import IP_UDP_HEADER
 
 
 class FramePolicy:
-    """Decides how a payload of a given size may be carried."""
+    """Decides how large a payload one frame may carry."""
 
-    def __init__(self, mtu=1500, jumbo_mtu=9000, jumbo_enabled=True):
+    def __init__(self, mtu=1500, jumbo_mtu=9000):
         if jumbo_mtu < mtu:
             raise ValueError("jumbo MTU smaller than standard MTU")
         self.mtu = mtu
         self.jumbo_mtu = jumbo_mtu
-        self.jumbo_enabled = jumbo_enabled
 
     @property
     def max_payload(self):
-        """Largest UDP payload a single frame can carry under this policy."""
-        limit = self.jumbo_mtu if self.jumbo_enabled else self.mtu
-        return limit - IP_UDP_HEADER
-
-    def fits(self, payload_len):
-        return payload_len <= self.max_payload
-
-    def requires_jumbo(self, payload_len):
-        """True when the payload fits only in a jumbo frame."""
-        return payload_len > self.mtu - IP_UDP_HEADER
+        """Largest UDP payload a single jumbo frame can carry."""
+        return self.jumbo_mtu - IP_UDP_HEADER
 
     def validate(self, payload_len):
         """Raise ``ValueError`` when a payload cannot be sent unfragmented."""
@@ -38,8 +30,4 @@ class FramePolicy:
             raise ValueError(
                 "payload of %d B exceeds max frame payload %d B; use "
                 "application-level fragmentation" % (payload_len, self.max_payload)
-            )
-        if self.requires_jumbo(payload_len) and not self.jumbo_enabled:
-            raise ValueError(
-                "payload of %d B requires jumbo frames, which are disabled" % payload_len
             )

@@ -22,11 +22,9 @@ from repro.simnet.process import (
 )
 from repro.simnet.resources import Resource, Store
 from repro.simnet.monitor import Counter, RateMeter, Tally
-from repro.simnet.burst import ChargeChain
 
 __all__ = [
     "AnyOf",
-    "ChargeChain",
     "Counter",
     "DegenerateWindowError",
     "Get",

@@ -25,12 +25,6 @@ dozens of events), so the common case is kept allocation-free:
 * Cancelled timers are dropped lazily; when they exceed half the heap the
   heap is compacted in place, keeping ``len(_heap)`` bounded under timer
   churn (e.g. a retransmit timer cancelled per delivered packet).
-* Burst chains (:mod:`repro.simnet.burst`) may *inline-execute* their next
-  step — advancing :attr:`Simulator.now` and ``_executed`` directly —
-  whenever the step is provably the next event (empty lane, no earlier or
-  equal heap entry, inside the ``until`` bound, no observer).  The run
-  loop publishes the active ``until`` bound through ``_until`` so chains
-  can honour it.
 
 Determinism contract: with a fixed seed, event execution order is a pure
 function of the sequence of ``schedule*`` calls — same seed, same code ⇒
@@ -165,10 +159,6 @@ class Simulator:
         self._seq = 0
         self._cancelled = 0   # cancelled handles still sitting in the heap
         self._executed = 0
-        #: the ``until`` bound of the run() call currently draining events
-        #: (None when unbounded).  Burst chains consult it before
-        #: inline-executing a step that would advance virtual time.
-        self._until = None
         self._peak_heap = 0
         self._purged = 0
         self.rng = random.Random(seed)
@@ -293,7 +283,7 @@ class Simulator:
         if self.observer is not None:
             return self._run_observed(until)
         executed = 0
-        # Burst chains bump _executed directly for inline-executed steps;
+        # Fused paths bump _executed directly for the events they elide;
         # returning the _executed delta keeps the return value equal to
         # stats()["events_executed"] growth either way.
         start_executed = self._executed
@@ -348,67 +338,62 @@ class Simulator:
                 executed += 1
             self._executed += executed
             return self._executed - start_executed
-        # Bounded drain: publish the deadline so burst chains refuse to
-        # inline-execute a step past it (they would otherwise advance
-        # ``now`` beyond ``until`` from inside a callback).
-        self._until = until
-        try:
-            while True:
-                if lane:
-                    # A heap event at the current instant that was scheduled
-                    # before the lane head must run first (global seq order).
-                    if heap:
-                        entry = heap[0]
-                        if entry[0] == self.now and entry[1] < lane[0][0]:
-                            heappop(heap)
-                            fn = entry[2]
-                            if fn is None:
-                                handle = entry[3]
-                                if handle.cancelled:
-                                    handle.pending = False
-                                    self._cancelled -= 1
-                                    self._purged += 1
-                                    continue
+        # Bounded drain: peek at the heap head and stop before the first
+        # event past ``until``.
+        while True:
+            if lane:
+                # A heap event at the current instant that was scheduled
+                # before the lane head must run first (global seq order).
+                if heap:
+                    entry = heap[0]
+                    if entry[0] == self.now and entry[1] < lane[0][0]:
+                        heappop(heap)
+                        fn = entry[2]
+                        if fn is None:
+                            handle = entry[3]
+                            if handle.cancelled:
                                 handle.pending = False
-                                handle.fn(*handle.args)
-                            else:
-                                fn(*entry[3])
-                            executed += 1
-                            continue
-                    entry = lane_pop()
-                    entry[1](*entry[2])
-                    executed += 1
-                    continue
-                if not heap:
-                    break
-                entry = heap[0]
-                fn = entry[2]
-                if fn is None and entry[3].cancelled:
-                    heappop(heap)
-                    entry[3].pending = False
-                    self._cancelled -= 1
-                    self._purged += 1
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
-                    self._executed += executed
-                    return self._executed - start_executed
-                heappop(heap)
-                self.now = time
-                if fn is None:
-                    handle = entry[3]
-                    handle.pending = False
-                    handle.fn(*handle.args)
-                else:
-                    fn(*entry[3])
+                                self._cancelled -= 1
+                                self._purged += 1
+                                continue
+                            handle.pending = False
+                            handle.fn(*handle.args)
+                        else:
+                            fn(*entry[3])
+                        executed += 1
+                        continue
+                entry = lane_pop()
+                entry[1](*entry[2])
                 executed += 1
-            if until is not None and until > self.now:
+                continue
+            if not heap:
+                break
+            entry = heap[0]
+            fn = entry[2]
+            if fn is None and entry[3].cancelled:
+                heappop(heap)
+                entry[3].pending = False
+                self._cancelled -= 1
+                self._purged += 1
+                continue
+            time = entry[0]
+            if time > until:
                 self.now = until
-            self._executed += executed
-            return self._executed - start_executed
-        finally:
-            self._until = None
+                self._executed += executed
+                return self._executed - start_executed
+            heappop(heap)
+            self.now = time
+            if fn is None:
+                handle = entry[3]
+                handle.pending = False
+                handle.fn(*handle.args)
+            else:
+                fn(*entry[3])
+            executed += 1
+        if until > self.now:
+            self.now = until
+        self._executed += executed
+        return self._executed - start_executed
 
     def _run_observed(self, until):
         """The observed drain loop: :meth:`step` plus an ``on_event``

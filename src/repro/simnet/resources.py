@@ -116,6 +116,14 @@ class Store:
         else:
             self._getters.append(callback)
 
+    def drop_getter(self, callback):
+        """Forget ``callback`` if it still waits for an item; returns
+        whether it did."""
+        if callback in self._getters:
+            self._getters.remove(callback)
+            return True
+        return False
+
     def add_putter(self, item, callback):
         """Deposit ``item`` when room is available, then ``callback(None, None)``."""
         if self.try_put(item):

@@ -25,19 +25,19 @@ move inside of without anyone seeing:
   shared) and A5 (one vs two per binding), which no paper workload
   runs; A1 is too slow here, so a tier-1 test pins its ring order;
 * ``datapaths`` — each plugin's own send and receive loops, without the
-  runtime, over a two-host exchange of one- and 32-packet bursts: the
-  paper workloads reach XDP's and RDMA's receive loops never and DPDK's
-  only with one-packet batches.
+  runtime, over a two-host exchange of one- and 32-packet bursts: no
+  other section reaches XDP's or RDMA's receive loop, and DPDK's only
+  with one-packet batches.
 
 The ``schedule`` section pins each paper workload's and each pinned
 city's count of scheduler round trips (``Simulator.stats()["scheduled"]``,
-keyed ``city-<preset>`` for a city).  The engine's seven fused paths
-(DESIGN.md §6: burst-chain inlining, the link + rx-DMA and switch-arrival
-fusions, session consume fusion, store-get and store-put elision and the
-departure release of a frame's TX slot) skip round trips but count each
-step as executed, so the digests cannot see whether they ran; a fused
-path that stops engaging raises its workload's count, and a new one
-lowers it, which is re-pinned with every digest unchanged.
+keyed ``city-<preset>`` for a city).  The engine's six fused paths
+(DESIGN.md §6: the link + rx-DMA and switch-arrival fusions, session
+consume fusion, store-get and store-put elision and the departure
+release of a frame's TX slot) skip round trips but count each step as
+executed, so the digests cannot see whether they ran; a fused path that
+stops engaging raises its workload's count, and a new one lowers it,
+which is re-pinned with every digest unchanged.
 
 Regeneration is deliberate: :func:`regenerate_corpus` (exposed as
 ``insane validate golden --regen``) refuses to overwrite an existing

@@ -528,3 +528,35 @@ class TestSinkCloseReleasesUnconsumed:
         assert bytes(consume(sim, b, b_sink).payload()) == PAYLOAD
         assert a.close() == 0 and b.close() == 1
         assert pool.in_use == 0
+
+
+class TestCallbackSinkClose:
+    """Closing a callback sink, or its session, ends the session's loop
+    that hands the sink its deliveries: parked on a ring that nothing
+    reaches any more, it would wait for as long as the sink lives."""
+
+    @pytest.mark.parametrize("close", ["sink", "session"])
+    def test_close_ends_the_parked_loop(self, close):
+        testbed = Testbed.local()
+        sim = testbed.sim
+        deployment = InsaneDeployment(testbed)
+        tx = Session(deployment.runtime(0), "tx")
+        rx = Session(deployment.runtime(1), "rx")
+        source = tx.create_source(tx.create_stream(QosPolicy.fast(), "d"), 1)
+        got = []
+        sink = rx.create_sink(rx.create_stream(QosPolicy.fast(), "d"), 1,
+                              callback=got.append)
+        for _ in range(3):
+            emit(sim, tx, source)
+        assert len(got) == 3
+        assert len(sink.ring._getters) == 1  # parked for the next message
+        if close == "sink":
+            sink.close()
+        else:
+            rx.close()
+        sim.run()
+        assert len(sink.ring._getters) == 0
+        assert sink.loop.finished
+        emit(sim, tx, source)
+        assert len(got) == sink.received.value == 3
+        assert sim.failures == []

@@ -115,27 +115,13 @@ def test_property_roundtrip_any_frame_any_order(frame, max_fragment, seed):
 
 class TestFramePolicy:
     def test_max_payload_jumbo(self):
-        policy = FramePolicy(jumbo_enabled=True)
+        policy = FramePolicy()
         assert policy.max_payload == 9000 - 28
 
-    def test_max_payload_standard(self):
-        policy = FramePolicy(jumbo_enabled=False)
-        assert policy.max_payload == 1500 - 28
-
-    def test_requires_jumbo_boundary(self):
-        policy = FramePolicy()
-        assert not policy.requires_jumbo(1472)
-        assert policy.requires_jumbo(1473)
-
     def test_validate_raises_when_too_big(self):
-        policy = FramePolicy(jumbo_enabled=True)
+        policy = FramePolicy()
         with pytest.raises(ValueError):
             policy.validate(9001)
-
-    def test_validate_raises_without_jumbo(self):
-        policy = FramePolicy(jumbo_enabled=False)
-        with pytest.raises(ValueError):
-            policy.validate(2000)
 
     def test_jumbo_smaller_than_mtu_rejected(self):
         with pytest.raises(ValueError):

@@ -1,125 +1,97 @@
-"""Burst-chain semantics: inline execution must be unobservable.
+"""Per-packet charge loops: a burst costs one engine event per packet.
 
-A :class:`ChargeChain` may execute its steps inline (fast engine, empty
-lane, no earlier heap event) or as normally-scheduled events (legacy
-engine, contention, an installed observer).  These tests pin the
-equivalence: both modes produce the same per-step timestamps, the same
-rng draw order, the same executed-event totals, and the same failure
-accounting.
+A datapath charges a burst packet by packet (``Datapath.send_many``,
+``Datapath.recv_burst`` and the kernel softirq): it draws each stage's
+cost in stage order, yields one ``Timeout`` per packet and acts on the
+packet when that ``Timeout`` completes; after the last packet the caller
+continues in the same event.  These tests pin that contract on the shared
+transmit loop, with a stub host whose every stage charge draws rng.
 """
 
-import pytest
-
-from repro.simnet import ChargeChain, Simulator
-from repro.simnet.legacy import LegacySimulator
-
-
-class _Record:
-    __slots__ = ("payload_len", "hits")
-
-    def __init__(self, payload_len=64):
-        self.payload_len = payload_len
-        self.hits = 0
+from repro.datapaths.base import Datapath, DatapathInfo
+from repro.netstack import Packet
+from repro.simnet import Simulator, Timeout
 
 
 class _Host:
     """Stage costs with an rng draw per charge, like Host.stage_cost."""
 
-    def __init__(self, sim, base=10.0):
+    name = "stub"
+    profile = None
+    nic = None
+
+    def __init__(self, sim):
         self.sim = sim
-        self.base = base
+        self.charges = []
 
     def stage_cost(self, key, size, burst=1, jitter=True):
-        return self.base + self.sim.rng.random()
+        self.charges.append((key, burst))
+        return 10.0 + self.sim.rng.random()
 
 
-class _Dp:
-    def __init__(self, sim):
-        self.sim = sim
-        self.host = _Host(sim)
-
-
-class _TraceChain(ChargeChain):
-    __slots__ = ("order",)
-
-    stages = ("stage_a", "stage_b")
-
-    def __init__(self, dp, batch, order):
-        ChargeChain.__init__(self, dp, batch)
-        self.order = order
-
-    def _act(self, record):
-        record.hits += 1
-        self.order.append(round(self.sim.now, 9))
-
-
-class _FailingChain(ChargeChain):
-    __slots__ = ()
-
-    stages = ()
-
-    def _act(self, record):
-        if record.payload_len == 999:
-            raise RuntimeError("boom at record 3")
-        record.hits += 1
-
-
-class _Driver:
-    """Plays the process role for a chain outside a generator."""
+class _Datapath(Datapath):
+    info = DatapathInfo("stub", "in-kernel", "none", False, "per-packet",
+                        False)
+    tx_stages = ("stage_a", "stage_b")
+    tx_done_key = "stub_tx_done"
 
     def __init__(self, sim):
-        self.sim = sim
-        self.done = 0
+        Datapath.__init__(self, _Host(sim))
+        self.sent = []
 
-    def resume(self, value=None, exc=None):
-        if exc is not None:
-            raise exc
-        self.done += 1
+    def transmit(self, packet):
+        if packet.payload_len == 999:
+            raise RuntimeError("boom at packet 3")
+        self.sent.append(round(self.sim.now, 9))
 
 
-def _run_chain(sim, n=16):
-    dp = _Dp(sim)
-    order = []
-    batch = [_Record() for _ in range(n)]
-    driver = _Driver(sim)
-    chain = _TraceChain(dp, batch, order)
-    sim.schedule(5.0, chain.apply, sim, driver)
+def _burst(sim, n=16):
+    """A process that sleeps 5 ns, then sends ``n`` packets in one burst;
+    returns the datapath, the packets and the list of finish instants."""
+    dp = _Datapath(sim)
+    packets = [Packet("a", "b", 1, 1, None, 64, {}) for _ in range(n)]
+    finished = []
+
+    def sender():
+        yield Timeout(5.0)
+        yield from dp.send_many(packets)
+        finished.append(round(sim.now, 9))
+
+    sim.process(sender(), name="sender")
+    return dp, packets, finished
+
+
+def _run_burst(sim, n=16):
+    dp, packets, finished = _burst(sim, n)
     sim.run()
-    assert driver.done == 1
-    assert all(record.hits == 1 for record in batch)
-    return order, sim.stats()["events_executed"], sim.rng.random()
-
-
-def test_inline_matches_legacy_scheduled_execution():
-    """Fast-engine inline steps == legacy-engine scheduled steps, exactly."""
-    fast_order, fast_events, fast_draw = _run_chain(Simulator(seed=7))
-    legacy_order, legacy_events, legacy_draw = _run_chain(
-        LegacySimulator(seed=7))
-    assert fast_order == legacy_order
-    assert fast_events == legacy_events
-    assert fast_draw == legacy_draw
+    assert finished == dp.sent[-1:]
+    return dp.sent, sim.stats()["events_executed"], sim.rng.random()
 
 
 def test_chain_charges_once_per_stage_per_packet():
-    """Every (packet, stage) pair draws rng once, in batch order."""
+    """Every (packet, stage) pair draws once, in stage order, at the
+    batch's burst size; each packet's completion is later than the last
+    and is its trace stamp."""
     sim = Simulator(seed=3)
-    order, _events, _draw = _run_chain(sim, n=4)
-    # 4 packets x 2 stages, each completion strictly later than the last
-    assert len(order) == 4
-    assert order == sorted(order)
-    assert len(set(order)) == 4
+    dp, packets, _finished = _burst(sim, n=4)
+    sim.run()
+    assert dp.host.charges == [("stage_a", 4), ("stage_b", 4)] * 4
+    assert len(dp.sent) == 4
+    assert dp.sent == sorted(set(dp.sent))
+    assert [round(p.trace["stub_tx_done"], 9) for p in packets] == dp.sent
 
 
 def test_chain_steps_count_as_engine_events():
-    """Inline steps must appear in events_executed like scheduled ones."""
-    sim = Simulator(seed=1)
-    _order, events, _draw = _run_chain(sim, n=16)
-    # the kickoff event + 16 per-packet steps, nothing else
-    assert events == 17
+    """One engine event per packet, and the caller continues in the last
+    packet's event."""
+    _sent, events, _draw = _run_burst(Simulator(seed=1), n=16)
+    # the process start, its 5 ns sleep and 16 per-packet charges
+    assert events == 18
 
 
 def test_observer_sees_every_chain_step():
-    """An installed observer disables inlining; on_event fires per step."""
+    """An engine observer sees each per-packet event, and observing does
+    not change the execution."""
     sim = Simulator(seed=7)
     seen = []
 
@@ -128,105 +100,46 @@ def test_observer_sees_every_chain_step():
             seen.append(now)
 
     sim.observer = _Observer()
-    order, events, _draw = _run_chain(sim)
+    sent, events, draw = _run_burst(sim)
     assert len(seen) == events
-    # observation must not change the execution itself
-    bare_order, bare_events, _ = _run_chain(Simulator(seed=7))
-    assert order == bare_order
-    assert events == bare_events
+    assert _run_burst(Simulator(seed=7)) == (sent, events, draw)
 
 
 def test_run_until_pauses_and_resumes_chain_mid_batch():
-    """A chain must stop inlining at the run(until=) deadline and pick up
-    where it left off, with identical overall execution."""
-    reference_order, reference_events, reference_draw = _run_chain(
-        Simulator(seed=11))
+    """``run(until=)`` deadlines that fall inside a burst pause it between
+    packets; driving to the end gives the unbounded run's execution."""
+    reference = _run_burst(Simulator(seed=11))
     sim = Simulator(seed=11)
-    dp = _Dp(sim)
-    order = []
-    batch = [_Record() for _ in range(16)]
-    driver = _Driver(sim)
-    chain = _TraceChain(dp, batch, order)
-    sim.schedule(5.0, chain.apply, sim, driver)
+    dp, _packets, finished = _burst(sim)
     deadline = 5.0
+    paused = 0
     while sim.peek() is not None:
         deadline += 40.0
         sim.run(until=deadline)
-    assert driver.done == 1
-    assert order == reference_order
-    assert sim.stats()["events_executed"] == reference_events
-    assert sim.rng.random() == reference_draw
+        paused += 0 < len(dp.sent) < 16
+    assert paused >= 2
+    assert finished == dp.sent[-1:]
+    assert (dp.sent, sim.stats()["events_executed"],
+            sim.rng.random()) == reference
 
 
 def test_run_until_clock_never_overshoots_deadline():
     sim = Simulator(seed=11)
-    dp = _Dp(sim)
-    batch = [_Record() for _ in range(16)]
-    chain = _TraceChain(dp, batch, [])
-    sim.schedule(5.0, chain.apply, sim, _Driver(sim))
+    dp, _packets, _finished = _burst(sim)
     sim.run(until=30.0)
-    assert sim.now == 30.0  # mid-batch: inline must respect the bound
+    assert sim.now == 30.0
+    assert 0 < len(dp.sent) < 16
+    assert all(when <= 30.0 for when in dp.sent)
 
 
 def test_chain_failure_lands_in_sim_failures():
-    """_act exceptions route through the process into sim.failures, as if
-    the per-packet loop had raised inside the generator."""
+    """A per-packet action that raises fails the process, so the failure
+    lands in sim.failures, and the rest of the burst is not sent."""
     sim = Simulator(seed=0)
-    dp = _Dp(sim)
-    batch = [_Record() for _ in range(8)]
-    batch[2].payload_len = 999
-
-    def proc():
-        yield _FailingChain(dp, batch)
-
-    sim.process(proc(), name="failing")
+    dp, packets, finished = _burst(sim, n=8)
+    packets[2].payload_len = 999
     sim.run()
     assert len(sim.failures) == 1
-    assert "boom at record 3" in repr(sim.failures[0])
-
-
-def test_chain_apply_failure_also_routed():
-    """A failure drawing the first cost (empty batch) is routed the same way."""
-    sim = Simulator(seed=0)
-    dp = _Dp(sim)
-
-    def proc():
-        yield _TraceChain(dp, [], [])  # batch[0] raises IndexError
-
-    sim.process(proc(), name="empty-batch")
-    sim.run()
-    assert len(sim.failures) == 1
-
-
-def test_lane_contention_falls_back_to_scheduled_steps():
-    """Zero-delay traffic on the lane must interleave with chain steps in
-    global order, identically on both engines."""
-
-    def run(sim):
-        dp = _Dp(sim)
-        order = []
-        batch = [_Record() for _ in range(16)]
-        driver = _Driver(sim)
-        chain = _TraceChain(dp, batch, order)
-
-        def zero(depth):
-            order.append(("zero", depth, round(sim.now, 9)))
-            if depth:
-                sim.schedule(0, zero, depth - 1)
-
-        def burst(_=None):
-            order.append(("burst", round(sim.now, 9)))
-            sim.schedule(0, zero, 2)
-
-        sim.schedule(5.0, chain.apply, sim, driver)
-        # timers landing between chain steps: each seeds a zero-delay
-        # cascade, so the chain repeatedly meets a busy lane and an
-        # earlier heap entry mid-batch
-        for k in range(12):
-            sim.schedule(5.0 + 13.0 * k, burst, None)
-        sim.run()
-        return order, sim.stats()["events_executed"]
-
-    fast = run(Simulator(seed=5))
-    legacy = run(LegacySimulator(seed=5))
-    assert fast == legacy
+    assert "boom at packet 3" in repr(sim.failures[0])
+    assert len(dp.sent) == 2
+    assert finished == []

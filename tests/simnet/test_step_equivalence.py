@@ -1,20 +1,22 @@
 """step(), run(), and run(until=) must drive identical executions.
 
-The burst-chain inline path makes this non-obvious: a chain step executes
-inline only when it is provably the next event, and ``run(until=)``
-additionally publishes its deadline so chains refuse to inline past it.
-Whatever mix of driving modes the caller uses, the observable execution —
-event order, timestamps, rng stream, and the stats() counters including
+The fast engine's fused paths make this non-obvious: a ready ``Get``
+continues its generator in place when nothing else can run at that
+instant, counting the hand-off it skips as executed.  Whatever mix of
+driving modes the caller uses, the observable execution — event order,
+timestamps, rng stream, and the stats() counters including
 cancelled-timer purge accounting — must come out the same.
 
-The workload is an engine churn mix: burst chains over slotted records,
-zero-delay cascades (lane traffic), short timers (heap churn), and
+The workload is an engine churn mix: processes that take a batch of
+slotted records from a store and charge them in a per-packet loop (one
+``Timeout`` per record, as the datapaths charge a burst), zero-delay
+cascades (lane traffic), short timers (heap churn), and
 immediately-cancelled decoy timers in sufficient volume to trigger lazy
-heap compaction.  The reference :class:`LegacySimulator`, which never
-inlines, must drive the same mix to the same execution.
+heap compaction.  The reference :class:`LegacySimulator`, which fuses
+nothing, must drive the same mix to the same execution.
 """
 
-from repro.simnet import ChargeChain, Simulator
+from repro.simnet import Get, Simulator, Store, Timeout
 from repro.simnet.engine import _COMPACT_MIN
 from repro.simnet.legacy import LegacySimulator
 
@@ -27,80 +29,45 @@ class _Record:
         self.hits = 0
 
 
-class _Host:
-    def __init__(self, sim):
-        self.sim = sim
-
-    def stage_cost(self, key, size, burst=1, jitter=True):
-        return 1.0 + self.sim.rng.random()
-
-
-class _Dp:
-    def __init__(self, sim):
-        self.sim = sim
-        self.host = _Host(sim)
-
-
-class _Chain(ChargeChain):
-    __slots__ = ("order",)
-
-    stages = ("stage",)
-
-    def __init__(self, dp, batch, order):
-        ChargeChain.__init__(self, dp, batch)
-        self.order = order
-
-    def _act(self, record):
-        record.hits += 1
-        self.order.append(("act", round(self.sim.now, 9)))
-
-
 def _noop():
     pass
 
 
-class _Driver:
-    """Self-rescheduling chain source with decoy cancellations."""
+def _driver(sim, order, budget):
+    """Takes its batch from a store, charges it a record at a time, then
+    sleeps; each round may leave a cancelled decoy and a lane cascade."""
+    store = Store(sim)
+    store.try_put([_Record() for _ in range(8)])
 
-    def __init__(self, sim, dp, order, budget):
-        self.sim = sim
-        self.dp = dp
-        self.order = order
-        self.budget = budget
-        self.batch = [_Record() for _ in range(8)]
+    def zero(depth):
+        order.append(("zero", depth, round(sim.now, 9)))
+        if depth:
+            sim.schedule(0, zero, depth - 1)
 
-    def tick(self, _=None):
-        sim = self.sim
-        if self.budget[0] <= 0:
-            return
-        self.budget[0] -= 1
-        self.order.append(("tick", round(sim.now, 9)))
+    while budget[0] > 0:
+        budget[0] -= 1
+        order.append(("tick", round(sim.now, 9)))
         draw = sim.rng.random()
         if draw < 0.5:
             # decoy: cancelled immediately, purged later (compaction)
             sim.schedule_cancellable(1e6 + sim.rng.random(), _noop).cancel()
         if draw < 0.25:
-            sim.schedule(0, self._zero, 2)
-        _Chain(self.dp, self.batch, self.order).apply(sim, self)
-
-    def _zero(self, depth):
-        self.order.append(("zero", depth, round(self.sim.now, 9)))
-        if depth:
-            self.sim.schedule(0, self._zero, depth - 1)
-
-    def resume(self, value=None, exc=None):
-        if exc is not None:
-            raise exc
-        self.sim.schedule(1.0 + self.sim.rng.random() * 20.0, self.tick, None)
+            sim.schedule(0, zero, 2)
+        batch = yield Get(store)
+        for record in batch:
+            yield Timeout(1.0 + sim.rng.random())
+            record.hits += 1
+            order.append(("act", round(sim.now, 9)))
+        store.try_put(batch)
+        yield Timeout(1.0 + sim.rng.random() * 20.0)
 
 
 def _build(seed=0, drivers=4, ticks=220, engine=Simulator):
     sim = engine(seed=seed)
-    dp = _Dp(sim)
     order = []
     budget = [ticks]
     for _ in range(drivers):
-        _Driver(sim, dp, order, budget).tick()
+        sim.process(_driver(sim, order, budget))
     return sim, order
 
 
@@ -135,8 +102,8 @@ def test_step_matches_run():
     assert _final(step_sim) == _final(run_sim)
     assert step_sim.now == run_sim.now
     assert step_sim.rng.random() == run_sim.rng.random()
-    # a step() may coalesce inline chain sub-steps, so the call count is
-    # at most — not exactly — the executed-event total
+    # a step() may also run a ready Get's elided hand-off, so the call
+    # count is at most — not exactly — the executed-event total
     assert steps <= step_sim.stats()["events_executed"]
 
 
@@ -172,9 +139,9 @@ def test_mixed_driving_modes_match_run():
 
 
 def test_churn_stream_identical_across_engines():
-    """On the legacy engine every chain step is a scheduled heap event;
-    on the fast engine steps run inline when provably next.  Both must
-    execute the one stream."""
+    """On the legacy engine every hand-off is a scheduled event; on the
+    fast engine a ready Get continues in place when nothing else can run
+    at that instant.  Both must execute the one stream."""
     fast_sim, fast_order = _build()
     fast_sim.run()
     legacy_sim, legacy_order = _build(engine=LegacySimulator)
@@ -184,6 +151,6 @@ def test_churn_stream_identical_across_engines():
     assert (legacy_sim.stats()["events_executed"]
             == fast_sim.stats()["events_executed"])
     assert legacy_sim.rng.random() == fast_sim.rng.random()
-    # the comparison means something only if the fast engine inlined
+    # the comparison means something only if the fast engine fused
     assert (fast_sim.stats()["scheduled"]
             < legacy_sim.stats()["scheduled"])

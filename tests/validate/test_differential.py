@@ -34,7 +34,8 @@ class TestOracle:
 
     @pytest.mark.slow
     def test_fifty_workload_acceptance_sweep(self):
-        checked, divergences, _sweep = parallel_differential(seed=0, n=50)
+        # seeds 50-99: the per-PR CI job already sweeps seeds 0-49
+        checked, divergences, _sweep = parallel_differential(seed=50, n=50)
         assert checked == 50
         assert divergences == [], divergences[0]["report"]
 
