@@ -120,19 +120,13 @@ class UdpSocket:
     # -- receive ---------------------------------------------------------------
 
     def recv(self):
-        """Receive one datagram, paying the mode-appropriate latency."""
-        self._check_open()
-        packet = yield Get(self.buffer)
-        scalars = self.datapath.profile.scalars
-        if self.blocking:
-            yield Timeout(self.host.jitter(scalars["wakeup_ns"]))
-        else:
-            yield Timeout(self.host.jitter(scalars["udp_poll_detect_ns"]))
-        packet.stamp("app_rx", self.datapath.sim.now)
-        return packet
+        """Receive one datagram (one recvfrom syscall)."""
+        batch = yield from self.recv_many(1)
+        return batch[0]
 
     def recv_many(self, max_burst):
-        """Drain up to ``max_burst`` datagrams (models recvmmsg)."""
+        """Drain up to ``max_burst`` datagrams (models recvmmsg), paying
+        the mode-appropriate latency once."""
         self._check_open()
         first = yield Get(self.buffer)
         scalars = self.datapath.profile.scalars
