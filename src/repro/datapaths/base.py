@@ -106,6 +106,7 @@ class Datapath:
     # -- helpers shared by plugins ------------------------------------------
 
     def send(self, packet):
+        """Transmit one packet: a burst of one."""
         yield from self.send_many([packet])
 
     def send_many(self, packets):
@@ -116,7 +117,6 @@ class Datapath:
         stages = self.tx_stages
         done_key = self.tx_done_key
         burst = len(packets)
-        sim = self.sim
         for packet in packets:
             size = packet.payload_len
             cost = 0.0
@@ -125,7 +125,7 @@ class Datapath:
             yield Timeout(cost)
             trace = packet.trace
             if trace is not None:
-                trace[done_key] = sim.now
+                trace[done_key] = self.sim.now
             self.transmit(packet)
 
     def recv_burst(self, queue, max_burst=None):
@@ -142,7 +142,6 @@ class Datapath:
         stage_cost = self.host.stage_cost
         stages = self.rx_stages
         burst = len(batch)
-        sim = self.sim
         kept = []
         for packet in batch:
             size = packet.payload_len
@@ -153,7 +152,7 @@ class Datapath:
             if self._accept(packet):
                 trace = packet.trace
                 if trace is not None:
-                    trace[self.rx_done_key] = sim.now
+                    trace[self.rx_done_key] = self.sim.now
                 self.rx_packets.value += 1
                 kept.append(packet)
         return kept

@@ -67,7 +67,6 @@ class KernelUdpDatapath(Datapath):
         ring = self.nic.rx_ring
         stage_cost = self.host.stage_cost
         sockets = self._sockets
-        sim = self.sim
         while True:
             first = yield Get(ring)
             batch = [first] + ring.drain(self.rx_burst - 1)
@@ -77,7 +76,7 @@ class KernelUdpDatapath(Datapath):
                                          burst=burst))
                 trace = packet.trace
                 if trace is not None:
-                    trace["kernel_rx_done"] = sim.now
+                    trace["kernel_rx_done"] = self.sim.now
                 socket = sockets.get(packet.dst_port)
                 if socket is None:
                     self.no_socket_drops.value += 1

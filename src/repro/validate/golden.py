@@ -340,11 +340,6 @@ def _datapath_exchange(name):
     }
 
 
-def _datapath_digests():
-    return {name: _digest(_datapath_exchange(name))
-            for name in CAPACITY_DATAPATHS}
-
-
 def compute_corpus():
     """Recompute every corpus entry from the current code."""
     from repro.bench.faults import _run_failover_once
@@ -389,7 +384,8 @@ def compute_corpus():
         "breakdown": _breakdown_digests(),
         "capacity": _capacity_digests(),
         "city": {},
-        "datapaths": _datapath_digests(),
+        "datapaths": {name: _digest(_datapath_exchange(name))
+                      for name in CAPACITY_DATAPATHS},
         "engine": {},
         "fanout": _fanout_digests(),
         "faults": {},

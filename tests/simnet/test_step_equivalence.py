@@ -22,10 +22,9 @@ from repro.simnet.legacy import LegacySimulator
 
 
 class _Record:
-    __slots__ = ("payload_len", "hits")
+    __slots__ = ("hits",)
 
     def __init__(self):
-        self.payload_len = 64
         self.hits = 0
 
 
