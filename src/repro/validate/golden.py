@@ -3,7 +3,7 @@
 ``tests/golden/corpus.json`` pins sha256 digests of the simulated results
 of the paper workloads (fig5 ping-pong, fig8a streaming, fig8b 8-sink),
 the failover bench, a handful of differential-validation workloads and
-the serial runs of two generated cities — everything a behaviour-changing
+the serial runs of three generated cities — everything a behaviour-changing
 commit would move.  The city entries anchor the partitioned runs too:
 those are checked against the serial digest, which would not notice both
 sides drifting together.  A tier-1 test (``tests/golden/test_corpus.py``)
@@ -70,8 +70,9 @@ FAULTS_FAIL_AT_NS = 1_000_000.0
 VALIDATE_SEEDS = (0, 1, 2, 3)
 
 #: city presets whose serial run is pinned (digest and round trips),
-#: all at one seed.
-CITY_TOPOLOGIES = ("smoke64", "city256")
+#: all at one seed.  metro1k is the 16-region fabric the perf ``city``
+#: workload cuts in two.
+CITY_TOPOLOGIES = ("smoke64", "city256", "metro1k")
 CITY_SEED = 0
 
 #: the entry-point sections, at sizes that keep the whole check to a

@@ -2,7 +2,7 @@
 
 ``corpus.json`` pins sha256 digests of the paper workloads (fig5/fig8a/
 fig8b), the failover bench, four differential-validation workloads and
-the serial runs of the smoke64 and city256 cities, plus each paper
+the serial runs of the smoke64, city256 and metro1k cities, plus each paper
 workload's and each city's count of scheduler round trips.  It also
 pins every other entry point: the scenario corpus, the hybrid fan-out
 tier, the capacity grid, the baseline systems, the breakdowns, the
