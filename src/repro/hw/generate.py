@@ -305,7 +305,7 @@ class TrunkCable:
     def carry(self, frame, sender):
         net = self.net
         sim = net.sim
-        dst_region = net.region_of_ip(frame.dst_ip)
+        dst_region = net._region_by_ip[frame.dst_ip]
         # same float expression schedule() computes for the heap instant
         arrival = sim.now + self.propagation_ns
         if dst_region not in net.owned_regions:
@@ -340,6 +340,14 @@ class CityNetwork:
         profile = PROFILES[self.spec["profile"]]
         self.profile = profile
         size = self.spec["size"]
+        # per-message reads, hoisted
+        self._size = size
+        self._interval_ns = self.spec["interval_ns"]
+        self._messages = self.spec["messages"]
+        self._flows = self.plan["flows"]
+        # bound once: every send schedules it, and each attribute access
+        # would allocate a bound method
+        self._launch = self._launch
         tx_stages, rx_stages = DATAPATH_STAGES[self.spec["datapath"]]
         self.tx_cost_ns = sum(profile.stage(key).cost(size)
                               for key in tx_stages)
@@ -382,7 +390,7 @@ class CityNetwork:
                 self.links.append(Link(sim, host.nic, port,
                                        self.spec["access_propagation_ns"]))
                 tor.bind(record["ip"], port)
-                host.nic.rx_ring.on_item = self._make_drain(host)
+                host.nic.rx_ring.on_item = self._make_drain(host.nic.rx_ring)
             uplink = tor.new_qos_port(ceilings, region=r)
             self.uplinks[r] = uplink
             core_port = self.core.new_qos_port(ceilings, region=r)
@@ -411,11 +419,6 @@ class CityNetwork:
         #: boundary exports: dst region -> [(arrival, flow, k, is_reply)]
         self.outbox = []
 
-    # -- topology queries --------------------------------------------------
-
-    def region_of_ip(self, ip):
-        return self._region_by_ip[ip]
-
     # -- workload ----------------------------------------------------------
 
     def schedule_workload(self):
@@ -429,44 +432,43 @@ class CityNetwork:
         # the next send is queued while the current one fires, so it is
         # always on the heap before it is due and sim.peek() sees it
         base = CITY_EPOCH_NS + flow["phase_ns"]
-        depart = base + k * self.spec["interval_ns"] + self.tx_cost_ns
-        self.sim.schedule_abs(depart, self._launch, flow["id"], k)
+        depart = base + k * self._interval_ns + self.tx_cost_ns
+        self.sim.schedule_abs(depart, self._launch, flow, k)
 
     def _make_packet(self, flow, k, is_reply):
         src = self.plan["hosts"][flow["dst" if is_reply else "src"]]
         dst = self.plan["hosts"][flow["src" if is_reply else "dst"]]
         # positional: (payload, payload_len, trace, seq) bind faster
         packet = Packet(src["ip"], dst["ip"], 4000, 5000, None,
-                        self.spec["size"], None, next(self.sim.ids))
+                        self._size, None, next(self.sim.ids))
         packet.meta = {"qos_class": flow["cls"],
                        "city": (flow["id"], k, is_reply)}
         return packet
 
-    def _launch(self, flow_id, k):
-        flow = self.plan["flows"][flow_id]
-        if k + 1 < self.spec["messages"]:
+    def _launch(self, flow, k):
+        if k + 1 < self._messages:
             self._schedule_send(flow, k + 1)
         packet = self._make_packet(flow, k, False)
         self.hosts[flow["src"]].nic.transmit(packet)
 
     def _send_reply(self, flow_id, k):
-        flow = self.plan["flows"][flow_id]
+        flow = self._flows[flow_id]
         packet = self._make_packet(flow, k, True)
         self.hosts[flow["dst"]].nic.transmit(packet)
 
-    def _make_drain(self, host):
+    def _make_drain(self, ring):
+        # Delivery is synchronous and nothing else takes from the ring,
+        # so it holds exactly the frame just put: take it, deliver it.
+        take = ring._items.popleft
+        deliver = self._deliver
+
         def drain():
-            ring = host.nic.rx_ring
-            while True:
-                ok, packet = ring.try_get()
-                if not ok:
-                    return
-                self._deliver(host, packet)
+            deliver(take())
         return drain
 
-    def _deliver(self, host, packet):
+    def _deliver(self, packet):
         flow_id, k, is_reply = packet.meta["city"]
-        flow = self.plan["flows"][flow_id]
+        flow = self._flows[flow_id]
         delivered = self.sim.now + self.rx_cost_ns
         if flow["kind"] == "paced" or is_reply:
             self.deliveries.append((flow_id, k, delivered))
@@ -492,7 +494,7 @@ class CityNetwork:
         """Re-materialize a boundary frame arriving at the core at
         ``arrival`` (the bit-identical serial instant); the core's
         forwarding is fused into the injection like a trunk carry."""
-        flow = self.plan["flows"][flow_id]
+        flow = self._flows[flow_id]
         frame = Frame(self._make_packet(flow, k, is_reply))
         port = self._inject_port
         if not port.arrive(frame, arrival):

@@ -60,6 +60,9 @@ class Nic:
         # carry, instead of in a second event at the same instant.  The
         # legacy engine keeps the two-event form.
         self._fuse = getattr(sim, "_lane", None) is not None
+        # bound once: every received frame schedules it, and each
+        # attribute access would allocate a bound method
+        self._place_in_ring = self._place_in_ring
 
     # -- transmit ----------------------------------------------------------
 

@@ -40,38 +40,82 @@ class SwitchPort:
         self.index = index
         self.egress = None       # the Link wired to this port
         self._tx_free_at = 0.0
+        # bound once: every frame routed out of this port schedules its
+        # emit, and each attribute access would allocate a bound method
+        self.emit = self.emit
 
     def receive(self, frame):
-        """Frame fully arrived from the attached NIC; hand to the fabric."""
-        self.switch.forward(frame, self)
+        """Frame fully arrived from the attached NIC: its arrival event."""
+        self.arrive(frame, None)
 
     def arrive(self, frame, arrival):
-        """Fused receive: switch ``frame``, still on the wire, as of its
-        ``arrival`` instant.  False (nothing done) for a frame to drop or
-        while an engine observer must see the arrival event."""
+        """Route ``frame``, in through this port, to its output port's
+        ``emit`` ``forward_ns`` later; returns whether it was routed.  The
+        switch's one routing routine.
+
+        ``arrival`` None: this is the frame's arrival event, which also
+        counts and traces a frame to drop (no route, or a hairpin back out
+        this port).  Otherwise a fused carry (DESIGN.md §11) calls at send
+        time with the arrival instant and ``_executed`` counts the elided
+        event; a frame to drop, and every frame while an engine observer
+        must see the arrival event, is then left alone for its arrival
+        event.
+        """
         switch = self.switch
-        return switch.sim.observer is None \
-            and switch.forward(frame, self, arrival)
+        sim = switch.sim
+        port = switch.table.get(frame.dst_ip)
+        if port is None or port is self:
+            if arrival is None:
+                if port is None:
+                    switch.dropped.value += 1
+                    reason = "switch: no route to %s" % frame.dst_ip
+                else:
+                    switch.hairpin_dropped.value += 1
+                    reason = "switch: hairpin on port %d to %s" % (
+                        port.index, frame.dst_ip)
+                trace = frame.packet.trace
+                if trace is not None:
+                    trace_drop(trace, sim.now, reason)
+            return False
+        if arrival is None:
+            arrival = sim.now
+            sim.schedule(switch.forward_ns, port.emit, frame)
+        elif sim.observer is None:
+            sim.schedule_abs(arrival + switch.forward_ns, port.emit, frame)
+            sim._executed += 1  # parity with the elided arrival event
+        else:
+            return False
+        switch.forwarded.value += 1
+        trace = frame.packet.trace
+        if trace is not None:
+            trace["switch_in"] = arrival
+        return True
 
     def emit(self, frame):
         """Serialize ``frame`` out of this port after any queued frames."""
-        sim = self.switch.sim
-        serialization = frame.wire_size * 8.0 / self.switch.bandwidth_gbps
-        start = max(sim.now, self._tx_free_at)
+        switch = self.switch
+        sim = switch.sim
+        now = sim.now
+        serialization = frame.wire_size * 8.0 / switch.bandwidth_gbps
+        start = self._tx_free_at
+        if start < now:
+            start = now
         departure = start + serialization
-        queued = departure - sim.now - serialization
+        queued = departure - now - serialization
         trace = frame.packet.trace
-        if queued > self.switch.max_port_queue_ns:
-            self.switch.dropped.value += 1
+        if queued > switch.max_port_queue_ns:
+            switch.dropped.value += 1
             if trace is not None:
-                trace_drop(trace, sim.now,
+                trace_drop(trace, now,
                            "switch port %d queue overflow" % self.index)
             return
         self._tx_free_at = departure
         if trace is not None:
             # departure, not now: the stage covers port-queue residency
             trace["switch_out"] = departure
-        sim.schedule_at(departure, self.egress.carry, frame, self)
+        # schedule(departure - now) computes the same now+delay sum as
+        # schedule_at would, without the extra call
+        sim.schedule(departure - now, self.egress.carry, frame, self)
 
 
 class QosSwitchPort(SwitchPort):
@@ -86,6 +130,10 @@ class QosSwitchPort(SwitchPort):
     queue-delay ceiling is dropped on arrival — counted in the
     switch-wide ``dropped`` *and* the port's per-class ``class_dropped``,
     and it never advances the port's committed-transmit horizon.
+
+    An idle port has empty queues, so it serves an emitted frame at once;
+    ``_queued`` counts the frames waiting, so a departure scans the
+    queues only when one does.
     """
 
     def __init__(self, switch, index, class_queue_ns):
@@ -94,26 +142,31 @@ class QosSwitchPort(SwitchPort):
             raise ValueError("a QoS port needs at least one class")
         #: class index -> queue-delay ceiling (ns) for frames of that class
         self.class_queue_ns = dict(class_queue_ns)
-        self._classes = sorted(self.class_queue_ns)
-        self._queues = {cls: deque() for cls in self._classes}
+        classes = sorted(self.class_queue_ns)
+        #: class -> (class, ceiling, FIFO); a frame's class resolves with
+        #: one probe, an unknown one to the lowest class's entry
+        self._lanes = {cls: (cls, self.class_queue_ns[cls], deque())
+                       for cls in classes}
+        self._lowest = self._lanes[classes[-1]]
+        self._by_priority = [self._lanes[cls][2] for cls in classes]
+        self._queued = 0
         self._busy = False
-        self.class_dropped = {cls: 0 for cls in self._classes}
-
-    def _class_of(self, frame):
-        meta = frame.packet.meta
-        cls = meta.get("qos_class") if meta else None
-        return cls if cls in self._queues else self._classes[-1]
+        self.class_dropped = {cls: 0 for cls in classes}
+        self._depart = self._depart  # bound once, like ``emit``
 
     def emit(self, frame):
-        sim = self.switch.sim
+        switch = self.switch
+        sim = switch.sim
         now = sim.now
-        cls = self._class_of(frame)
-        serialization = frame.wire_size * 8.0 / self.switch.bandwidth_gbps
+        meta = frame.packet.meta
+        cls, ceiling, queue = self._lanes.get(
+            meta.get("qos_class") if meta else None, self._lowest)
+        serialization = frame.wire_size * 8.0 / switch.bandwidth_gbps
         start = self._tx_free_at
         if start < now:
             start = now
-        if start - now > self.class_queue_ns[cls]:
-            self.switch.dropped.value += 1
+        if start - now > ceiling:
+            switch.dropped.value += 1
             self.class_dropped[cls] += 1
             trace = frame.packet.trace
             if trace is not None:
@@ -121,26 +174,28 @@ class QosSwitchPort(SwitchPort):
                            % (self.index, cls))
             return
         self._tx_free_at = start + serialization
-        self._queues[cls].append((frame, serialization))
-        if not self._busy:
-            self._start_next()
-
-    def _start_next(self):
-        for cls in self._classes:
-            queue = self._queues[cls]
-            if queue:
-                frame, serialization = queue.popleft()
-                self._busy = True
-                self.switch.sim.schedule(serialization, self._depart, frame)
-                return
-        self._busy = False
+        if self._busy:
+            queue.append((frame, serialization))
+            self._queued += 1
+        else:
+            self._busy = True
+            sim.schedule(serialization, self._depart, frame)
 
     def _depart(self, frame):
+        sim = self.switch.sim
         trace = frame.packet.trace
         if trace is not None:
-            trace["switch_out"] = self.switch.sim.now
+            trace["switch_out"] = sim.now
         self.egress.carry(frame, self)
-        self._start_next()
+        if not self._queued:
+            self._busy = False
+            return
+        self._queued -= 1
+        for queue in self._by_priority:
+            if queue:
+                frame, serialization = queue.popleft()
+                sim.schedule(serialization, self._depart, frame)
+                return
 
 
 class Switch:
@@ -196,40 +251,3 @@ class Switch:
                 "%s cannot reach %d host(s): %s — forwarding table is "
                 "mis-wired" % (self.name, len(missing), ", ".join(missing))
             )
-
-    def forward(self, frame, in_port, arrival=None):
-        """Route ``frame`` in from ``in_port`` to its output port's
-        ``emit``, ``forward_ns`` later; returns whether it was routed.
-
-        ``arrival`` None: this is the frame's arrival event.  Otherwise a
-        fused carry (DESIGN.md §11) calls at send time with the arrival
-        instant and ``_executed`` counts the elided event; a frame to drop
-        (no route, or a hairpin back out ``in_port``) is then left alone,
-        so its arrival event counts the drop when it happens.
-        """
-        port = self.table.get(frame.dst_ip)
-        trace = frame.packet.trace
-        if port is None or port is in_port:
-            if arrival is not None:
-                return False
-            if port is None:
-                self.dropped.value += 1
-                reason = "switch: no route to %s" % frame.dst_ip
-            else:
-                self.hairpin_dropped.value += 1
-                reason = "switch: hairpin on port %d to %s" % (
-                    port.index, frame.dst_ip)
-            if trace is not None:
-                trace_drop(trace, self.sim.now, reason)
-            return False
-        self.forwarded.value += 1
-        sim = self.sim
-        if arrival is None:
-            arrival = sim.now
-            sim.schedule(self.forward_ns, port.emit, frame)
-        else:
-            sim.schedule_abs(arrival + self.forward_ns, port.emit, frame)
-            sim._executed += 1  # parity with the elided arrival event
-        if trace is not None:
-            trace["switch_in"] = arrival
-        return True

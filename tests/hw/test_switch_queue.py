@@ -170,6 +170,80 @@ def test_qos_strict_priority_reorders_across_classes():
     assert port.egress.carried == [low_a, high, low_b]
 
 
+class DepartureLog:
+    """A port egress that records each frame's departure instant."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.departed = []
+
+    def carry(self, frame, sender):
+        self.departed.append((frame, self.sim.now))
+
+
+def frame_serialization(switch, size=8192):
+    frame, _ = traced_frame(size)
+    return frame.wire_size * 8.0 / switch.bandwidth_gbps
+
+
+def make_logged_qos_port(ceilings):
+    sim, switch, port = make_qos_port(ceilings)
+    port.egress = DepartureLog(sim)
+    return sim, port, frame_serialization(switch)
+
+
+def emit_at(sim, port, when, frames):
+    def emit():
+        for frame in frames:
+            port.emit(frame)
+    sim.schedule(when, emit)
+
+
+def test_qos_idle_port_departs_one_serialization_after_emit():
+    """An idle port serves each emitted frame at once, however often it
+    has gone idle before."""
+    sim, port, serialization = make_logged_qos_port({0: 1e9, 1: 1e9})
+    first, _ = classed_frame(1)
+    second, _ = classed_frame(0)
+    emit_at(sim, port, 5_000.0, [first])
+    emit_at(sim, port, 50_000.0, [second])
+    sim.run()
+    assert port.egress.departed == [(first, 5_000.0 + serialization),
+                                    (second, 50_000.0 + serialization)]
+
+
+def test_qos_drained_port_goes_idle_and_later_emit_starts_at_once():
+    """Once its queue drains, the port is idle: a later frame starts at its
+    own emit instant, not behind a departure that never comes."""
+    sim, port, serialization = make_logged_qos_port({0: 1e9, 1: 1e9})
+    burst = [classed_frame(1)[0] for _ in range(3)]
+    late, _ = classed_frame(1)
+    emit_at(sim, port, 1_000.0, burst)
+    emit_at(sim, port, 100_000.0, [late])
+    sim.run()
+    assert port.egress.departed == [
+        (burst[0], 1_000.0 + serialization),
+        (burst[1], 1_000.0 + serialization + serialization),
+        (burst[2], 1_000.0 + serialization + serialization + serialization),
+        (late, 100_000.0 + serialization),
+    ]
+
+
+def test_qos_strict_priority_across_two_queued_classes():
+    """Frames of two classes queued behind the frame in service leave
+    highest class first, each class in its own FIFO order."""
+    sim, port, _ = make_logged_qos_port({0: 1e9, 1: 1e9, 2: 1e9})
+    serving, _ = classed_frame(2)
+    low_a, _ = classed_frame(2)
+    mid_a, _ = classed_frame(1)
+    low_b, _ = classed_frame(2)
+    mid_b, _ = classed_frame(1)
+    emit_at(sim, port, 1_000.0, [serving, low_a, mid_a, low_b, mid_b])
+    sim.run()
+    assert [frame for frame, _ in port.egress.departed] == [
+        serving, mid_a, mid_b, low_a, low_b]
+
+
 def test_qos_per_class_ceilings_and_counters():
     sim, switch, port = make_qos_port({0: 1.0, 1: 1e9})
     filler, _ = classed_frame(1)
@@ -184,11 +258,26 @@ def test_qos_per_class_ceilings_and_counters():
 
 
 def test_qos_unclassed_frames_ride_the_lowest_class():
+    """A frame without a class, or with one the port lacks, takes the
+    lowest class's place in the service order, ceiling and counter."""
     sim, switch, port = make_qos_port({0: 1e9, 2: 1e9})
+    filler, _ = classed_frame(0)
     plain, _ = classed_frame(None)
-    assert port._class_of(plain) == 2
     stranger, _ = classed_frame(7)  # class not configured on this port
-    assert port._class_of(stranger) == 2
+    premium, _ = classed_frame(0)
+    for frame in (filler, plain, stranger, premium):
+        port.emit(frame)
+    sim.run()
+    assert port.egress.carried == [filler, premium, plain, stranger]
+
+    sim, switch, port = make_qos_port({0: 1e9, 2: 1.0})
+    filler, _ = classed_frame(0)
+    port.emit(filler)  # occupies the wire; a lowest-class wait exceeds 1ns
+    for cls in (None, 7):
+        frame, recorder = classed_frame(cls)
+        port.emit(frame)
+        assert "class 2" in recorder.drops[0][1]
+    assert port.class_dropped == {0: 0, 2: 2}
 
 
 def test_qos_port_requires_a_class_map():

@@ -50,12 +50,12 @@ class TestHairpin:
         port = switch.new_port()
         switch.bind("10.0.0.9", port)
         # route resolves back out the ingress port: hairpin, not "dropped"
-        switch.forward(frame("10.0.0.9"), port)
+        port.receive(frame("10.0.0.9"))
         assert switch.hairpin_dropped.value == 1
         assert switch.dropped.value == 0
         assert switch.forwarded.value == 0
         # a genuinely unroutable frame lands in the other counter
-        switch.forward(frame("10.9.9.9"), port)
+        port.receive(frame("10.9.9.9"))
         assert switch.hairpin_dropped.value == 1
         assert switch.dropped.value == 1
 
@@ -63,7 +63,7 @@ class TestHairpin:
         sim, switch = make_switch()
         port = switch.new_port()
         switch.bind("10.0.0.9", port)
-        switch.forward(frame("10.0.0.9"), port)
+        port.receive(frame("10.0.0.9"))
         sim.run()
         assert sim.now == 0.0
 
