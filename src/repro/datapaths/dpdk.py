@@ -13,6 +13,8 @@ fast under load.
 """
 
 from repro.datapaths.base import Datapath, DatapathInfo
+from repro.hw.profiles import DATAPATH_STAGES
+from repro.netstack.packet import trace_drop
 from repro.simnet import Counter, Get, Timeout
 
 #: pseudo-port carrying ARP exchanges on the simulated wire (the frame
@@ -31,9 +33,8 @@ class DpdkDatapath(Datapath):
         dedicated_hardware=False,
     )
 
-    tx_stages = ("ustack_tx", "dpdk_tx")
+    tx_stages, rx_stages = DATAPATH_STAGES["dpdk"]
     tx_done_key = "dpdk_tx_done"
-    rx_stages = ("dpdk_rx", "ustack_rx")
     rx_done_key = "dpdk_rx_done"
 
     def __init__(self, host, mempool=None):
@@ -50,7 +51,6 @@ class DpdkDatapath(Datapath):
         self.rx_burst = int(self.profile.scalar("dpdk_rx_burst"))
         self.detect_ns = self.profile.scalar("dpdk_poll_detect_ns")
         self.mempool_drops = Counter(host.name + ".dpdk.mempool_drops")
-        self._queues = {}
         self.arp = None  # created by enable_arp()
 
     @classmethod
@@ -61,12 +61,9 @@ class DpdkDatapath(Datapath):
 
     def open_port(self, port):
         """Claim ``port`` via flow steering; returns the receive queue."""
-        queue = self.nic.create_queue([port])
-        self._queues[port] = queue
-        return queue
+        return self.nic.create_queue([port])
 
     def close_port(self, port):
-        self._queues.pop(port, None)
         self.nic.release_port(port)
 
     # -- receive ------------------------------------------------------------------
@@ -78,6 +75,10 @@ class DpdkDatapath(Datapath):
         buffer = self.mempool.try_alloc()
         if buffer is None:
             self.mempool_drops.value += 1
+            trace = packet.trace
+            if trace is not None:
+                trace_drop(trace, self.sim.now,
+                           "dpdk: mempool exhausted on %s" % self.host.name)
             return False
         if packet.payload is not None:
             buffer.write(packet.payload)

@@ -9,6 +9,8 @@ busy-polling detection delay (non-blocking sockets) or a scheduler wake-up
 """
 
 from repro.datapaths.base import Datapath, DatapathInfo
+from repro.hw.profiles import DATAPATH_STAGES
+from repro.netstack.packet import trace_drop
 from repro.simnet import Counter, Get, Store, Timeout
 
 
@@ -24,7 +26,7 @@ class KernelUdpDatapath(Datapath):
         dedicated_hardware=False,
     )
 
-    tx_stages = ("udp_tx",)
+    tx_stages = DATAPATH_STAGES["udp"][0]
     tx_done_key = "udp_tx_done"
 
     def __init__(self, host):
@@ -62,17 +64,19 @@ class KernelUdpDatapath(Datapath):
         """IRQ + softirq processing: NIC default ring -> socket buffers.
 
         Batches mimic NAPI: when a backlog exists, per-packet cost
-        amortizes its fixed component.
+        amortizes its fixed component.  The datagram's rx stage is
+        charged here, so the plugin's ``rx_stages`` stay empty.
         """
         ring = self.nic.rx_ring
         stage_cost = self.host.stage_cost
         sockets = self._sockets
+        (rx_stage,) = DATAPATH_STAGES["udp"][1]
         while True:
             first = yield Get(ring)
             batch = [first] + ring.drain(self.rx_burst - 1)
             burst = len(batch)
             for packet in batch:
-                yield Timeout(stage_cost("udp_rx", packet.payload_len,
+                yield Timeout(stage_cost(rx_stage, packet.payload_len,
                                          burst=burst))
                 trace = packet.trace
                 if trace is not None:
@@ -80,10 +84,16 @@ class KernelUdpDatapath(Datapath):
                 socket = sockets.get(packet.dst_port)
                 if socket is None:
                     self.no_socket_drops.value += 1
+                    if trace is not None:
+                        trace_drop(trace, self.sim.now, "udp: no socket on "
+                                   "port %d" % packet.dst_port)
                 elif socket.buffer.try_put(packet):
                     self.rx_packets.value += 1
                 else:
                     self.socket_overflow_drops.value += 1
+                    if trace is not None:
+                        trace_drop(trace, self.sim.now, "udp: socket buffer "
+                                   "overflow on port %d" % packet.dst_port)
 
 
 class UdpSocket:

@@ -8,6 +8,7 @@ prefers RDMA whenever it is present.
 """
 
 from repro.datapaths.base import Datapath, DatapathInfo
+from repro.hw.profiles import DATAPATH_STAGES
 from repro.simnet import Counter
 
 
@@ -21,9 +22,8 @@ class RdmaDatapath(Datapath):
         dedicated_hardware=True,
     )
 
-    tx_stages = ("rdma_post",)
+    tx_stages, rx_stages = DATAPATH_STAGES["rdma"]
     tx_done_key = "rdma_post_done"
-    rx_stages = ("rdma_poll_cq",)
     rx_done_key = "rdma_rx_done"
 
     def __init__(self, host):

@@ -9,6 +9,7 @@ but resource consumption matters (paper §5.2).
 """
 
 from repro.datapaths.base import Datapath, DatapathInfo
+from repro.hw.profiles import DATAPATH_STAGES
 
 
 class XdpDatapath(Datapath):
@@ -23,16 +24,14 @@ class XdpDatapath(Datapath):
 
     #: a burst is one TX-ring submission and one sendto() kick, whose
     #: fixed cost amortizes across the burst like a real AF_XDP send
-    tx_stages = ("ustack_tx", "xdp_tx")
+    tx_stages, rx_stages = DATAPATH_STAGES["xdp"]
     tx_done_key = "xdp_tx_done"
-    rx_stages = ("xdp_rx", "ustack_rx")
     rx_done_key = "xdp_rx_done"
 
     def __init__(self, host):
         super().__init__(host)
         self.detect_ns = self.profile.scalar("xdp_poll_detect_ns")
         self.rx_burst = int(self.profile.scalar("dpdk_rx_burst"))
-        self._queues = {}
 
     @classmethod
     def available(cls, profile):
@@ -41,10 +40,7 @@ class XdpDatapath(Datapath):
     def open_port(self, port):
         """Attach the eBPF redirect program for ``port``; returns the UMEM
         fill queue the driver redirects matching frames into."""
-        queue = self.nic.create_queue([port])
-        self._queues[port] = queue
-        return queue
+        return self.nic.create_queue([port])
 
     def close_port(self, port):
-        self._queues.pop(port, None)
         self.nic.release_port(port)

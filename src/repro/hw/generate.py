@@ -35,17 +35,9 @@ import random
 from repro.hw.host import Host
 from repro.hw.link import Link
 from repro.hw.nic import Frame, Nic
+from repro.hw.profiles import DATAPATH_STAGES, PROFILES
 from repro.hw.switch import Switch, SwitchPort
 from repro.netstack import Packet
-
-#: datapath -> (tx stage keys, rx stage keys) charged per message as a
-#: fixed (jitter-free) cost from the hardware profile.
-DATAPATH_STAGES = {
-    "udp": (("udp_tx",), ("udp_rx",)),
-    "xdp": (("xdp_tx",), ("xdp_rx",)),
-    "dpdk": (("ustack_tx", "dpdk_tx"), ("dpdk_rx", "ustack_rx")),
-    "rdma": (("rdma_post",), ("rdma_poll_cq",)),
-}
 
 #: first send instant (ns); every flow k-th message launches at
 #: ``CITY_EPOCH_NS + phase + k * interval`` plus its datapath tx cost.
@@ -157,8 +149,6 @@ def normalize_city_spec(spec):
             "unknown datapath %r (choose from %s)"
             % (out["datapath"], ", ".join(sorted(DATAPATH_STAGES)))
         )
-    from repro.hw.profiles import PROFILES
-
     if out["profile"] not in PROFILES:
         raise _topology_error(
             "unknown profile %r (choose from %s)"
@@ -334,8 +324,6 @@ class CityNetwork:
         if bad:
             raise _topology_error("cannot own unknown region(s) %s"
                                   % sorted(bad))
-
-        from repro.hw.profiles import PROFILES
 
         profile = PROFILES[self.spec["profile"]]
         self.profile = profile

@@ -274,3 +274,16 @@ CLOUD_TESTBED = TestbedProfile(
 )
 
 PROFILES = {"local": LOCAL_TESTBED, "cloud": CLOUD_TESTBED}
+
+#: datapath -> (tx stage keys, rx stage keys): the stages one message
+#: costs on each side, in charge order.  The plugins
+#: (:mod:`repro.datapaths`) charge them per packet, with jitter; the
+#: generated city (:mod:`repro.hw.generate`) charges their jitter-free
+#: sum per message.  Kernel UDP's rx stage is charged by its softirq,
+#: before a datagram reaches a socket.
+DATAPATH_STAGES = {
+    "udp": (("udp_tx",), ("udp_rx",)),
+    "xdp": (("ustack_tx", "xdp_tx"), ("xdp_rx", "ustack_rx")),
+    "dpdk": (("ustack_tx", "dpdk_tx"), ("dpdk_rx", "ustack_rx")),
+    "rdma": (("rdma_post",), ("rdma_poll_cq",)),
+}

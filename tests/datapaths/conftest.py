@@ -12,6 +12,18 @@ def local_bed():
     return Testbed.local(seed=1)
 
 
+class DropRecord(dict):
+    """A packet trace that, like a lifecycle record, can be closed as
+    dropped; it keeps each ``(now, reason)`` it is closed with."""
+
+    def __init__(self):
+        super().__init__()
+        self.drops = []
+
+    def mark_dropped(self, now, reason):
+        self.drops.append((now, reason))
+
+
 def run_udp_pingpong(bed, rounds, size, blocking=False, port=7000):
     """Drive a UDP ping-pong; returns per-round RTTs in ns."""
     sim = bed.sim

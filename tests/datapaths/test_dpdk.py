@@ -6,7 +6,7 @@ import pytest
 from repro.datapaths import DpdkDatapath, KernelUdpDatapath
 from repro.hw import Testbed
 from repro.netstack import Packet
-from tests.datapaths.conftest import mean, run_dpdk_pingpong
+from tests.datapaths.conftest import DropRecord, mean, run_dpdk_pingpong
 
 
 def test_steered_traffic_bypasses_kernel(local_bed):
@@ -79,6 +79,39 @@ def test_mempool_exhaustion_drops_packets():
     sim.run()
     assert len(received) == 2
     assert dp_b.mempool_drops.value == 3
+
+
+def test_mempool_drop_closes_the_traced_record():
+    bed = Testbed.local(seed=9)
+    sim = bed.sim
+    a, b = bed.hosts
+    from repro.core.memory import SlotPool
+
+    one_slot = SlotPool(sim, slots=1, slot_bytes=2048, name="one")
+    dp_b = DpdkDatapath(b, mempool=one_slot)
+    queue = dp_b.open_port(7300)
+    dp_a = DpdkDatapath(a)
+    kept, lost = DropRecord(), DropRecord()
+    dropped_at = []
+
+    def tx():
+        for record in (kept, lost):
+            yield from dp_a.send(Packet(a.ip, b.ip, 7300, 7300, payload_len=64,
+                                        trace=record))
+
+    def rx():
+        while dp_b.rx_packets.value + dp_b.mempool_drops.value < 2:
+            yield from dp_b.recv_burst(queue)  # never released: pool starves
+            if dp_b.mempool_drops.value and not dropped_at:
+                dropped_at.append(sim.now)
+
+    sim.process(tx())
+    sim.process(rx())
+    sim.run()
+    assert dp_b.mempool_drops.value == 1
+    assert kept.drops == []
+    assert lost.drops == [(dropped_at[0],
+                           "dpdk: mempool exhausted on %s" % b.name)]
 
 
 def test_duplicate_steering_rejected(local_bed):

@@ -8,7 +8,7 @@ import pytest
 from repro.datapaths import KernelUdpDatapath
 from repro.hw import Testbed
 from repro.netstack import Packet
-from tests.datapaths.conftest import mean, run_udp_pingpong
+from tests.datapaths.conftest import DropRecord, mean, run_udp_pingpong
 
 
 def test_datagram_delivery_end_to_end(local_bed):
@@ -62,6 +62,47 @@ def test_packet_to_unbound_port_dropped(local_bed):
     sim.process(tx())
     sim.run()
     assert dp_b.no_socket_drops.value == 1
+
+
+def test_no_socket_drop_closes_the_traced_record(local_bed):
+    sim = local_bed.sim
+    a, b = local_bed.hosts
+    dp_b = KernelUdpDatapath.get(b)
+    record = DropRecord()
+    sender = KernelUdpDatapath.get(a).socket(9000)
+
+    def tx():
+        yield from sender.send(Packet(a.ip, b.ip, 9000, 4242, payload=b"lost",
+                                      trace=record))
+
+    sim.process(tx())
+    sim.run()
+    assert dp_b.no_socket_drops.value == 1
+    assert record.drops == [(record["kernel_rx_done"],
+                             "udp: no socket on port 4242")]
+
+
+def test_socket_buffer_overflow_closes_the_traced_record(local_bed):
+    sim = local_bed.sim
+    a, b = local_bed.hosts
+    dp_b = KernelUdpDatapath.get(b)
+    sock = dp_b.socket(9000)
+    sock.buffer.capacity = 1  # nobody receives: the second datagram overflows
+    sender = KernelUdpDatapath.get(a).socket(9000)
+    kept, lost = DropRecord(), DropRecord()
+
+    def tx():
+        for record in (kept, lost):
+            yield from sender.send(Packet(a.ip, b.ip, 9000, 9000,
+                                          payload=b"x", trace=record))
+
+    sim.process(tx())
+    sim.run()
+    assert dp_b.socket_overflow_drops.value == 1
+    assert len(sock.buffer) == 1
+    assert kept.drops == []
+    assert lost.drops == [(lost["kernel_rx_done"],
+                           "udp: socket buffer overflow on port 9000")]
 
 
 def test_double_bind_rejected(local_bed):

@@ -1,8 +1,17 @@
 """Seeded city-topology generation: determinism, validation, structure."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.errors import TopologyError
+from repro.datapaths import (
+    DpdkDatapath,
+    KernelUdpDatapath,
+    RdmaDatapath,
+    XdpDatapath,
+)
+from repro.hw import Testbed
 from repro.hw.generate import (
     CITY_PRESETS,
     CityNetwork,
@@ -12,6 +21,8 @@ from repro.hw.generate import (
     resolve_topology,
     topology_digest,
 )
+from repro.hw.profiles import DATAPATH_STAGES
+from repro.netstack import Packet
 from repro.simnet import Simulator
 
 
@@ -139,3 +150,54 @@ class TestWorkload:
             assert len(net.deliveries) == flows * messages
             peaks.append(sim.stats()["peak_heap"])
         assert peaks[0] == peaks[1], peaks
+
+
+def plugin_charges(datapath, profile, size):
+    """The summed stage costs plugin ``datapath`` charges, jitter off, to
+    send one packet of ``size`` bytes and to receive it: ``(tx, rx)``."""
+    bed = Testbed(profile.replace(cpu_jitter=0.0, rdma_nic=True), seed=0)
+    sim = bed.sim
+    a, b = bed.hosts
+    charged = {a: [], b: []}
+    for host in (a, b):
+        def record(key, size, burst=1, jitter=True, host=host,
+                   charge=host.stage_cost):
+            cost = charge(key, size, burst=burst, jitter=jitter)
+            charged[host].append(cost)
+            return cost
+        host.stage_cost = record
+    port = 7400
+    if datapath == "udp":
+        send = KernelUdpDatapath.get(a).socket(port).send
+        recv = KernelUdpDatapath.get(b).socket(port).recv
+    elif datapath == "rdma":
+        send = RdmaDatapath(a).create_qp(port).post_send
+        recv = RdmaDatapath(b).create_qp(port).poll_recv
+    else:
+        plugin = {"dpdk": DpdkDatapath, "xdp": XdpDatapath}[datapath]
+        send = plugin(a).send
+        receiver = plugin(b)
+        recv = partial(receiver.recv_burst, receiver.open_port(port))
+    received = []
+
+    def tx():
+        yield from send(Packet(a.ip, b.ip, port, port, payload_len=size))
+
+    def rx():
+        received.append((yield from recv()))
+
+    sim.process(tx())
+    sim.process(rx())
+    sim.run()
+    assert received and not sim.failures
+    return sum(charged[a]), sum(charged[b])
+
+
+class TestDatapathCosts:
+    @pytest.mark.parametrize("datapath", sorted(DATAPATH_STAGES))
+    def test_city_message_costs_what_the_plugin_charges(self, datapath):
+        """A city message costs, on each side, what the datapath plugin
+        charges one packet of the same size on the same profile."""
+        net = CityNetwork(Simulator(), tiny(datapath=datapath))
+        charged = plugin_charges(datapath, net.profile, net.spec["size"])
+        assert (net.tx_cost_ns, net.rx_cost_ns) == charged
