@@ -131,9 +131,9 @@ class QosSwitchPort(SwitchPort):
     switch-wide ``dropped`` *and* the port's per-class ``class_dropped``,
     and it never advances the port's committed-transmit horizon.
 
-    An idle port has empty queues, so it serves an emitted frame at once;
-    ``_queued`` counts the frames waiting, so a departure scans the
-    queues only when one does.
+    ``_held`` counts the frames admitted and not yet departed: with none,
+    the port is idle and serves an emitted frame at once, and a departure
+    scans the queues only when a frame waits.
     """
 
     def __init__(self, switch, index, class_queue_ns):
@@ -149,8 +149,7 @@ class QosSwitchPort(SwitchPort):
                        for cls in classes}
         self._lowest = self._lanes[classes[-1]]
         self._by_priority = [self._lanes[cls][2] for cls in classes]
-        self._queued = 0
-        self._busy = False
+        self._held = 0
         self.class_dropped = {cls: 0 for cls in classes}
         self._depart = self._depart  # bound once, like ``emit``
 
@@ -174,12 +173,11 @@ class QosSwitchPort(SwitchPort):
                            % (self.index, cls))
             return
         self._tx_free_at = start + serialization
-        if self._busy:
+        if self._held:
             queue.append((frame, serialization))
-            self._queued += 1
         else:
-            self._busy = True
             sim.schedule(serialization, self._depart, frame)
+        self._held += 1
 
     def _depart(self, frame):
         sim = self.switch.sim
@@ -187,10 +185,9 @@ class QosSwitchPort(SwitchPort):
         if trace is not None:
             trace["switch_out"] = sim.now
         self.egress.carry(frame, self)
-        if not self._queued:
-            self._busy = False
+        self._held -= 1
+        if not self._held:
             return
-        self._queued -= 1
         for queue in self._by_priority:
             if queue:
                 frame, serialization = queue.popleft()
